@@ -11,13 +11,11 @@ import sys
 
 from .core import (
     compositions,
-    conjugate,
     flip,
     partitions,
     parts_from_str,
     parts_to_str,
     reverse_word,
-    standardized_yamanouchi,
     strict_partitions,
     word_from_str,
     word_to_str,
@@ -47,18 +45,15 @@ from .operators import (
     slink_star,
 )
 from .qsym import (
-    NotSymmetricError,
-    QsymElement,
     class_union_qsym,
     decompose_in_fk,
-    decompose_in_omega_fk,
     family_independence_report,
     quasi_schur,
     schur_expand_by_slinky,
     schur_expand_class_union,
     schur_fundamental,
 )
-from .rsk import knuth_move, rsk
+from .rsk import knuth_move
 from .tableaux import enumerate_tableaux
 
 DEFAULT_MAX_DEGREE = 9
@@ -92,6 +87,17 @@ def check_degree(n):
     return n
 
 
+def parse_parts(text, flag):
+    """Positive parts of a comma-separated option value."""
+    try:
+        parts = parts_from_str(text)
+    except ValueError:
+        raise UsageError(f"{flag} {text!r} is not a comma-separated list of integers")
+    if not all(part >= 1 for part in parts):
+        raise UsageError(f"{flag} {text!r} has a part below 1")
+    return parts
+
+
 # ---------------------------------------------------------------------------
 # expansion formatting
 
@@ -114,11 +120,15 @@ def format_schur(expansion):
 
 
 def emit(text, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
+        return
+    try:
+        fh = open(out_path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write --out: {exc}")
+    with fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +138,12 @@ def cmd_classes(args):
     relation = args.relation
     if relation not in RELATIONS:
         raise UsageError(f"unknown relation {relation!r}; choose from {RELATIONS}")
-    alpha = parts_from_str(args.alpha) if args.alpha else None
-    n = args.n
+    alpha = parse_parts(args.alpha, "--alpha") if args.alpha else None
+    n = sum(alpha) if alpha is not None else args.n
     if n is not None:
         check_degree(n)
-    if alpha is not None:
-        check_degree(sum(alpha))
-        n = sum(alpha)
     try:
-        classes = classes_for_cli(relation, n=args.n, alpha=alpha)
+        classes = classes_for_cli(relation, n=n, alpha=alpha)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -162,7 +169,7 @@ def cmd_expand(args):
         raise UsageError("expand needs exactly one of --shape, --class-of, --quasischur")
 
     if args.shape is not None:
-        lam = parts_from_str(args.shape)
+        lam = parse_parts(args.shape, "--shape")
         check_degree(sum(lam))
         if any(a < b for a, b in zip(lam, lam[1:])):
             raise UsageError(f"{lam} is not a partition")
@@ -181,7 +188,10 @@ def cmd_expand(args):
     elif args.class_of is not None:
         if args.relation is None:
             raise UsageError("--class-of needs --relation")
-        word = word_from_str(args.class_of)
+        try:
+            word = word_from_str(args.class_of)
+        except ValueError:
+            raise UsageError(f"--class-of {args.class_of!r} is not a word of integers")
         n = len(word)
         check_degree(n)
         if sorted(word) != list(range(1, n + 1)):
@@ -221,7 +231,7 @@ def cmd_expand(args):
         text = "\n".join(lines) + "\n"
 
     else:
-        alpha = parts_from_str(args.quasischur)
+        alpha = parse_parts(args.quasischur, "--quasischur")
         n = sum(alpha)
         check_degree(n)
         q = quasi_schur(alpha)
@@ -512,11 +522,11 @@ def build_parser():
     def common(p):
         p.add_argument("--format", choices=("text", "json", "dot"), default="text")
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--jobs", type=int, default=1, help="maximum fan-out width")
 
     p_classes = sub.add_parser("classes", help="list equivalence classes")
-    p_classes.add_argument("--n", type=int)
-    p_classes.add_argument("--alpha", help="composition, comma separated")
+    carrier = p_classes.add_mutually_exclusive_group()
+    carrier.add_argument("--n", type=int)
+    carrier.add_argument("--alpha", help="composition, comma separated")
     p_classes.add_argument("--relation", required=True)
     common(p_classes)
     p_classes.set_defaults(fn=cmd_classes)
@@ -526,7 +536,6 @@ def build_parser():
     p_expand.add_argument("--class-of", dest="class_of", help="permutation word")
     p_expand.add_argument("--quasischur", help="composition, comma separated")
     p_expand.add_argument("--relation")
-    p_expand.add_argument("--n", type=int)
     common(p_expand)
     p_expand.set_defaults(fn=cmd_expand)
 
@@ -541,8 +550,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -52,14 +52,6 @@ def is_partition(seq):
     return all(a >= b for a, b in zip(seq, seq[1:])) and all(a >= 1 for a in seq)
 
 
-def is_strict_partition(seq):
-    return all(a > b for a, b in zip(seq, seq[1:])) and all(a >= 1 for a in seq)
-
-
-def is_composition(seq):
-    return all(a >= 1 for a in seq)
-
-
 def sort_to_partition(alpha):
     """The partition obtained by sorting the parts of a composition."""
     return tuple(sorted(alpha, reverse=True))
@@ -102,13 +94,7 @@ def descent_composition(word):
     n = len(word)
     if n == 0:
         return ()
-    marks = sorted(inverse_descent_set(word) | {n})
-    prev = 0
-    parts = []
-    for m in marks:
-        parts.append(m - prev)
-        prev = m
-    return tuple(parts)
+    return subset_to_composition(inverse_descent_set(word), n)
 
 
 def subset_to_composition(subset, n):

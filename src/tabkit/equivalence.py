@@ -6,8 +6,8 @@ Classes are always listed with members sorted by key and classes sorted
 by least member.
 """
 
-from .core import all_permutations, compositions, partitions, reverse_word, flip
-from .rsk import dual_move, rsk, rsk_inverse
+from .core import all_permutations, partitions, reverse_word, flip
+from .rsk import dual_move_tableau, rsk_inverse
 from .operators import (
     mason_rho,
     quasi_dual_move_srct,
@@ -72,25 +72,17 @@ def moves_for(relation, n):
         return [("slink*", 0, slink_star)]
     if relation == "equiv1":
         return [("slink", 0, slink)]
-    if relation == "equiv2":
-        return [
-            ("dR", i, _tab_or_word(restricted_dual_move_tableau, restricted_dual_move, i))
-            for i in range(2, n - 1)
-        ]
-    if relation == "dual":
-        return [
-            ("d", i, _tab_or_word(_dual_move_tableau, dual_move, i))
-            for i in range(2, n)
-        ]
-    if relation == "quasiDualSRCT":
-        return [("DQ", i, _bind(quasi_dual_move_srct, i)) for i in range(2, n)]
-    if relation == "quasiDualSRT":
-        return [("dQ", i, _bind(quasi_dual_move_srt, i)) for i in range(2, n)]
-    if relation == "quasiDualSRT-restricted":
+    if relation in ("equiv2", "quasiDualSRT-restricted"):
         return [
             ("dR", i, _bind(restricted_dual_move_tableau, i))
             for i in range(2, n - 1)
         ]
+    if relation == "dual":
+        return [("d", i, _bind(dual_move_tableau, i)) for i in range(2, n)]
+    if relation == "quasiDualSRCT":
+        return [("DQ", i, _bind(quasi_dual_move_srct, i)) for i in range(2, n)]
+    if relation == "quasiDualSRT":
+        return [("dQ", i, _bind(quasi_dual_move_srt, i)) for i in range(2, n)]
     if relation == "shifted":
         return [("h", i, _bind(shifted_dual_move, i)) for i in range(1, n - 2)]
     if relation == "equiv2rev":
@@ -124,19 +116,6 @@ def _bind(fn, i):
     return lambda x: fn(i, x)
 
 
-def _tab_or_word(tab_fn, word_fn, i):
-    def move(x):
-        if isinstance(x, Tableau):
-            return tab_fn(i, x)
-        return word_fn(i, x)
-
-    return move
-
-
-def _dual_move_tableau(i, t):
-    return t.with_word(dual_move(i, t.reading_word()))
-
-
 def _conjugated(word_fn, i, outer):
     return lambda w: outer(word_fn(i, outer(w)))
 
@@ -148,19 +127,12 @@ class CarrierError(ValueError):
     """A move produced an element outside the declared carrier."""
 
 
-def closure(seed, moves, universe=None):
+def closure(seed, moves):
     """Minimal move-closed superset of {seed}.
 
-    With involutive moves a plain breadth-first search suffices.  When a
-    universe is supplied the closure is the connected component of the
-    symmetrized move graph over it (needed for the non-involutive slink).
+    With involutive moves a plain breadth-first search suffices; the
+    non-involutive slink needs the components that all_classes finds.
     """
-    if universe is not None:
-        target = key_of(seed)
-        for cls in all_classes(universe, moves, relation=None):
-            if any(key_of(m) == target for m in cls.members):
-                return cls
-        raise CarrierError("seed not found in universe")
     seen = {key_of(seed): seed}
     frontier = [seed]
     while frontier:
@@ -246,11 +218,14 @@ def syt_classes(shape_or_n, relation):
 
 
 def perm_classes(n, relation):
-    """Classes of S_n under a word-level relation."""
-    universe = all_permutations(n)
-    if relation in ("equiv0", "equiv1"):
-        # slink acts through the insertion tableau; transport the tableau
-        # classes across every recording tableau of the same shape
+    """Classes of S_n under a word-level relation.
+
+    The tableau relations move a word's insertion tableau and fix its
+    recording tableau Q (Haiman's dual equivalence), so their word classes
+    are the tableau classes carried across each Q by inverse RSK.  The
+    other relations act on words directly and sweep S_n.
+    """
+    if relation in ("equiv0", "equiv1", "equiv2", "dual"):
         classes = []
         for lam in partitions(n):
             tab_classes = syt_classes(lam, relation)
@@ -262,7 +237,7 @@ def perm_classes(n, relation):
                         )
                     )
         return sorted(classes, key=lambda cls: cls.key)
-    return all_classes(universe, moves_for(relation, n), relation)
+    return all_classes(all_permutations(n), moves_for(relation, n), relation)
 
 
 def srct_classes(alpha):
@@ -286,13 +261,14 @@ def srt_image_classes(alpha, relation):
 
 
 def classes_for_cli(relation, n=None, alpha=None):
-    """Carrier selection used by the command line front end."""
+    """Carrier selection used by the command line front end: the
+    quasi-dual relations take a composition alpha, the others a degree n."""
     if relation in ("equiv0", "equiv1", "equiv2", "dual"):
-        if n is None:
+        if n is None or alpha is not None:
             raise ValueError(f"relation {relation} needs --n")
         return syt_classes(n, relation)
     if relation in ("shifted", "equiv2rev", "equiv2flip"):
-        if n is None:
+        if n is None or alpha is not None:
             raise ValueError(f"relation {relation} needs --n")
         return perm_classes(n, relation)
     if relation == "quasiDualSRCT":

@@ -249,10 +249,10 @@ def quasi_dual_move_srct(i, t):
     cells = [t.position_of(v) for v in (i - 1, i, i + 1)]
     if _first_column_guard(t, i):
         return t
-    word = t.bent_reading_word()
+    word = t.reading_word()
     if in_single_pistol(t.shape, cells):
         return t.with_word(cyclic_dual_move(i, word))
-    return t.with_word(dual_move_on_values(i, word))
+    return t.with_word(dual_move(i, word))
 
 
 def quasi_dual_move_srt(i, t):
@@ -261,24 +261,7 @@ def quasi_dual_move_srt(i, t):
         raise InvalidTableauError("expected an SRT")
     if _first_column_guard(t, i):
         return t
-    return t.with_word(dual_move_on_values(i, t.reverse_column_word()))
-
-
-def dual_move_on_values(i, word):
-    """Dual move for words over an arbitrary value set containing i-1..i+1."""
-    pos = {v: idx for idx, v in enumerate(word)}
-    for v in (i - 1, i, i + 1):
-        if v not in pos:
-            raise ValueError(f"value {v} not present")
-    lo, mid, hi = pos[i - 1], pos[i], pos[i + 1]
-    if min(lo, hi) < mid < max(lo, hi):
-        return tuple(word)
-    out = list(word)
-    if (mid < lo < hi) or (hi < lo < mid):
-        out[mid], out[hi] = i + 1, i
-    else:
-        out[mid], out[lo] = i - 1, i
-    return tuple(out)
+    return t.with_word(dual_move(i, t.reading_word()))
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,11 @@ from .core import (
     compositions,
     descent_composition,
     flip,
-    partitions,
     slinky,
     sort_to_partition,
     subset_to_composition,
 )
-from .equivalence import all_classes, key_of, moves_for, syt_classes
+from .equivalence import all_classes, moves_for, syt_classes
 from .rsk import rsk
 from .tableaux import Tableau, enumerate_tableaux, superstandard
 

@@ -196,14 +196,6 @@ class Tableau:
     def row_reading_word(self):
         return tuple(self.rows[r][c] for r, c in self._row_cells())
 
-    def reverse_column_word(self):
-        assert self.flavor == "SRT"
-        return self.reading_word()
-
-    def bent_reading_word(self):
-        assert self.flavor == "SRCT"
-        return self.reading_word()
-
     def with_word(self, word):
         """Refill the same cells, in reading order, with a new word."""
         cells = self.reading_cells()

@@ -151,6 +151,26 @@ def test_verify_unknown_suite():
         main(["verify", "--suite", "nope"])
 
 
-def test_jobs_validation():
-    with pytest.raises(SystemExit):
-        main(["classes", "--relation", "equiv2", "--n", "4", "--jobs", "0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classes", "--relation", "quasiDualSRCT", "--alpha", "2,,3"],
+        ["expand", "--shape", "3,a"],
+        ["expand", "--shape", "3,0"],
+        ["expand", "--quasischur", "2,x"],
+        ["expand", "--quasischur", "2,0"],
+        ["expand", "--class-of", "12a4", "--relation", "equiv2"],
+        ["expand", "--shape", "2,1", "--out", "/nonexistent/dir/x"],
+    ],
+)
+def test_malformed_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_n_with_alpha_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classes", "--relation", "quasiDualSRCT", "--alpha", "2,2", "--n", "7"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err

@@ -18,7 +18,8 @@ from tabkit.equivalence import (
     syt_classes,
     syt_universe,
 )
-from tabkit.rsk import insertion_tableau
+from tabkit.operators import restricted_dual_move
+from tabkit.rsk import dual_move, insertion_tableau
 from tabkit.tableaux import enumerate_tableaux, superstandard
 
 
@@ -90,16 +91,6 @@ def test_closure_matches_all_classes():
         ]
 
 
-def test_closure_with_universe_for_slink():
-    universe = syt_universe(5)
-    moves = moves_for("equiv1", 5)
-    for cls in syt_classes(5, "equiv1"):
-        got = closure(cls.members[0], moves, universe=universe)
-        assert tuple(key_of(m) for m in got.members) == tuple(
-            key_of(m) for m in cls.members
-        )
-
-
 def test_carrier_error():
     # dual moves do not preserve a single arbitrary shape's tableau set
     universe = enumerate_tableaux((3, 1), "SYT")
@@ -120,6 +111,21 @@ def test_perm_classes_transport_consistency():
             for cls in perm_classes(n, relation):
                 images = {tab_keys[key_of(insertion_tableau(w))] for w in cls.members}
                 assert len(images) == 1
+
+
+@pytest.mark.parametrize("relation", ["equiv2", "dual"])
+def test_perm_classes_transport_matches_word_sweep(relation):
+    # reference: close S_n under the word-level moves directly
+    if relation == "equiv2":
+        word_move, indices = restricted_dual_move, lambda n: range(2, n - 1)
+    else:
+        word_move, indices = dual_move, lambda n: range(2, n)
+    for n in range(1, 8):
+        word_moves = [
+            ("w", i, lambda w, i=i: word_move(i, w)) for i in indices(n)
+        ]
+        expected = all_classes(all_permutations(n), word_moves, relation)
+        assert perm_classes(n, relation) == expected
 
 
 def test_perm_classes_partition_sn():

@@ -76,12 +76,12 @@ def test_uyt_golden():
 def test_reverse_column_word_golden():
     t = Tableau([(8, 6, 3), (7, 5), (4, 2)], "SRT")
     # columns right to left, each read upward
-    assert t.reverse_column_word() == (3, 6, 5, 2, 8, 7, 4)
+    assert t.reading_word() == (3, 6, 5, 2, 8, 7, 4)
 
 
 def test_bent_reading_word_golden():
     t = Tableau([(8, 5), (7, 6, 3), (4, 2)], "SRCT")
-    assert t.bent_reading_word() == (3, 2, 6, 5, 8, 7, 4)
+    assert t.reading_word() == (3, 2, 6, 5, 8, 7, 4)
 
 
 def test_with_word_round_trip():

@@ -167,6 +167,10 @@ def cmd_expand(args):
     selectors = [args.shape, args.class_of, args.quasischur]
     if sum(sel is not None for sel in selectors) != 1:
         raise UsageError("expand needs exactly one of --shape, --class-of, --quasischur")
+    if args.relation is not None and args.class_of is None:
+        raise UsageError("--relation works only with --class-of")
+    if args.format == "dot":
+        raise UsageError("expand has no dot output")
 
     if args.shape is not None:
         lam = parse_parts(args.shape, "--shape")
@@ -251,8 +255,6 @@ def cmd_expand(args):
 
     if args.format == "json":
         emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.format == "dot":
-        raise UsageError("expand has no dot output")
     else:
         emit(text, args.out)
     return 0
@@ -283,9 +285,10 @@ def suite_poset(n):
 
     # equiv2 on S_n refines shifted dual equivalence taken on reversed words
     fine = perm_classes(n, "equiv2")
+    shifted = perm_classes(n, "shifted")
     shifted_on_rev = [
         EquivClass("shifted-rev", [reverse_word(w) for w in cls.members])
-        for cls in perm_classes(n, "shifted")
+        for cls in shifted
     ]
     results.append(
         (f"equiv2 refines reversed shifted classes on S_{n}",
@@ -293,7 +296,7 @@ def suite_poset(n):
     )
     shifted_on_flip = [
         EquivClass("shifted-flip", [flip(w) for w in cls.members])
-        for cls in perm_classes(n, "shifted")
+        for cls in shifted
     ]
     results.append(
         (f"equiv2 refines flipped shifted classes on S_{n}",
@@ -403,8 +406,8 @@ def suite_mason(n):
 
 
 def suite_shifted(n):
-    from .core import all_permutations
-    from .operators import SHIFTED_WINDOW_TABLE, _apply_window
+    from .core import all_permutations, apply_window
+    from .operators import SHIFTED_WINDOW_TABLE
 
     results = []
 
@@ -412,7 +415,7 @@ def suite_shifted(n):
     table_ok = True
     witness = None
     for w in all_permutations(4):
-        expected = _apply_window(w, 1, 4, SHIFTED_WINDOW_TABLE)
+        expected = apply_window(w, 1, 4, SHIFTED_WINDOW_TABLE)
         if shifted_dual_move(1, w) != expected:
             table_ok, witness = False, w
             break

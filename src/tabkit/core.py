@@ -121,11 +121,6 @@ def composition_to_subset(alpha):
 # ---------------------------------------------------------------------------
 # word surgeries
 
-def restrict(word, low, high):
-    """Subword of values in [low, high], in place order."""
-    return tuple(v for v in word if low <= v <= high)
-
-
 def standardize(word):
     """Permutation with the same relative order; earlier copies of equal
     values are treated as smaller."""
@@ -136,11 +131,6 @@ def standardize(word):
     return tuple(out)
 
 
-def flatten(word, low, high):
-    """Subword of values in [low, high], renumbered to [1, count]."""
-    return standardize(restrict(word, low, high))
-
-
 def reverse_word(word):
     return tuple(reversed(word))
 
@@ -149,6 +139,49 @@ def flip(word):
     """Reverse, then send each value i to n+1-i."""
     n = len(word)
     return tuple(n + 1 - v for v in reversed(word))
+
+
+# ---------------------------------------------------------------------------
+# value-window pattern tables
+#
+# A dual-type move permutes the values low..high of a word among their own
+# positions.  Its table maps the window (those values in place order,
+# renumbered to 1..k) to the new window; windows not in the table are fixed.
+
+def window_table(templates):
+    """Table of a move that swaps x and y in each template.
+
+    A template spells a window of k = len(template) values with digits for
+    the fixed values and the letters x, y for the two missing ones; both
+    ways of filling in x and y are entered.
+    """
+    table = {}
+    for template in templates:
+        fixed = {int(ch) for ch in template if ch.isdigit()}
+        a, b = sorted(set(range(1, len(template) + 1)) - fixed)
+        for x, y in ((a, b), (b, a)):
+            subst = {"x": x, "y": y}
+            window = tuple(subst.get(ch) or int(ch) for ch in template)
+            table[window] = tuple(y if v == x else x if v == y else v for v in window)
+    return table
+
+
+def apply_window(word, low, high, table):
+    """Apply a pattern table to the values low..high of a word.
+
+    Raises ValueError when one of those values is missing.
+    """
+    try:
+        positions = sorted(word.index(v) for v in range(low, high + 1))
+    except ValueError:
+        raise ValueError(f"values [{low}, {high}] not all present") from None
+    new_window = table.get(tuple(word[p] - low + 1 for p in positions))
+    if new_window is None:
+        return tuple(word)
+    out = list(word)
+    for p, v in zip(positions, new_window):
+        out[p] = v + low - 1
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Run-permuting involutions on SYT, restricted/quasi/shifted dual moves,
 and the column-sorting bijection between SRCT and SRT."""
 
-from .core import flatten, inverse_descent_set, restrict
+from .core import apply_window, inverse_descent_set, window_table
 from .rsk import dual_move
 from .tableaux import (
     InvalidTableauError,
@@ -119,49 +119,17 @@ def slink_star(t):
 
 
 # ---------------------------------------------------------------------------
-# windowed pattern tables
-
-def _build_window_table(templates, size):
-    table = {}
-    values = set(range(1, size + 1))
-    for template in templates:
-        fixed = [int(ch) if ch.isdigit() else None for ch in template]
-        free = sorted(values - {v for v in fixed if v is not None})
-        for x, y in ((free[0], free[1]), (free[1], free[0])):
-            subst = {"x": x, "y": y}
-            window = tuple(
-                subst[ch] if ch in subst else int(ch) for ch in template
-            )
-            swapped = tuple(y if v == x else x if v == y else v for v in window)
-            table[window] = swapped
-    return table
-
+# value-window moves
 
 # nontrivial windows of the restricted dual move, on values [i-1, i+2]
 RESTRICTED_WINDOW_TEMPLATES = ("x1y4", "x14y", "x41y", "x3y4", "x34y")
-RESTRICTED_WINDOW_TABLE = _build_window_table(RESTRICTED_WINDOW_TEMPLATES, 4)
+RESTRICTED_WINDOW_TABLE = window_table(RESTRICTED_WINDOW_TEMPLATES)
 
 # nontrivial windows of the shifted dual move, on values [i, i+3]
 SHIFTED_WINDOW_TEMPLATES = (
     "1x2y", "x12y", "1x4y", "x14y", "4x1y", "x41y", "4x3y", "x43y",
 )
-SHIFTED_WINDOW_TABLE = _build_window_table(SHIFTED_WINDOW_TEMPLATES, 4)
-
-
-def _apply_window(word, low, high, table):
-    """Apply a flattened-window pattern table to the values in [low, high]."""
-    window_values = sorted(restrict(word, low, high))
-    if len(window_values) != high - low + 1:
-        raise ValueError(f"values [{low}, {high}] not all present")
-    window = flatten(word, low, high)
-    new_window = table.get(window)
-    if new_window is None:
-        return tuple(word)
-    out = list(word)
-    positions = [idx for idx, v in enumerate(word) if low <= v <= high]
-    for pos, v in zip(positions, new_window):
-        out[pos] = window_values[v - 1]
-    return tuple(out)
+SHIFTED_WINDOW_TABLE = window_table(SHIFTED_WINDOW_TEMPLATES)
 
 
 def restricted_dual_move(i, word):
@@ -170,7 +138,7 @@ def restricted_dual_move(i, word):
     n = len(word)
     if not 2 <= i <= n - 2:
         raise ValueError(f"index {i} out of range [2, {n - 2}]")
-    return _apply_window(word, i - 1, i + 2, RESTRICTED_WINDOW_TABLE)
+    return apply_window(word, i - 1, i + 2, RESTRICTED_WINDOW_TABLE)
 
 
 def restricted_dual_move_by_guard(i, word):
@@ -183,11 +151,7 @@ def restricted_dual_move_by_guard(i, word):
 
 def restricted_dual_move_tableau(i, t):
     """Restricted dual move on a tableau via its flavor's reading word."""
-    word = t.reading_word()
-    moved = dual_move(i, word)
-    if i + 1 in inverse_descent_set(word) & inverse_descent_set(moved):
-        return t
-    return t.with_word(moved)
+    return t.with_word(restricted_dual_move(i, t.reading_word()))
 
 
 def shifted_dual_move(i, word):
@@ -200,7 +164,7 @@ def shifted_dual_move(i, word):
         return tuple(word)
     if not 1 <= i <= n - 3:
         raise ValueError(f"index {i} out of range [1, {n - 3}]")
-    return _apply_window(word, i, i + 3, SHIFTED_WINDOW_TABLE)
+    return apply_window(word, i, i + 3, SHIFTED_WINDOW_TABLE)
 
 
 def shifted_dual_move_tableau(i, t):
@@ -211,28 +175,19 @@ def shifted_dual_move_tableau(i, t):
 # ---------------------------------------------------------------------------
 # cyclic move and the quasi-dual moves
 
+# the rotations among the values i-1, i, i+1, renumbered 1..3
+CYCLIC_WINDOW_TABLE = {
+    (2, 1, 3): (1, 3, 2),
+    (1, 3, 2): (2, 1, 3),
+    (2, 3, 1): (3, 1, 2),
+    (3, 1, 2): (2, 3, 1),
+}
+
+
 def cyclic_dual_move(i, word):
     """Involution cyclically permuting the values i-1, i, i+1; identity when
     i sits between its neighbors."""
-    pos = {v: idx for idx, v in enumerate(word)}
-    for v in (i - 1, i, i + 1):
-        if v not in pos:
-            raise ValueError(f"value {v} not present")
-    spots = sorted((pos[i - 1], pos[i], pos[i + 1]))
-    state = tuple(word[p] for p in spots)
-    a, b, c = i - 1, i, i + 1
-    cycle = {
-        (b, a, c): (a, c, b),
-        (a, c, b): (b, a, c),
-        (b, c, a): (c, a, b),
-        (c, a, b): (b, c, a),
-    }
-    if state not in cycle:
-        return tuple(word)
-    out = list(word)
-    for p, v in zip(spots, cycle[state]):
-        out[p] = v
-    return tuple(out)
+    return apply_window(word, i - 1, i + 1, CYCLIC_WINDOW_TABLE)
 
 
 def _first_column_guard(t, i):

@@ -212,13 +212,6 @@ class SchurExpansion:
     def is_positive(self):
         return all(c > 0 for c in self.coeffs.values())
 
-    def conjugate(self):
-        from .core import conjugate
-
-        return SchurExpansion(
-            self.degree, {conjugate(lam): c for lam, c in self.coeffs.items()}
-        )
-
     def to_json(self):
         return {
             "degree": self.degree,

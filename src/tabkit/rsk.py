@@ -2,7 +2,7 @@
 
 from bisect import bisect_right
 
-from .core import invert
+from .core import apply_window, invert, window_table
 from .tableaux import Tableau, InvalidTableauError
 
 
@@ -54,6 +54,10 @@ def recording_tableau(word):
     return rsk(word)[1]
 
 
+# nontrivial windows of the dual move, on values [i-1, i+1]
+DUAL_WINDOW_TABLE = window_table(("x1y", "x3y"))
+
+
 def dual_move(i, word):
     """Elementary dual equivalence: exchange among the values i-1, i, i+1.
 
@@ -63,18 +67,7 @@ def dual_move(i, word):
     n = len(word)
     if not 2 <= i <= n - 1:
         raise ValueError(f"index {i} out of range [2, {n - 1}]")
-    pos = {v: idx for idx, v in enumerate(word)}
-    lo, mid, hi = pos[i - 1], pos[i], pos[i + 1]
-    if min(lo, hi) < mid < max(lo, hi):
-        return tuple(word)
-    out = list(word)
-    if (mid < lo < hi) or (hi < lo < mid):
-        # i-1 in the middle: swap i and i+1
-        out[mid], out[hi] = i + 1, i
-    else:
-        # i+1 in the middle: swap i and i-1
-        out[mid], out[lo] = i - 1, i
-    return tuple(out)
+    return apply_window(word, i - 1, i + 1, DUAL_WINDOW_TABLE)
 
 
 def dual_move_tableau(i, t):

@@ -43,9 +43,6 @@ class Tableau:
     def offset(self, r):
         return r if self.flavor == "SST" else 0
 
-    def entry(self, r, c):
-        return self.rows[r][c]
-
     def values(self):
         return [v for row in self.rows for v in row]
 
@@ -55,10 +52,6 @@ class Tableau:
                 if v == value:
                     return (r, c)
         raise KeyError(value)
-
-    def column_of(self, value):
-        r, c = self.position_of(value)
-        return self.offset(r) + c
 
     def __eq__(self, other):
         return (

@@ -9,6 +9,7 @@ from itertools import combinations
 
 from tabkit.core import (
     all_permutations,
+    apply_window,
     compositions,
     conjugate,
     descent_composition,
@@ -35,7 +36,6 @@ from tabkit.equivalence import (
 )
 from tabkit.operators import (
     SHIFTED_WINDOW_TABLE,
-    _apply_window,
     mason_rho,
     mason_rho_inverse,
     quasi_dual_move_srct,
@@ -320,7 +320,7 @@ def test_criterion_7_shifted_suite(capsys):
     def body():
         # pattern table equals the windowed definition on all of S_4
         for w in all_permutations(4):
-            assert shifted_dual_move(1, w) == _apply_window(w, 1, 4, SHIFTED_WINDOW_TABLE)
+            assert shifted_dual_move(1, w) == apply_window(w, 1, 4, SHIFTED_WINDOW_TABLE)
 
         # bridges, with the index discrepancy resolved to n-i-1
         stated_index_fails = False

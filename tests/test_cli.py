@@ -114,6 +114,20 @@ def test_expand_usage_errors(capsys):
     assert code == 2 and "--relation" in err
     code, _, err = run(capsys, "expand", "--shape", "2,1", "--format", "dot")
     assert code == 2
+    for selector in (("--shape", "2,1"), ("--quasischur", "2,1")):
+        code, _, err = run(capsys, "expand", *selector, "--relation", "nope")
+        assert code == 2 and "--relation" in err
+
+
+def test_expand_dot_rejected_before_any_work(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("expand computed an answer it cannot print")
+
+    monkeypatch.setattr("tabkit.cli.perm_classes", fail)
+    code, _, err = run(
+        capsys, "expand", "--class-of", "2143", "--relation", "equiv2", "--format", "dot"
+    )
+    assert code == 2 and "no dot output" in err
 
 
 def test_expand_out_file(capsys, tmp_path):

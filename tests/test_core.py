@@ -2,17 +2,16 @@ import pytest
 
 from tabkit.core import (
     all_permutations,
+    apply_window,
     compositions,
     composition_to_subset,
     conjugate,
     descent_composition,
-    flatten,
     flip,
     invert,
     inverse_descent_set,
     is_partition,
     partitions,
-    restrict,
     reverse_word,
     slinky,
     slinky_by_swaps,
@@ -22,6 +21,7 @@ from tabkit.core import (
     standardized_yamanouchi,
     strict_partitions,
     subset_to_composition,
+    window_table,
     word_from_str,
     word_to_str,
     yamanouchi_words,
@@ -92,10 +92,13 @@ def test_standardize():
         assert standardize(w) == w
 
 
-def test_restrict_and_flatten():
-    w = (6, 3, 4, 8, 9, 1, 2, 5, 7)
-    assert restrict(w, 3, 6) == (6, 3, 4, 5)
-    assert flatten(w, 3, 6) == (4, 1, 2, 3)
+def test_window_table_and_apply_window():
+    table = window_table(("x1y",))
+    assert table == {(2, 1, 3): (3, 1, 2), (3, 1, 2): (2, 1, 3)}
+    # the values 3..5 read (5, 3, 4) in place order, i.e. window (3, 1, 2)
+    w = (5, 3, 1, 4, 2)
+    assert apply_window(w, 3, 5, table) == (4, 3, 1, 5, 2)
+    assert apply_window(w, 2, 4, table) == w
 
 
 def test_flip_and_invert():

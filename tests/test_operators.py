@@ -3,6 +3,9 @@ import pytest
 from tabkit.core import all_permutations, flip, reverse_word, slinky
 from tabkit.equivalence import syt_universe
 from tabkit.operators import (
+    CYCLIC_WINDOW_TABLE,
+    RESTRICTED_WINDOW_TABLE,
+    SHIFTED_WINDOW_TABLE,
     cyclic_dual_move,
     mason_rho,
     mason_rho_inverse,
@@ -17,6 +20,7 @@ from tabkit.operators import (
     slink_context,
     slink_star,
 )
+from tabkit.rsk import DUAL_WINDOW_TABLE, dual_move
 from tabkit.tableaux import (
     InvalidTableauError,
     Tableau,
@@ -119,6 +123,45 @@ def test_slink_sign_law():
 
 
 # ---------------------------------------------------------------------------
+# value-window tables: (table, window size, entries, values each entry moves)
+
+WINDOW_TABLES = {
+    "dual": (DUAL_WINDOW_TABLE, 3, 4, 2),
+    "cyclic": (CYCLIC_WINDOW_TABLE, 3, 4, 3),
+    "restricted": (RESTRICTED_WINDOW_TABLE, 4, 10, 2),
+    "shifted": (SHIFTED_WINDOW_TABLE, 4, 16, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_TABLES))
+def test_window_table_is_an_involution(name):
+    table, k, entries, moved = WINDOW_TABLES[name]
+    assert len(table) == entries
+    perms = set(all_permutations(k))
+    for window, image in table.items():
+        assert window in perms and image in perms
+        assert table[image] == window
+        # v -> the value in v's position afterwards: a swap moves two
+        # values, a rotation three
+        sigma = dict(zip(window, image))
+        assert sum(v != u for v, u in sigma.items()) == moved
+
+
+@pytest.mark.parametrize(
+    "move, i, word",
+    [
+        (dual_move, 2, (1, 2, 4)),
+        (cyclic_dual_move, 2, (1, 2, 4)),
+        (restricted_dual_move, 2, (1, 2, 3, 5)),
+        (shifted_dual_move, 1, (1, 2, 3, 5)),
+    ],
+)
+def test_moves_reject_a_missing_window_value(move, i, word):
+    with pytest.raises(ValueError, match="not all present"):
+        move(i, word)
+
+
+# ---------------------------------------------------------------------------
 # restricted dual move
 
 def test_restricted_matches_guard_oracle():
@@ -161,8 +204,6 @@ def test_shifted_involution():
 
 
 def test_shifted_nontrivial_actions_are_dual_moves():
-    from tabkit.rsk import dual_move
-
     for n in range(4, 7):
         for w in all_permutations(n):
             for i in range(1, n - 2):

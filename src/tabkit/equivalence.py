@@ -7,7 +7,7 @@ by least member.
 """
 
 from .core import all_permutations, partitions, reverse_word, flip
-from .rsk import dual_move_tableau, rsk_inverse
+from .rsk import dual_move_tableau, rsk, rsk_inverse
 from .operators import (
     mason_rho,
     quasi_dual_move_srct,
@@ -98,6 +98,11 @@ def moves_for(relation, n):
     raise ValueError(f"unknown relation {relation!r}")
 
 
+# the relations whose word classes are tableau classes carried across a
+# fixed recording tableau, and all the relations with a carrier S_n
+TABLEAU_RELATIONS = ("equiv0", "equiv1", "equiv2", "dual")
+WORD_RELATIONS = TABLEAU_RELATIONS + ("shifted", "equiv2rev", "equiv2flip")
+
 RELATIONS = (
     "equiv0",
     "equiv1",
@@ -127,8 +132,8 @@ class CarrierError(ValueError):
     """A move produced an element outside the declared carrier."""
 
 
-def closure(seed, moves):
-    """Minimal move-closed superset of {seed}.
+def closure(seed, moves, relation):
+    """Minimal move-closed superset of {seed}, as a class of the relation.
 
     With involutive moves a plain breadth-first search suffices; the
     non-involutive slink needs the components that all_classes finds.
@@ -145,7 +150,7 @@ def closure(seed, moves):
                     seen[k] = image
                     nxt.append(image)
         frontier = nxt
-    return EquivClass(None, list(seen.values()))
+    return EquivClass(relation, list(seen.values()))
 
 
 def all_classes(universe, moves, relation=None):
@@ -225,7 +230,7 @@ def perm_classes(n, relation):
     are the tableau classes carried across each Q by inverse RSK.  The
     other relations act on words directly and sweep S_n.
     """
-    if relation in ("equiv0", "equiv1", "equiv2", "dual"):
+    if relation in TABLEAU_RELATIONS:
         classes = []
         for lam in partitions(n):
             tab_classes = syt_classes(lam, relation)
@@ -238,6 +243,23 @@ def perm_classes(n, relation):
                     )
         return sorted(classes, key=lambda cls: cls.key)
     return all_classes(all_permutations(n), moves_for(relation, n), relation)
+
+
+def perm_class(word, relation):
+    """The class of one permutation under a word-level relation.
+
+    For the tableau relations it is the class of the insertion tableau P
+    inside SYT(shape of P), carried across the word's one recording tableau
+    Q by inverse RSK; the other relations' moves are involutions on words,
+    so a breadth-first closure from the word finds it.  Neither partitions
+    S_n.
+    """
+    word = tuple(word)
+    if relation in TABLEAU_RELATIONS:
+        p, q = rsk(word)
+        cls = next(c for c in syt_classes(p.shape, relation) if p in c)
+        return EquivClass(relation, [rsk_inverse(m, q) for m in cls.members])
+    return closure(word, moves_for(relation, len(word)), relation)
 
 
 def srct_classes(alpha):
@@ -263,11 +285,11 @@ def srt_image_classes(alpha, relation):
 def classes_for_cli(relation, n=None, alpha=None):
     """Carrier selection used by the command line front end: the
     quasi-dual relations take a composition alpha, the others a degree n."""
-    if relation in ("equiv0", "equiv1", "equiv2", "dual"):
+    if relation in TABLEAU_RELATIONS:
         if n is None or alpha is not None:
             raise ValueError(f"relation {relation} needs --n")
         return syt_classes(n, relation)
-    if relation in ("shifted", "equiv2rev", "equiv2flip"):
+    if relation in WORD_RELATIONS:
         if n is None or alpha is not None:
             raise ValueError(f"relation {relation} needs --n")
         return perm_classes(n, relation)

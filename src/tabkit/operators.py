@@ -1,7 +1,7 @@
 """Run-permuting involutions on SYT, restricted/quasi/shifted dual moves,
 and the column-sorting bijection between SRCT and SRT."""
 
-from .core import apply_window, inverse_descent_set, window_table
+from .core import apply_window, flip, inverse_descent_set, reverse_word, window_table
 from .rsk import dual_move
 from .tableaux import (
     InvalidTableauError,
@@ -165,6 +165,17 @@ def shifted_dual_move(i, word):
     if not 1 <= i <= n - 3:
         raise ValueError(f"index {i} out of range [1, {n - 3}]")
     return apply_window(word, i, i + 3, SHIFTED_WINDOW_TABLE)
+
+
+def shifted_dual_move_by_bridges(i, word):
+    """Oracle for shifted_dual_move (n >= 4) via the reverse and flip
+    bridges: h_i is dR_{i+1} conjugated by reversal where that moves the
+    word, else dR_{n-i-1} conjugated by the flip, with dR the
+    inverse-descent oracle."""
+    moved = reverse_word(restricted_dual_move_by_guard(i + 1, reverse_word(word)))
+    if moved != tuple(word):
+        return moved
+    return flip(restricted_dual_move_by_guard(len(word) - i - 1, flip(word)))
 
 
 def shifted_dual_move_tableau(i, t):

@@ -9,7 +9,6 @@ from itertools import combinations
 
 from tabkit.core import (
     all_permutations,
-    apply_window,
     compositions,
     conjugate,
     descent_composition,
@@ -35,13 +34,13 @@ from tabkit.equivalence import (
     syt_universe,
 )
 from tabkit.operators import (
-    SHIFTED_WINDOW_TABLE,
     mason_rho,
     mason_rho_inverse,
     quasi_dual_move_srct,
     quasi_dual_move_srt,
     restricted_dual_move,
     shifted_dual_move,
+    shifted_dual_move_by_bridges,
     slink,
     slink_context,
     slink_star,
@@ -318,9 +317,12 @@ def test_criterion_6_composition_tableaux(capsys):
 
 def test_criterion_7_shifted_suite(capsys):
     def body():
-        # pattern table equals the windowed definition on all of S_4
-        for w in all_permutations(4):
-            assert shifted_dual_move(1, w) == apply_window(w, 1, 4, SHIFTED_WINDOW_TABLE)
+        # pattern table equals the bridge oracle, built on the inverse-descent
+        # guard and no window table
+        for n in range(4, 8):
+            for w in all_permutations(n):
+                for i in range(1, n - 2):
+                    assert shifted_dual_move(i, w) == shifted_dual_move_by_bridges(i, w)
 
         # bridges, with the index discrepancy resolved to n-i-1
         stated_index_fails = False

@@ -1,8 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from tabkit.cli import main
+from tabkit.core import descent_composition, word_from_str
+from tabkit.equivalence import TABLEAU_RELATIONS, WORD_RELATIONS, moves_for
+from tabkit.qsym import DecompositionError
+from tabkit.rsk import rsk
 
 
 def run(capsys, *argv):
@@ -124,10 +129,92 @@ def test_expand_dot_rejected_before_any_work(capsys, monkeypatch):
         raise AssertionError("expand computed an answer it cannot print")
 
     monkeypatch.setattr("tabkit.cli.perm_classes", fail)
+    monkeypatch.setattr("tabkit.cli.perm_class", fail)
     code, _, err = run(
         capsys, "expand", "--class-of", "2143", "--relation", "equiv2", "--format", "dot"
     )
     assert code == 2 and "no dot output" in err
+
+
+@pytest.mark.parametrize("relation", WORD_RELATIONS)
+def test_expand_class_of_builds_one_class(capsys, monkeypatch, relation):
+    def fail(*args):
+        raise AssertionError("expand --class-of partitioned all of S_n")
+
+    for target in (
+        "tabkit.cli.perm_classes",
+        "tabkit.equivalence.perm_classes",
+        "tabkit.core.all_permutations",
+        "tabkit.equivalence.all_permutations",
+    ):
+        monkeypatch.setattr(target, fail)
+    code, out, _ = run(
+        capsys, "expand", "--class-of", "3152764", "--relation", relation,
+        "--format", "json",
+    )
+    assert code == 0
+    assert "3152764" in json.loads(out)["class"]["members"]
+
+
+@pytest.mark.parametrize("relation", WORD_RELATIONS)
+def test_expand_class_of_at_the_degree_cap(capsys, relation):
+    seed = "315892764"
+    code, out, _ = run(
+        capsys, "expand", "--class-of", seed, "--relation", relation, "--format", "json"
+    )
+    assert code == 0
+    data = json.loads(out)
+    members = [word_from_str(m) for m in data["class"]["members"]]
+    assert data["class"]["size"] == len(members) == len(set(members))
+    assert word_from_str(seed) in members
+
+    # move-closed: word moves act on the members themselves; tableau moves
+    # act on the insertion tableaux, with the seed's recording tableau fixed
+    moves = moves_for(relation, 9)
+    if relation in TABLEAU_RELATIONS:
+        seed_q = rsk(word_from_str(seed))[1]
+        pairs = [rsk(w) for w in members]
+        assert all(q == seed_q for _p, q in pairs)
+        carrier = {p for p, _q in pairs}
+    else:
+        carrier = set(members)
+    for element in carrier:
+        for name, idx, move in moves:
+            assert move(element) in carrier, (name, idx, element)
+
+    expected = {}
+    for w in members:
+        alpha = descent_composition(w)
+        expected[alpha] = expected.get(alpha, 0) + 1
+    got = {
+        tuple(term["composition"]): term["coeff"]
+        for term in data["fundamental"]["coeffs"]
+    }
+    assert got == expected
+
+
+def test_expand_quasischur_exact_coefficients(capsys, monkeypatch):
+    decomposition = {(1, 2, 3): Fraction(3), (2, 1, 3): Fraction(-1, 2)}
+    monkeypatch.setattr("tabkit.cli.decompose_in_fk", lambda q, k, n: decomposition)
+    code, out, _ = run(capsys, "expand", "--quasischur", "2,1", "--format", "json")
+    assert code == 0
+    terms = json.loads(out)["f2_decomposition"]
+    assert terms == [
+        {"class": "123", "coeff": 3},
+        {"class": "213", "coeff": "-1/2"},
+    ]
+    code, out, _ = run(capsys, "expand", "--quasischur", "2,1")
+    assert code == 0 and "  -1/2 * f[213]" in out
+
+
+def test_expand_quasischur_outside_the_span(capsys, monkeypatch):
+    def outside(q, k, n):
+        raise DecompositionError([Fraction(1)])
+
+    monkeypatch.setattr("tabkit.cli.decompose_in_fk", outside)
+    code, out, err = run(capsys, "expand", "--quasischur", "2,1", "--format", "json")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "outside the span" in err
 
 
 def test_expand_out_file(capsys, tmp_path):

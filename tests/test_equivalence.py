@@ -1,16 +1,19 @@
 import pytest
 
-from tabkit.core import all_permutations, word_from_str
+from tabkit.core import all_permutations, partitions, word_from_str
 from tabkit.equivalence import (
     CarrierError,
     EquivClass,
     RELATIONS,
+    TABLEAU_RELATIONS,
+    WORD_RELATIONS,
     all_classes,
     classes_to_dot,
     classes_to_json,
     closure,
     key_of,
     moves_for,
+    perm_class,
     perm_classes,
     refines,
     srct_classes,
@@ -19,7 +22,7 @@ from tabkit.equivalence import (
     syt_universe,
 )
 from tabkit.operators import restricted_dual_move
-from tabkit.rsk import dual_move, insertion_tableau
+from tabkit.rsk import dual_move, insertion_tableau, recording_tableau
 from tabkit.tableaux import enumerate_tableaux, superstandard
 
 
@@ -85,10 +88,7 @@ def test_closure_matches_all_classes():
     moves = moves_for("equiv2", 5)
     classes = syt_classes(5, "equiv2")
     for cls in classes:
-        got = closure(cls.members[0], moves)
-        assert sorted(key_of(m) for m in got.members) == [
-            key_of(m) for m in cls.members
-        ]
+        assert closure(cls.members[0], moves, "equiv2") == cls
 
 
 def test_carrier_error():
@@ -126,6 +126,28 @@ def test_perm_classes_transport_matches_word_sweep(relation):
         ]
         expected = all_classes(all_permutations(n), word_moves, relation)
         assert perm_classes(n, relation) == expected
+
+
+@pytest.mark.parametrize("relation", WORD_RELATIONS)
+def test_perm_class_matches_perm_classes(relation):
+    # every word for n <= 5; at n = 6, 7 the first and last member of each
+    # class, except that a tableau-relation query partitions one shape
+    # (~6 ms at n = 7), so there each tableau class is queried once, through
+    # the word class at the last recording tableau of its shape
+    for n in range(1, 8):
+        last_q = {
+            lam: enumerate_tableaux(lam, "SYT")[-1] for lam in partitions(n)
+        }
+        for cls in perm_classes(n, relation):
+            if n <= 5:
+                queries = cls.members
+            elif relation not in TABLEAU_RELATIONS:
+                queries = (cls.members[0], cls.members[-1])
+            else:
+                q = recording_tableau(cls.members[0])
+                queries = cls.members[:1] if q == last_q[q.shape] else ()
+            for w in queries:
+                assert perm_class(w, relation) == cls
 
 
 def test_perm_classes_partition_sn():

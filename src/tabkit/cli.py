@@ -499,6 +499,8 @@ SUITE_RUNNERS = {
 def cmd_verify(args):
     if args.suite not in SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; choose from {SUITES}")
+    if args.format == "dot":
+        raise UsageError("verify has no dot output")
     n = args.n if args.n is not None else 5
     check_degree(n)
     results = SUITE_RUNNERS[args.suite](n)

@@ -3,6 +3,8 @@ Schur expansions of class unions, quasisymmetric Schur functions, and the
 class generating-function families with exact rank computations."""
 
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from .core import (
     composition_to_subset,
@@ -31,9 +33,9 @@ class NotSymmetricError(ValueError):
 class DecompositionError(ValueError):
     """Raised when a function lies outside the span of a family."""
 
-    def __init__(self, residual):
+    def __init__(self, residual, message="function is outside the span of the family"):
         self.residual = residual
-        super().__init__("function is outside the span of the family")
+        super().__init__(message)
 
 
 class QsymElement:
@@ -427,29 +429,82 @@ def solve_exact(columns, target):
     return solution, len(pivots) == ncols
 
 
+class NotUnitriangularError(DecompositionError):
+    """Raised when a family's distinct functions do not form a unitriangular
+    integer system: two of them lead at the same coordinate, or one leads
+    with a coefficient other than 1.  Carries the class keys involved."""
+
+    def __init__(self, keys, lead, message):
+        self.keys = keys
+        self.lead = lead
+        super().__init__(None, f"the family is not unitriangular: {message}")
+
+
+def lead_table(entries):
+    """Map each lead coordinate to the first (class, vector) leading there.
+
+    `entries` are (class, integer vector) pairs in family order; the lead of
+    a vector is its first nonzero index.  Equal vectors share a lead and the
+    first class keeps it.  Two different vectors with one lead, or a lead
+    coefficient other than 1, raise NotUnitriangularError.
+    """
+    table = {}
+    for cls, vector in entries:
+        vector = tuple(vector)
+        lead = next((i for i, c in enumerate(vector) if c), None)
+        if lead is None or vector[lead] != 1:
+            raise NotUnitriangularError(
+                (cls.key,), lead,
+                f"class {cls.key} does not lead with coefficient 1 (lead {lead})",
+            )
+        first = table.setdefault(lead, (cls, vector))
+        if first[1] != vector:
+            raise NotUnitriangularError(
+                (first[0].key, cls.key), lead,
+                f"classes {first[0].key} and {cls.key} have different "
+                f"functions that both lead at {lead}",
+            )
+    return MappingProxyType(table)
+
+
+@lru_cache(maxsize=None)
+def f2_lead_table(n):
+    """The lead table of the degree-n k=2 family, built once per process."""
+    return lead_table(
+        (cls, class_union_qsym([cls]).to_vector())
+        for cls in syt_classes(n, "equiv2")
+    )
+
+
 def decompose_in_fk(q, k, n):
     """Express q over the k-th family as nonnegative-checkable coefficients.
 
-    The solve runs against the (conjecturally independent) k=2 family; for
-    k < 2 each coefficient is pushed down constructively onto the finer
-    classes contained in the coarser one.  Returns {class key: coefficient}.
+    The solve is forward elimination in integers against the k=2 family,
+    whose distinct functions are unitriangular (`f2_lead_table`); each
+    coefficient sits on the first class of its function.  For k < 2 each
+    coefficient is pushed down constructively onto the finer classes
+    contained in the coarser one.  Returns {class key: coefficient}.
     """
     if q.degree != n:
         raise ValueError("degree mismatch")
-    classes2 = syt_classes(n, "equiv2")
-    columns = [class_union_qsym([cls]).to_vector() for cls in classes2]
-    solution, _unique = solve_exact(columns, q.to_vector())
+    table = f2_lead_table(n)
+    residual = q.to_vector()
+    solution = []
+    for lead in range(len(residual)):
+        coeff = residual[lead]
+        if not coeff:
+            continue
+        if lead not in table:
+            raise DecompositionError(residual)
+        cls, vector = table[lead]
+        for i in range(lead, len(residual)):
+            residual[i] -= coeff * vector[i]
+        solution.append((cls, coeff))
     if k == 2:
-        return {
-            cls.key: coeff
-            for cls, coeff in zip(classes2, solution)
-            if coeff != 0
-        }
+        return {cls.key: coeff for cls, coeff in solution}
     relation = f"equiv{k}"
     out = {}
-    for cls, coeff in zip(classes2, solution):
-        if coeff == 0:
-            continue
+    for cls, coeff in solution:
         fine = all_classes(cls.members, moves_for(relation, n), relation)
         for sub in fine:
             out[sub.key] = out.get(sub.key, 0) + coeff

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from tabkit.cli import main
-from tabkit.core import descent_composition, word_from_str
-from tabkit.equivalence import TABLEAU_RELATIONS, WORD_RELATIONS, moves_for
-from tabkit.qsym import DecompositionError
+from tabkit.cli import SUITE_RUNNERS, main
+from tabkit.core import descent_composition, word_from_str, word_to_str
+from tabkit.equivalence import TABLEAU_RELATIONS, WORD_RELATIONS, moves_for, syt_classes
+from tabkit.qsym import DecompositionError, class_union_qsym, qsym_sum
 from tabkit.rsk import rsk
 
 
@@ -217,6 +217,23 @@ def test_expand_quasischur_outside_the_span(capsys, monkeypatch):
     assert err.startswith("error: ") and "outside the span" in err
 
 
+def test_expand_quasischur_at_the_degree_cap(capsys):
+    code, out, _ = run(capsys, "expand", "--quasischur", "2,3,2,2", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    family = {
+        word_to_str(cls.key): class_union_qsym([cls]) for cls in syt_classes(9, "equiv2")
+    }
+    terms = data["f2_decomposition"]
+    assert terms and all(type(t["coeff"]) is int and t["coeff"] >= 0 for t in terms)
+    rebuilt = qsym_sum((family[t["class"]].scale(t["coeff"]) for t in terms), 9)
+    fundamental = {
+        tuple(term["composition"]): term["coeff"]
+        for term in data["fundamental"]["coeffs"]
+    }
+    assert rebuilt.coeffs == fundamental
+
+
 def test_expand_out_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(
@@ -245,6 +262,16 @@ def test_verify_json(capsys):
     data = json.loads(out)
     assert data["failed"] == 0
     assert all(check["ok"] for check in data["checks"])
+
+
+def test_verify_dot_rejected_before_any_work(capsys, monkeypatch):
+    def fail(n):
+        raise AssertionError("verify ran a suite it cannot print")
+
+    monkeypatch.setitem(SUITE_RUNNERS, "poset", fail)
+    code, out, err = run(capsys, "verify", "--suite", "poset", "--n", "3", "--format", "dot")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "no dot output" in err
 
 
 def test_verify_unknown_suite():

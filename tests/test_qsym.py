@@ -1,20 +1,24 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from tabkit.core import compositions, partitions
-from tabkit.equivalence import perm_classes, syt_classes
+from tabkit.equivalence import EquivClass, perm_classes, syt_classes
 from tabkit.qsym import (
     DecompositionError,
     NotSymmetricError,
+    NotUnitriangularError,
     QsymElement,
     SchurExpansion,
     class_union_qsym,
     decompose_in_fk,
     decompose_in_omega_fk,
     exact_rank,
+    f2_lead_table,
     family_independence_report,
     fk_family,
+    lead_table,
     qsym_sum,
     quasi_schur,
     refinements,
@@ -205,6 +209,31 @@ def test_family_independence_frozen():
         assert report["dimension"] == 2 ** (n - 1)
 
 
+def test_f2_lead_table_certifies_the_basis_up_to_the_cap():
+    # 2^(n-1) distinct leads, each with coefficient 1 and zeros before it:
+    # the distinct k=2 functions are unitriangular, hence a basis of QSym_n
+    for n in range(1, 10):
+        table = f2_lead_table(n)
+        assert len(table) == 2 ** (n - 1)
+        for lead, (_cls, vector) in table.items():
+            assert vector[lead] == 1 and not any(vector[:lead])
+
+
+def test_lead_table_rejects_a_shared_lead():
+    a = EquivClass("equiv2", [(1, 2, 3)])
+    b = EquivClass("equiv2", [(2, 1, 3)])
+    # equal functions share a lead and the first class keeps it
+    table = lead_table([(a, [0, 1, 1, 0]), (b, [0, 1, 1, 0])])
+    assert dict(table) == {1: (a, (0, 1, 1, 0))}
+    with pytest.raises(NotUnitriangularError) as err:
+        lead_table([(a, [0, 1, 1, 0]), (b, [0, 1, 0, 1])])
+    assert err.value.keys == ((1, 2, 3), (2, 1, 3)) and err.value.lead == 1
+    assert "(1, 2, 3)" in str(err.value) and "(2, 1, 3)" in str(err.value)
+    with pytest.raises(NotUnitriangularError) as err:
+        lead_table([(a, [0, 2, 1, 0])])
+    assert err.value.keys == ((1, 2, 3),)
+
+
 def test_fk_family_duplicate_pair():
     fam = fk_family(2, 5)
     by_vec = {}
@@ -247,6 +276,55 @@ def test_decompose_quasi_schur_nonnegative():
             for k in (0, 1, 2):
                 coeffs = decompose_in_fk(q, k, n)
                 assert all(c == int(c) and c >= 0 for c in coeffs.values())
+
+
+def _f2_functions(n):
+    return {cls.key: class_union_qsym([cls]) for cls in syt_classes(n, "equiv2")}
+
+
+def test_decompose_matches_solve_exact():
+    # the integer elimination agrees with the rational Gauss-Jordan oracle
+    for n in range(1, 7):
+        classes = syt_classes(n, "equiv2")
+        columns = [class_union_qsym([cls]).to_vector() for cls in classes]
+        targets = [quasi_schur(alpha) for alpha in compositions(n)]
+        targets += [schur_fundamental(lam) for lam in partitions(n)]
+        for q in targets:
+            if q.is_zero():
+                continue
+            solution, _unique = solve_exact(columns, q.to_vector())
+            expected = {cls.key: c for cls, c in zip(classes, solution) if c}
+            coeffs = decompose_in_fk(q, 2, n)
+            assert coeffs == expected
+            assert all(type(c) is int for c in coeffs.values())
+
+
+def test_decompose_quasi_schur_degrees_7_and_8():
+    for n in (7, 8):
+        family = _f2_functions(n)
+        for alpha in compositions(n):
+            q = quasi_schur(alpha)
+            if q.is_zero():
+                continue
+            coeffs = decompose_in_fk(q, 2, n)
+            assert all(type(c) is int and c > 0 for c in coeffs.values())
+            rebuilt = qsym_sum((family[key].scale(c) for key, c in coeffs.items()), n)
+            assert rebuilt == q
+
+
+def test_decompose_round_trip():
+    # a random nonnegative combination of the distinct functions comes back
+    # with its own coefficients, on the first class of each function
+    rng = random.Random(20151)
+    for n in range(5, 9):
+        first = {}
+        for key, q in _f2_functions(n).items():
+            first.setdefault(q, key)
+        for _ in range(5):
+            chosen = {q: rng.randrange(4) for q in first}
+            target = qsym_sum((q.scale(c) for q, c in chosen.items()), n)
+            expected = {first[q]: c for q, c in chosen.items() if c}
+            assert decompose_in_fk(target, 2, n) == expected
 
 
 def test_decompose_omega_consistency():

@@ -48,10 +48,6 @@ def strict_partitions(n, max_part=None):
     return out
 
 
-def is_partition(seq):
-    return all(a >= b for a, b in zip(seq, seq[1:])) and all(a >= 1 for a in seq)
-
-
 def sort_to_partition(alpha):
     """The partition obtained by sorting the parts of a composition."""
     return tuple(sorted(alpha, reverse=True))

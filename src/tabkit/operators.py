@@ -150,8 +150,11 @@ def restricted_dual_move_by_guard(i, word):
 
 
 def restricted_dual_move_tableau(i, t):
-    """Restricted dual move on a tableau via its flavor's reading word."""
-    return t.with_word(restricted_dual_move(i, t.reading_word()))
+    """Restricted dual move on a tableau via its flavor's reading word; t
+    itself when the move fixes that word."""
+    word = t.reading_word()
+    moved = restricted_dual_move(i, word)
+    return t if moved == word else t.with_word(moved)
 
 
 def shifted_dual_move(i, word):

@@ -509,8 +509,3 @@ def decompose_in_fk(q, k, n):
         for sub in fine:
             out[sub.key] = out.get(sub.key, 0) + coeff
     return out
-
-
-def decompose_in_omega_fk(q, k, n):
-    """Express q over the omega images of the k-th family."""
-    return decompose_in_fk(q.omega(), k, n)

@@ -283,28 +283,6 @@ def restrict_to(t, cutoff):
     return Tableau(rows, "SYT")
 
 
-def first_j_runs(t, j):
-    """The SYT formed by the first j runs of t."""
-    word = t.row_reading_word()
-    marks = sorted(inverse_descent_set(word) | {len(word)})
-    if not 1 <= j <= len(marks):
-        raise ValueError(f"tableau has {len(marks)} runs, not {j}")
-    return restrict_to(t, marks[j - 1])
-
-
-def uyt_rows(t):
-    """Row rendering with each cell labeled by its run index (1-based)."""
-    runs = run_cells(t)
-    label = {}
-    for idx, cells in enumerate(runs, start=1):
-        for cell in cells:
-            label[cell] = idx
-    return tuple(
-        tuple(label[(r, c)] for c in range(len(row)))
-        for r, row in enumerate(t.rows)
-    )
-
-
 # ---------------------------------------------------------------------------
 # pistols
 

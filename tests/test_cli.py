@@ -3,11 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from tabkit.cli import SUITE_RUNNERS, main
-from tabkit.core import descent_composition, word_from_str, word_to_str
-from tabkit.equivalence import TABLEAU_RELATIONS, WORD_RELATIONS, moves_for, syt_classes
-from tabkit.qsym import DecompositionError, class_union_qsym, qsym_sum
-from tabkit.rsk import rsk
+from tabkit import cli
+from tabkit.cli import SUITE_RUNNERS, main, suite_commutation, suite_mason
+from tabkit.core import all_permutations, descent_composition, word_from_str, word_to_str
+from tabkit.equivalence import (
+    TABLEAU_RELATIONS,
+    WORD_RELATIONS,
+    moves_for,
+    srct_classes,
+    syt_classes,
+)
+from tabkit.operators import restricted_dual_move
+from tabkit.qsym import DecompositionError, class_union_qsym, qsym_sum, quasi_schur
+from tabkit.rsk import act_via_insertion, knuth_move, rsk
+from tabkit.tableaux import Tableau, superstandard
 
 
 def run(capsys, *argv):
@@ -252,6 +261,116 @@ def test_verify_suites_pass(capsys, suite):
     assert code == 0
     assert "0 failed" in out
     assert "FAIL" not in out
+
+
+def _commutation_by_words(n):
+    """Oracle: the commutation suite compared word by word, K_j(op w) against
+    op(K_j w) on every w; names are looked up in `cli`, so patches there
+    reach it."""
+    words = all_permutations(n)
+    ops = [
+        ("slink*", lambda w: act_via_insertion(cli.slink_star, w)),
+        ("slink", lambda w: act_via_insertion(cli.slink, w)),
+    ]
+    ops += [(f"dR_{i}", lambda w, i=i: cli.restricted_dual_move(i, w)) for i in range(2, n - 1)]
+    results = []
+    for j in range(2, n):
+        for name, op in ops:
+            for w in words:
+                if cli.knuth_move(j, op(w)) != op(cli.knuth_move(j, w)):
+                    results.append((f"K_{j} commutes with {name} on S_{n}", False, w))
+                    break
+            else:
+                results.append((f"K_{j} commutes with {name} on S_{n}", True, None))
+    return results
+
+
+def test_commutation_matches_word_oracle():
+    for n in range(1, 7):
+        assert suite_commutation(n) == _commutation_by_words(n)
+
+
+def test_commutation_certifies_without_word_round_trips(monkeypatch):
+    # on correct moves the two RSK facts decide every check: no check falls
+    # back to the word-by-word comparison and no word goes through slink
+    def fail(*args):
+        raise AssertionError("a check fell back to the words")
+
+    monkeypatch.setattr(cli, "_commutes_on_words", fail)
+    monkeypatch.setattr(cli, "act_via_insertion", fail)
+    for n in range(1, 7):
+        assert all(ok for _, ok, _ in suite_commutation(n))
+
+
+def _wrong_on(move, target, index):
+    """`move`, except that at (index, target) it returns the word unmoved."""
+    def wrong(i, w):
+        if i == index and tuple(w) == target:
+            return tuple(w)
+        return move(i, w)
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "name, move, index, target, failures",
+    [
+        ("knuth_move", knuth_move, 3, (2, 1, 4, 3, 5), 2),
+        ("knuth_move", knuth_move, 2, (2, 4, 3, 5, 1), 2),
+        # fact A fails, yet every commutation check still holds word by word
+        ("knuth_move", knuth_move, 2, (3, 5, 4, 2, 1), 0),
+        ("restricted_dual_move", restricted_dual_move, 2, (2, 1, 4, 3, 5), 3),
+        ("restricted_dual_move", restricted_dual_move, 3, (2, 4, 3, 5, 1), 3),
+    ],
+)
+def test_commutation_mutant_reports_the_oracle_witnesses(
+    monkeypatch, name, move, index, target, failures
+):
+    # the mutant leaves a word unmoved that the move moves, so a fact fails
+    # and the affected checks fall back to the word-by-word witnesses
+    assert move(index, target) != target
+    monkeypatch.setattr(cli, name, _wrong_on(move, target, index))
+    results = suite_commutation(5)
+    assert sum(not ok for _, ok, _ in results) == failures
+    assert results == _commutation_by_words(5)
+
+
+def test_commutation_shape_change_is_a_failed_check(capsys, monkeypatch):
+    # a slink that changes the shape fails its checks with the tableau as
+    # witness and exit 1, not a traceback
+    monkeypatch.setattr(cli, "slink", lambda t: superstandard((t.size,)))
+    first = Tableau(((1, 3, 4), (2,)), "SYT")
+    code, out, err = run(capsys, "verify", "--suite", "commutation", "--n", "4")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    for j in (2, 3):
+        assert f"[FAIL] K_{j} commutes with slink on S_4  witness: {first!r}" in lines
+        assert f"[PASS] K_{j} commutes with slink* on S_4" in lines
+    assert lines[-1] == "suite commutation: 4 passed, 2 failed"
+    code, out, _ = run(
+        capsys, "verify", "--suite", "commutation", "--n", "4", "--format", "json"
+    )
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if not c["ok"]]
+    assert [c["witness"] for c in failed] == [repr(first)] * 2
+
+
+def test_mason_class_check_names_the_split_class():
+    name = "every quasi-dual class of SRCT({}) generates a quasisymmetric Schur function"
+    for n in range(1, 8):
+        checks = [r for r in suite_mason(n) if r[0].startswith("every quasi-dual class")]
+        assert len(checks) == 2 ** (n - 1) and all(ok for _, ok, _ in checks)
+    # degree 8: SRCT((3,1,3,1)) splits 7 + 2; the 2-class is S_(2,1,3,2), the
+    # 7-class sums to no S_beta and is the witness
+    failed = [r for r in suite_mason(8) if not r[1]]
+    alpha = (3, 1, 3, 1)
+    assert [r[0] for r in failed] == [
+        f"quasi-dual action transitive on SRCT({alpha})",
+        name.format(alpha),
+    ]
+    classes = sorted(srct_classes(alpha), key=len)
+    assert [len(c) for c in classes] == [2, 7]
+    assert class_union_qsym([classes[0]]) == quasi_schur((2, 1, 3, 2))
+    assert failed[1][2] == [(classes[1].key, class_union_qsym([classes[1]]))]
 
 
 def test_verify_json(capsys):

@@ -189,6 +189,17 @@ def test_restricted_tableau_agrees_with_word_action():
                 )
 
 
+def test_restricted_tableau_returns_t_for_an_identity_move():
+    # no rebuild when the word move fixes the reading word
+    for n in range(4, 7):
+        for t in syt_universe(n):
+            word = t.reading_word()
+            for i in range(2, n - 1):
+                moved = restricted_dual_move_tableau(i, t)
+                assert (moved is t) == (restricted_dual_move(i, word) == word)
+                assert moved.reading_word() == restricted_dual_move(i, word)
+
+
 # ---------------------------------------------------------------------------
 # shifted dual move
 

@@ -1,0 +1,59 @@
+"""Property tests on random permutations of degree up to 9.
+
+Hypothesis is a test-only dependency.  Every test is derandomized with a
+fixed example budget, so a run is deterministic and quick.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tabkit.operators import (
+    restricted_dual_move,
+    restricted_dual_move_tableau,
+    shifted_dual_move,
+)
+from tabkit.rsk import dual_move, dual_move_tableau, knuth_move, rsk, rsk_inverse
+
+permutations = st.integers(min_value=1, max_value=9).flatmap(
+    lambda n: st.permutations(range(1, n + 1))
+).map(tuple)
+
+deterministic = settings(max_examples=150, derandomize=True, database=None)
+
+
+@deterministic
+@given(permutations)
+def test_rsk_round_trip(w):
+    p, q = rsk(w)
+    assert p.shape == q.shape
+    assert rsk_inverse(p, q) == w
+
+
+@deterministic
+@given(permutations)
+def test_knuth_move_fixes_p_and_dual_moves_q(w):
+    # fact A of the commutation suite
+    p, q = rsk(w)
+    for j in range(2, len(w)):
+        assert rsk(knuth_move(j, w)) == (p, dual_move_tableau(j, q))
+
+
+@deterministic
+@given(permutations)
+def test_restricted_dual_move_fixes_q_and_moves_p(w):
+    # fact B of the commutation suite
+    p, q = rsk(w)
+    for i in range(2, len(w) - 1):
+        assert rsk(restricted_dual_move(i, w)) == (restricted_dual_move_tableau(i, p), q)
+
+
+@deterministic
+@given(permutations)
+def test_dual_moves_are_involutions(w):
+    n = len(w)
+    for i in range(2, n):
+        assert dual_move(i, dual_move(i, w)) == w
+    for i in range(2, n - 1):
+        assert restricted_dual_move(i, restricted_dual_move(i, w)) == w
+    for i in range(1, n - 2):
+        assert shifted_dual_move(i, shifted_dual_move(i, w)) == w

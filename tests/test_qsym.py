@@ -13,7 +13,6 @@ from tabkit.qsym import (
     SchurExpansion,
     class_union_qsym,
     decompose_in_fk,
-    decompose_in_omega_fk,
     exact_rank,
     f2_lead_table,
     family_independence_report,
@@ -325,12 +324,6 @@ def test_decompose_round_trip():
             target = qsym_sum((q.scale(c) for q, c in chosen.items()), n)
             expected = {first[q]: c for q, c in chosen.items() if c}
             assert decompose_in_fk(target, 2, n) == expected
-
-
-def test_decompose_omega_consistency():
-    # decomposing omega(q) over the family equals the omega route
-    q = schur_fundamental((3, 1))
-    assert decompose_in_omega_fk(q, 2, 4) == decompose_in_fk(q.omega(), 2, 4)
 
 
 def test_shifted_family_partitions_sn():

@@ -6,14 +6,12 @@ from tabkit.tableaux import (
     Tableau,
     brute_force_tableaux,
     enumerate_tableaux,
-    first_j_runs,
     in_single_pistol,
     pistol,
     restrict_to,
     run_cells,
     superstandard,
     syt_from_word,
-    uyt_rows,
 )
 
 # rows are listed bottom-to-top throughout
@@ -65,14 +63,6 @@ def test_row_reading_word_golden():
     assert t.descent_composition() == (2, 3, 2, 2)
 
 
-def test_uyt_golden():
-    # run labels of the two shape-(4,4,1) tableaux
-    assert uyt_rows(superstandard((4, 4, 1))) == ((1, 1, 1, 1), (2, 2, 2, 2), (3,))
-    t = Tableau([(1, 2, 5, 7), (3, 4, 8, 9), (6,)], "SYT")
-    # the fourth run is {8, 9}, so both its cells carry label 4
-    assert uyt_rows(t) == ((1, 1, 2, 3), (2, 2, 4, 4), (3,))
-
-
 def test_reverse_column_word_golden():
     t = Tableau([(8, 6, 3), (7, 5), (4, 2)], "SRT")
     # columns right to left, each read upward
@@ -113,7 +103,6 @@ def test_run_cells_follow_values():
 def test_restrict_and_first_runs():
     t = Tableau([(1, 2, 5, 7), (3, 4, 8, 9), (6,)], "SYT")
     assert restrict_to(t, 4).rows == ((1, 2), (3, 4))
-    assert first_j_runs(t, 2).rows == ((1, 2, 5), (3, 4))
 
 
 def test_pistols_golden():

@@ -13,7 +13,6 @@ from functools import lru_cache
 from .core import (
     compositions,
     flip,
-    partitions,
     parts_from_str,
     parts_to_str,
     reverse_word,
@@ -34,7 +33,6 @@ from .equivalence import (
     perm_class,
     perm_classes,
     refines,
-    srct_classes,
     syt_classes,
     syt_universe,
 )
@@ -291,7 +289,7 @@ def suite_poset(n):
     # quasi-dual classes on the composition image are unions of equiv2 classes
     from .equivalence import srt_image_classes
 
-    for alpha in compositions(min(n, 6)):
+    for alpha in compositions(n):
         fine = srt_image_classes(alpha, "quasiDualSRT-restricted")
         coarse = srt_image_classes(alpha, "quasiDualSRT")
         ok = refines(fine, coarse)
@@ -336,14 +334,11 @@ def suite_involutions(n):
     for i in range(1, n - 2):
         results.append(involutive(f"h_{i} on S_{n}", lambda w, i=i: shifted_dual_move(i, w), words))
 
-    tableaux = []
-    for lam in partitions(n):
-        tableaux.extend(enumerate_tableaux(lam, "SYT"))
     # slink_star is an involution on non-superstandard tableaux; on a
     # superstandard tableau both maps fix it
-    results.append(involutive(f"slink* on SYT({n})", slink_star, tableaux))
+    results.append(involutive(f"slink* on SYT({n})", slink_star, syt_universe(n)))
 
-    for alpha in compositions(min(n, 6)):
+    for alpha in compositions(n):
         srct = enumerate_tableaux(alpha, "SRCT")
         for i in range(2, sum(alpha)):
             name = f"DQ_{i} on SRCT({alpha})"
@@ -425,10 +420,15 @@ def _slink_star_word(word):
 
 
 def suite_mason(n):
+    # each SRCT(alpha) is enumerated once; its classes sum to S_alpha
+    moves = moves_for("quasiDualSRCT", n)
+    srcts = {alpha: enumerate_tableaux(alpha, "SRCT") for alpha in compositions(n)}
+    classes_of = {
+        alpha: all_classes(srct, moves, "quasiDualSRCT") for alpha, srct in srcts.items()
+    }
+    quasi_schurs = {class_union_qsym(classes) for classes in classes_of.values()}
     results = []
-    quasi_schurs = {quasi_schur(beta) for beta in compositions(n)}
-    for alpha in compositions(n):
-        srct = enumerate_tableaux(alpha, "SRCT")
+    for alpha, srct in srcts.items():
         # bijectivity with certified round trip
         images = set()
         ok = True
@@ -456,7 +456,7 @@ def suite_mason(n):
         results.append((f"column sort commutes with quasi-dual moves on SRCT({alpha})", ok, witness))
 
         # transitivity of the quasi-dual action
-        classes = srct_classes(alpha)
+        classes = classes_of[alpha]
         results.append(
             (f"quasi-dual action transitive on SRCT({alpha})", len(classes) == 1, None)
         )
@@ -513,7 +513,7 @@ def suite_shifted(n):
 
     # transitivity on shifted standard tableaux via flipped reading words
     for lam in strict_partitions(n):
-        universe = [t.row_reading_word() for t in enumerate_tableaux(lam, "SST")]
+        universe = [t.reading_word() for t in enumerate_tableaux(lam, "SST")]
         classes = all_classes(universe, moves_for("equiv2flip", n), "equiv2flip")
         results.append(
             (f"flip-conjugated moves transitive on SST({lam})", len(classes) == 1, None)

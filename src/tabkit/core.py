@@ -221,16 +221,6 @@ def slinky_by_swaps(alpha):
             return (sign, tuple(parts))
 
 
-def slinky_drop_count(alpha):
-    """Total number of rows the parts drop under gravity; defined only when
-    the symbol is nonzero.  The sign is (-1) to this count."""
-    v = [a - i for i, a in enumerate(alpha, start=1)]
-    assert len(set(v)) == len(v)
-    return sum(
-        1 for j in range(len(v)) for i in range(j) if v[i] < v[j]
-    )
-
-
 # ---------------------------------------------------------------------------
 # Yamanouchi words
 

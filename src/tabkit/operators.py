@@ -9,7 +9,6 @@ from .tableaux import (
     in_single_pistol,
     restrict_to,
     run_cells,
-    superstandard,
 )
 
 
@@ -21,19 +20,21 @@ def slink_context(t):
 
     j is the first index whose run prefix fails to be superstandard, mu the
     shape of the first j runs, and i the lowest row whose part satisfies
-    mu[i+1] <= beta[j] + i - j (1-based).
+    mu[i+1] <= beta[j] + i - j (1-based).  The values 1..m fill a
+    superstandard prefix exactly when their row indices never go down, so
+    j is the first run whose end reaches the first value that drops a row.
     """
-    beta = t.descent_composition()
-    j = None
-    for cand in range(1, len(beta) + 1):
-        cutoff = sum(beta[:cand])
-        prefix = restrict_to(t, cutoff)
-        if prefix != superstandard(prefix.shape):
-            j = cand
-            break
-    if j is None:
+    row_of = {v: r for r, row in enumerate(t.rows) for v in row}
+    drop = next((v for v in range(2, t.size + 1) if row_of[v] < row_of[v - 1]), None)
+    if drop is None:
         return None
-    mu = restrict_to(t, sum(beta[:j])).shape
+    beta = t.descent_composition()
+    cutoff = 0
+    for j, part in enumerate(beta, start=1):
+        cutoff += part
+        if cutoff >= drop:
+            break
+    mu = restrict_to(t, cutoff).shape
     bj = beta[j - 1]
     for i in range(1, j):
         mu_next = mu[i] if i < len(mu) else 0
@@ -46,16 +47,17 @@ def _reading_order(cells):
     return sorted(cells, key=lambda cell: (-cell[0], cell[1]))
 
 
-def _from_runs(shape, runs, flavor="SYT"):
-    """Rebuild a tableau from run cell sets: run m gets the next block of
-    consecutive values, increasing in reading order of its cells."""
+def _from_runs(shape, runs):
+    """Fill an SYT candidate from run cell sets: run m gets the next block
+    of consecutive values, increasing in reading order of its cells.  The
+    result is not validated."""
     grid = [[0] * part for part in shape]
     value = 1
     for cells in runs:
         for r, c in _reading_order(cells):
             grid[r][c] = value
             value += 1
-    return Tableau(grid, flavor)
+    return Tableau._trusted(grid, "SYT")
 
 
 def _permute_runs(t, donor, j, take):
@@ -63,9 +65,11 @@ def _permute_runs(t, donor, j, take):
     donor run ends up with `take` of the pooled cells.
 
     The donor run lies entirely below row j, so the pool is all of it plus
-    the low cells of run j.  Which pooled cells land in which run is forced:
-    exactly one split yields a standard tableau with the prescribed run
-    sizes.
+    the low cells of run j.  A split qualifies when it fills a standard
+    tableau with the prescribed run sizes.  More than one split can qualify
+    (from SYT(6) on), so the tie is broken by reading order: the donor
+    takes the first qualifying subset of the pooled cells in
+    `combinations` order over the pool sorted in reading order.
     """
     from itertools import combinations
 
@@ -79,18 +83,12 @@ def _permute_runs(t, donor, j, take):
     expected[donor - 1] = take
     expected[j - 1] = beta[donor - 1] + beta[j - 1] - take
 
-    # the donor run takes the earliest pooled cells in reading order that
-    # still admit a standard tableau with the prescribed run sizes
-    ordered = _reading_order(pool)
-    for subset in combinations(ordered, take):
+    for subset in combinations(_reading_order(pool), take):
         new_runs = list(runs)
         new_runs[donor - 1] = list(subset)
         new_runs[j - 1] = kept + [c for c in pool if c not in subset]
-        try:
-            cand = _from_runs(t.shape, new_runs)
-        except InvalidTableauError:
-            continue
-        if list(cand.descent_composition()) == expected:
+        cand = _from_runs(t.shape, new_runs)
+        if cand._validate() is None and list(cand.descent_composition()) == expected:
             return cand
     raise AssertionError(
         f"run exchange has no completion for {t!r} "
@@ -181,11 +179,6 @@ def shifted_dual_move_by_bridges(i, word):
     return flip(restricted_dual_move_by_guard(len(word) - i - 1, flip(word)))
 
 
-def shifted_dual_move_tableau(i, t):
-    """Shifted dual move on a shifted tableau via its row reading word."""
-    return t.with_word(shifted_dual_move(i, t.row_reading_word()))
-
-
 # ---------------------------------------------------------------------------
 # cyclic move and the quasi-dual moves
 
@@ -252,7 +245,7 @@ def mason_rho(t):
     grid = [
         [cols[c][r] for c in range(lam[r])] for r in range(len(lam))
     ]
-    return Tableau(grid, "SRT")
+    return Tableau._trusted(grid, "SRT")
 
 
 def mason_rho_inverse(t, alpha):

@@ -7,7 +7,13 @@ from .tableaux import Tableau, InvalidTableauError
 
 
 def rsk(word):
-    """Row-bumping insertion: word -> (insertion tableau, recording tableau)."""
+    """Row-bumping insertion: word -> (insertion tableau, recording tableau).
+
+    Insertion keeps rows and columns increasing, so both tableaux are
+    standard as soon as the word's values are distinct.
+    """
+    if len(set(word)) != len(word):
+        raise InvalidTableauError("repeated value")
     p_rows = []
     q_rows = []
     for step, value in enumerate(word, start=1):
@@ -25,7 +31,7 @@ def rsk(word):
                 break
             value, row[idx] = row[idx], value
             r += 1
-    return Tableau(p_rows, "SYT"), Tableau(q_rows, "SYT")
+    return Tableau._trusted(p_rows, "SYT"), Tableau._trusted(q_rows, "SYT")
 
 
 def rsk_inverse(p, q):
@@ -73,7 +79,7 @@ def dual_move(i, word):
 def dual_move_tableau(i, t):
     """Dual move acting on an SYT via its row reading word; t itself when
     the move fixes that word."""
-    word = t.row_reading_word()
+    word = t.reading_word()
     moved = dual_move(i, word)
     return t if moved == word else t.with_word(moved)
 

@@ -19,16 +19,23 @@ class Tableau:
 
     __slots__ = ("rows", "flavor", "_hash")
 
-    def __init__(self, rows, flavor, check=True):
-        if flavor not in FLAVORS:
-            raise InvalidTableauError(f"unknown flavor {flavor!r}")
+    def __init__(self, rows, flavor):
         self.rows = tuple(tuple(row) for row in rows)
         self.flavor = flavor
         self._hash = None
-        if check:
-            problem = self._validate()
-            if problem:
-                raise InvalidTableauError(problem)
+        problem = self._validate()
+        if problem:
+            raise InvalidTableauError(problem)
+
+    @classmethod
+    def _trusted(cls, rows, flavor):
+        """A tableau whose rows are valid by construction, or a filter's
+        candidate that is kept only if its _validate() is None."""
+        t = cls.__new__(cls)
+        t.rows = tuple(tuple(row) for row in rows)
+        t.flavor = flavor
+        t._hash = None
+        return t
 
     # -- basic structure ---------------------------------------------------
 
@@ -71,17 +78,19 @@ class Tableau:
     # -- validation --------------------------------------------------------
 
     def _validate(self):
-        vals = self.values()
-        if len(set(vals)) != len(vals):
-            return "repeated value"
-        if any(len(row) == 0 for row in self.rows):
-            return "empty row"
         check = {
             "SYT": self._check_syt,
             "SRT": self._check_srt,
             "SRCT": self._check_srct,
             "SST": self._check_sst,
-        }[self.flavor]
+        }.get(self.flavor)
+        if check is None:
+            return f"unknown flavor {self.flavor!r}"
+        vals = self.values()
+        if len(set(vals)) != len(vals):
+            return "repeated value"
+        if any(len(row) == 0 for row in self.rows):
+            return "empty row"
         return check()
 
     def _check_syt(self):
@@ -186,9 +195,6 @@ class Tableau:
     def reading_word(self):
         return tuple(self.rows[r][c] for r, c in self.reading_cells())
 
-    def row_reading_word(self):
-        return tuple(self.rows[r][c] for r, c in self._row_cells())
-
     def with_word(self, word):
         """Refill the same cells, in reading order, with a new word."""
         cells = self.reading_cells()
@@ -261,7 +267,7 @@ def syt_from_word(word, shape):
 
 def run_cells(t):
     """Cells of each run, in order of increasing value."""
-    word = t.row_reading_word()
+    word = t.reading_word()
     n = len(word)
     marks = sorted(inverse_descent_set(word) | {n})
     runs = []
@@ -329,7 +335,7 @@ def enumerate_tableaux(shape, flavor):
     elif flavor == "SRT":
         n = sum(shape)
         out = [
-            Tableau([[n + 1 - v for v in row] for row in t.rows], "SRT")
+            Tableau._trusted([[n + 1 - v for v in row] for row in t.rows], "SRT")
             for t in _enumerate_increasing(shape, shifted=False)
         ]
     elif flavor == "SRCT":
@@ -365,7 +371,7 @@ def _enumerate_increasing(shape, shifted):
 
     def place(v):
         if v > n:
-            out.append(Tableau([tuple(row) for row in grid], "SST" if shifted else "SYT"))
+            out.append(Tableau._trusted(grid, "SST" if shifted else "SYT"))
             return
         for r in range(len(shape)):
             c = filled[r]
@@ -397,9 +403,9 @@ def _enumerate_srct(shape):
 
     def place(v):
         if v > n:
-            cand = Tableau([tuple(row) for row in grid], "SRCT", check=False)
+            cand = Tableau._trusted(grid, "SRCT")
             if cand._validate() is None:
-                out.append(Tableau(cand.rows, "SRCT"))
+                out.append(cand)
             return
         for r in range(k):
             if filled[r] >= shape[r]:
@@ -422,6 +428,8 @@ def brute_force_tableaux(shape, flavor):
     """Filter every assignment of [n] to the cells; oracle for enumerate."""
     from itertools import permutations
 
+    if flavor not in FLAVORS:
+        raise InvalidTableauError(f"unknown flavor {flavor!r}")
     shape = tuple(shape)
     n = sum(shape)
     out = []
@@ -431,7 +439,7 @@ def brute_force_tableaux(shape, flavor):
         for part in shape:
             grid.append(perm[pos:pos + part])
             pos += part
-        cand = Tableau(grid, flavor, check=False)
+        cand = Tableau._trusted(grid, flavor)
         if cand._validate() is None:
-            out.append(Tableau(cand.rows, flavor))
+            out.append(cand)
     return sorted(out, key=lambda t: t.reading_word())

@@ -347,7 +347,7 @@ def test_criterion_7_shifted_suite(capsys):
         # flip-conjugated restricted moves are transitive on shifted tableaux
         for n in range(1, 9):
             for lam in strict_partitions(n):
-                words = [t.row_reading_word() for t in enumerate_tableaux(lam, "SST")]
+                words = [t.reading_word() for t in enumerate_tableaux(lam, "SST")]
                 classes = all_classes(words, moves_for("equiv2flip", n), "equiv2flip")
                 assert len(classes) == 1
 

@@ -285,6 +285,16 @@ def _commutation_by_words(n):
     return results
 
 
+def test_involutions_checks_every_composition_of_n(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "involutions", "--n", "7", "--format", "json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    alpha = (2, 1, 3, 1)
+    dq = [c for c in checks if c["name"].endswith(f"on SRCT({alpha})")]
+    assert [c["name"] for c in dq] == [f"DQ_{i} on SRCT({alpha})" for i in range(2, 7)]
+    assert all(c["ok"] for c in checks)
+
+
 def test_commutation_matches_word_oracle():
     for n in range(1, 7):
         assert suite_commutation(n) == _commutation_by_words(n)

@@ -14,7 +14,6 @@ from tabkit.core import (
     reverse_word,
     slinky,
     slinky_by_swaps,
-    slinky_drop_count,
     sort_to_partition,
     standardize,
     standardized_yamanouchi,
@@ -110,7 +109,6 @@ def test_flip_and_invert():
 def test_slinky_golden():
     # gravity examples: (1,3,6) drops to (4,3,3) with 3 total row drops
     assert slinky((1, 3, 6)) == (-1, (4, 3, 3))
-    assert slinky_drop_count((1, 3, 6)) == 3
     assert slinky((2, 2, 3)) is None
     assert slinky(()) == (1, ())
     for n in range(1, 8):
@@ -122,14 +120,6 @@ def test_slinky_matches_swap_oracle():
     for n in range(1, 9):
         for alpha in compositions(n):
             assert slinky(alpha) == slinky_by_swaps(alpha)
-
-
-def test_slinky_sign_matches_drop_count():
-    for n in range(1, 9):
-        for alpha in compositions(n):
-            result = slinky(alpha)
-            if result is not None:
-                assert result[0] == (-1) ** slinky_drop_count(alpha)
 
 
 def test_yamanouchi_words():

@@ -15,7 +15,6 @@ from tabkit.operators import (
     restricted_dual_move_by_guard,
     restricted_dual_move_tableau,
     shifted_dual_move,
-    shifted_dual_move_tableau,
     slink,
     slink_context,
     slink_star,
@@ -69,6 +68,16 @@ def test_slink_class_two_edges():
     assert slink(a) == c
     assert slink(b) == d
     assert slink(c) == d  # bottom edge carries both labels
+
+
+def test_run_exchange_tie_takes_the_first_split():
+    # two splits of the pooled cells give a standard tableau with the right
+    # run sizes; both maps take the first in reading order
+    t = Tableau([(1, 2, 6), (3, 5), (4,)], "SYT")
+    first = Tableau([(1, 2, 6), (3, 4), (5,)], "SYT")
+    second = Tableau([(1, 2, 4), (3, 6), (5,)], "SYT")
+    assert first.descent_composition() == second.descent_composition()
+    assert slink(t) == slink_star(t) == first
 
 
 def test_slink_fixes_superstandard():
@@ -241,7 +250,7 @@ def test_shifted_tableau_action_stays_shifted():
         n = sum(lam)
         for t in enumerate_tableaux(lam, "SST"):
             for i in range(1, n - 2):
-                image = shifted_dual_move_tableau(i, t)
+                image = t.with_word(shifted_dual_move(i, t.reading_word()))
                 assert image.flavor == "SST" and image.shape == t.shape
 
 

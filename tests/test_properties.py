@@ -1,4 +1,5 @@
-"""Property tests on random permutations of degree up to 9.
+"""Property tests on random permutations and composition tableaux of degree
+up to 9.
 
 Hypothesis is a test-only dependency.  Every test is derandomized with a
 fixed example budget, so a run is deterministic and quick.
@@ -7,16 +8,31 @@ fixed example budget, so a run is deterministic and quick.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabkit.core import compositions
 from tabkit.operators import (
+    mason_rho,
+    mason_rho_inverse,
     restricted_dual_move,
     restricted_dual_move_tableau,
     shifted_dual_move,
 )
 from tabkit.rsk import dual_move, dual_move_tableau, knuth_move, rsk, rsk_inverse
+from tabkit.tableaux import enumerate_tableaux
 
 permutations = st.integers(min_value=1, max_value=9).flatmap(
     lambda n: st.permutations(range(1, n + 1))
 ).map(tuple)
+
+# (alpha, t) with t in SRCT(alpha), |alpha| <= 9
+srcts = (
+    st.integers(min_value=1, max_value=9)
+    .flatmap(lambda n: st.sampled_from(compositions(n)))
+    .flatmap(
+        lambda alpha: st.tuples(
+            st.just(alpha), st.sampled_from(enumerate_tableaux(alpha, "SRCT"))
+        )
+    )
+)
 
 deterministic = settings(max_examples=150, derandomize=True, database=None)
 
@@ -57,3 +73,12 @@ def test_dual_moves_are_involutions(w):
         assert restricted_dual_move(i, restricted_dual_move(i, w)) == w
     for i in range(1, n - 2):
         assert shifted_dual_move(i, shifted_dual_move(i, w)) == w
+
+
+@deterministic
+@given(srcts)
+def test_mason_rho_round_trip(case):
+    alpha, t = case
+    image = mason_rho(t)
+    assert image._validate() is None
+    assert mason_rho_inverse(image, alpha) == t

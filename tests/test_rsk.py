@@ -28,11 +28,11 @@ def test_dual_move_tableau_returns_t_for_an_identity_move():
     for n in range(3, 7):
         for lam in partitions(n):
             for t in enumerate_tableaux(lam, "SYT"):
-                word = t.row_reading_word()
+                word = t.reading_word()
                 for i in range(2, n):
                     moved = dual_move_tableau(i, t)
                     assert (moved is t) == (dual_move(i, word) == word)
-                    assert moved.row_reading_word() == dual_move(i, word)
+                    assert moved.reading_word() == dual_move(i, word)
 
 
 def test_rsk_surjective_on_pairs():

@@ -1,6 +1,8 @@
 import pytest
 
-from tabkit.core import compositions, partitions, strict_partitions
+from tabkit.core import all_permutations, compositions, partitions, strict_partitions
+from tabkit.operators import mason_rho
+from tabkit.rsk import rsk
 from tabkit.tableaux import (
     InvalidTableauError,
     Tableau,
@@ -51,6 +53,28 @@ def test_sst_validation():
         Tableau([(1, 4, 5), (2, 3)], "SST")  # shifted column violated
 
 
+def test_trusted_constructions_are_valid():
+    # rsk, the enumerations and the column sort build without validation
+    for n in range(1, 8):
+        for w in all_permutations(n):
+            p, q = rsk(w)
+            assert p._validate() is None and q._validate() is None
+        for flavor, shapes in (
+            ("SYT", partitions(n)),
+            ("SRT", partitions(n)),
+            ("SST", strict_partitions(n)),
+            ("SRCT", compositions(n)),
+        ):
+            for shape in shapes:
+                for t in enumerate_tableaux(shape, flavor):
+                    assert t._validate() is None
+                    if flavor == "SRCT":
+                        assert mason_rho(t)._validate() is None
+    for word in [(1, 1), (2, 1, 2)]:
+        with pytest.raises(InvalidTableauError):
+            rsk(word)
+
+
 def test_row_reading_word_golden():
     u = superstandard((4, 4, 1))
     assert u.reading_word() == (9, 5, 6, 7, 8, 1, 2, 3, 4)
@@ -89,7 +113,7 @@ def test_superstandard():
 def test_syt_from_word_round_trip():
     for lam in partitions(5):
         for t in enumerate_tableaux(lam, "SYT"):
-            assert syt_from_word(t.row_reading_word(), lam) == t
+            assert syt_from_word(t.reading_word(), lam) == t
 
 
 def test_run_cells_follow_values():

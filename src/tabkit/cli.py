@@ -278,6 +278,13 @@ def cmd_expand(args):
 # Each suite returns a list of (check name, ok, witness) triples; suites are
 # pure re-runs of the library property checks at a configurable degree.
 
+def _first_failure(name, failures):
+    """The check's triple from a generator of failures: its first item, if
+    any, is the witness."""
+    witness = next(failures, None)
+    return (name, witness is None, witness)
+
+
 def suite_poset(n):
     results = []
     chain = ["equiv0", "equiv1", "equiv2", "dual"]
@@ -324,10 +331,7 @@ def suite_involutions(n):
     words = all_permutations(n)
 
     def involutive(name, fn, domain):
-        for x in domain:
-            if fn(fn(x)) != x:
-                return (name, False, x)
-        return (name, True, None)
+        return _first_failure(name, (x for x in domain if fn(fn(x)) != x))
 
     for i in range(2, n - 1):
         results.append(involutive(f"dR_{i} on S_{n}", lambda w, i=i: restricted_dual_move(i, w), words))
@@ -405,10 +409,9 @@ def suite_commutation(n):
 
 def _commutes_on_words(check, j, op, words):
     """The check word by word: fails on the first w with K_j(op w) != op(K_j w)."""
-    for w in words:
-        if knuth_move(j, op(w)) != op(knuth_move(j, w)):
-            return (check, False, w)
-    return (check, True, None)
+    return _first_failure(
+        check, (w for w in words if knuth_move(j, op(w)) != op(knuth_move(j, w)))
+    )
 
 
 def _slink_word(word):
@@ -429,31 +432,23 @@ def suite_mason(n):
     quasi_schurs = {class_union_qsym(classes) for classes in classes_of.values()}
     results = []
     for alpha, srct in srcts.items():
-        # bijectivity with certified round trip
-        images = set()
-        ok = True
-        witness = None
-        for t in srct:
-            image = mason_rho(t)
-            if image in images or mason_rho_inverse(image, alpha) != t:
-                ok, witness = False, t
-                break
-            images.add(image)
-        results.append((f"column sort bijective on SRCT({alpha})", ok, witness))
+        # bijectivity: the certified round trip also fails on a collision
+        results.append(_first_failure(
+            f"column sort bijective on SRCT({alpha})",
+            (t for t in srct if mason_rho_inverse(mason_rho(t), alpha) != t),
+        ))
 
         # the commuting square with the quasi-dual moves
-        ok = True
-        witness = None
-        for t in srct:
-            for i in range(2, sum(alpha)):
-                if mason_rho(quasi_dual_move_srct(i, t)) != quasi_dual_move_srt(
-                    i, mason_rho(t)
-                ):
-                    ok, witness = False, (i, t)
-                    break
-            if not ok:
-                break
-        results.append((f"column sort commutes with quasi-dual moves on SRCT({alpha})", ok, witness))
+        results.append(_first_failure(
+            f"column sort commutes with quasi-dual moves on SRCT({alpha})",
+            (
+                (i, t)
+                for t in srct
+                for i in range(2, sum(alpha))
+                if mason_rho(quasi_dual_move_srct(i, t))
+                != quasi_dual_move_srt(i, mason_rho(t))
+            ),
+        ))
 
         # transitivity of the quasi-dual action
         classes = classes_of[alpha]
@@ -480,36 +475,33 @@ def suite_shifted(n):
 
     # pattern table against the bridge oracle, built on the inverse-descent
     # guard rather than on any window table
-    witness = next(
+    results.append(_first_failure(
+        f"shifted move matches its bridge oracle on S_{n}",
         (
             (i, w)
             for w in words
             for i in range(1, n - 2)
             if shifted_dual_move(i, w) != shifted_dual_move_by_bridges(i, w)
         ),
-        None,
-    )
-    results.append(
-        (f"shifted move matches its bridge oracle on S_{n}", witness is None, witness)
-    )
+    ))
 
     # bridges: dR_i on the reverse is h_{i-1}; dR_i on the flip is h_{n-i-1}
+    def bridge(name, outer, i, h):
+        return _first_failure(name, (
+            w
+            for w in words
+            for lhs in [outer(restricted_dual_move(i, outer(w)))]
+            if lhs != w and shifted_dual_move(h, w) != lhs
+        ))
+
     for i in range(2, n - 1):
-        ok, witness = True, None
-        for w in words:
-            lhs = reverse_word(restricted_dual_move(i, reverse_word(w)))
-            if lhs != w and shifted_dual_move(i - 1, w) != lhs:
-                ok, witness = False, w
-                break
-        results.append((f"reverse bridge dR_{i} -> h_{i - 1} on S_{n}", ok, witness))
+        results.append(
+            bridge(f"reverse bridge dR_{i} -> h_{i - 1} on S_{n}", reverse_word, i, i - 1)
+        )
     for i in range(2, n - 1):
-        ok, witness = True, None
-        for w in words:
-            lhs = flip(restricted_dual_move(i, flip(w)))
-            if lhs != w and shifted_dual_move(n - i - 1, w) != lhs:
-                ok, witness = False, w
-                break
-        results.append((f"flip bridge dR_{i} -> h_{n - i - 1} on S_{n}", ok, witness))
+        results.append(
+            bridge(f"flip bridge dR_{i} -> h_{n - i - 1} on S_{n}", flip, i, n - i - 1)
+        )
 
     # transitivity on shifted standard tableaux via flipped reading words
     for lam in strict_partitions(n):

@@ -7,6 +7,7 @@ from .tableaux import (
     InvalidTableauError,
     Tableau,
     in_single_pistol,
+    reading_cells,
     restrict_to,
     run_cells,
 )
@@ -43,18 +44,15 @@ def slink_context(t):
     raise AssertionError("no admissible row index found")  # pragma: no cover
 
 
-def _reading_order(cells):
-    return sorted(cells, key=lambda cell: (-cell[0], cell[1]))
-
-
 def _from_runs(shape, runs):
     """Fill an SYT candidate from run cell sets: run m gets the next block
     of consecutive values, increasing in reading order of its cells.  The
     result is not validated."""
     grid = [[0] * part for part in shape]
+    order = reading_cells("SYT", shape).index
     value = 1
     for cells in runs:
-        for r, c in _reading_order(cells):
+        for r, c in sorted(cells, key=order):
             grid[r][c] = value
             value += 1
     return Tableau._trusted(grid, "SYT")
@@ -83,7 +81,8 @@ def _permute_runs(t, donor, j, take):
     expected[donor - 1] = take
     expected[j - 1] = beta[donor - 1] + beta[j - 1] - take
 
-    for subset in combinations(_reading_order(pool), take):
+    pool = sorted(pool, key=reading_cells("SYT", t.shape).index)
+    for subset in combinations(pool, take):
         new_runs = list(runs)
         new_runs[donor - 1] = list(subset)
         new_runs[j - 1] = kept + [c for c in pool if c not in subset]
@@ -148,11 +147,8 @@ def restricted_dual_move_by_guard(i, word):
 
 
 def restricted_dual_move_tableau(i, t):
-    """Restricted dual move on a tableau via its flavor's reading word; t
-    itself when the move fixes that word."""
-    word = t.reading_word()
-    moved = restricted_dual_move(i, word)
-    return t if moved == word else t.with_word(moved)
+    """Restricted dual move on a tableau via its flavor's reading word."""
+    return t.with_word(restricted_dual_move(i, t.reading_word()))
 
 
 def shifted_dual_move(i, word):

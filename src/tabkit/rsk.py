@@ -77,11 +77,8 @@ def dual_move(i, word):
 
 
 def dual_move_tableau(i, t):
-    """Dual move acting on an SYT via its row reading word; t itself when
-    the move fixes that word."""
-    word = t.reading_word()
-    moved = dual_move(i, word)
-    return t if moved == word else t.with_word(moved)
+    """Dual move acting on an SYT via its row reading word."""
+    return t.with_word(dual_move(i, t.reading_word()))
 
 
 def knuth_move(i, word):

@@ -5,9 +5,28 @@ row.  Cells are addressed (row, col), 0-based; for shifted tableaux row r
 is indented r cells, so the absolute column of (r, c) is r + c.
 """
 
+from functools import lru_cache
+
 from .core import inverse_descent_set, descent_composition
 
 FLAVORS = ("SYT", "SRT", "SRCT", "SST")
+
+
+@lru_cache(maxsize=None)
+def reading_cells(flavor, shape):
+    """Cell order of the flavor's reading word on a diagram of the shape:
+    rows top to bottom for SYT and SST; each column read upward, columns
+    right to left, for SRT; for SRCT each column but the first read
+    downward, right to left, then the first column upward."""
+    rows = range(len(shape))
+    if flavor in ("SYT", "SST"):
+        return tuple((r, c) for r in reversed(rows) for c in range(shape[r]))
+    columns = range(max(shape, default=0) - 1, -1, -1)
+    if flavor == "SRT":
+        return tuple((r, c) for c in columns for r in rows if c < shape[r])
+    return tuple(
+        (r, c) for c in columns[:-1] for r in reversed(rows) if c < shape[r]
+    ) + tuple((r, 0) for r in rows)
 
 
 class InvalidTableauError(ValueError):
@@ -17,12 +36,13 @@ class InvalidTableauError(ValueError):
 class Tableau:
     """An immutable filling of a diagram with distinct positive integers."""
 
-    __slots__ = ("rows", "flavor", "_hash")
+    __slots__ = ("rows", "flavor", "_hash", "_word")
 
     def __init__(self, rows, flavor):
         self.rows = tuple(tuple(row) for row in rows)
         self.flavor = flavor
         self._hash = None
+        self._word = None
         problem = self._validate()
         if problem:
             raise InvalidTableauError(problem)
@@ -35,6 +55,7 @@ class Tableau:
         t.rows = tuple(tuple(row) for row in rows)
         t.flavor = flavor
         t._hash = None
+        t._word = None
         return t
 
     # -- basic structure ---------------------------------------------------
@@ -54,11 +75,11 @@ class Tableau:
         return [v for row in self.rows for v in row]
 
     def position_of(self, value):
-        for r, row in enumerate(self.rows):
-            for c, v in enumerate(row):
-                if v == value:
-                    return (r, c)
-        raise KeyError(value)
+        try:
+            index = self.reading_word().index(value)
+        except ValueError:
+            raise KeyError(value) from None
+        return reading_cells(self.flavor, self.shape)[index]
 
     def __eq__(self, other):
         return (
@@ -78,45 +99,32 @@ class Tableau:
     # -- validation --------------------------------------------------------
 
     def _validate(self):
-        check = {
-            "SYT": self._check_syt,
-            "SRT": self._check_srt,
-            "SRCT": self._check_srct,
-            "SST": self._check_sst,
-        }.get(self.flavor)
-        if check is None:
+        if self.flavor not in FLAVORS:
             return f"unknown flavor {self.flavor!r}"
         vals = self.values()
         if len(set(vals)) != len(vals):
             return "repeated value"
         if any(len(row) == 0 for row in self.rows):
             return "empty row"
-        return check()
+        if self.flavor == "SRCT":
+            return self._check_srct()
+        return self._check_monotone(self.flavor != "SRT", int(self.flavor == "SST"))
 
-    def _check_syt(self):
+    def _check_monotone(self, increasing, shift):
+        """Rows and columns strictly increasing (or decreasing) and the shape
+        a partition.  With shift 1 row r is indented r cells, so the cell
+        below (r, c) is (r - 1, c + 1) and the shape must be strict."""
         shape = self.shape
-        if any(a < b for a, b in zip(shape, shape[1:])):
-            return "shape is not a partition"
+        if any(a < b + shift for a, b in zip(shape, shape[1:])):
+            return "shape is not a strict partition" if shift else "shape is not a partition"
+        sign = 1 if increasing else -1
+        order = "increasing" if increasing else "decreasing"
         for row in self.rows:
-            if any(a >= b for a, b in zip(row, row[1:])):
-                return "row not increasing"
-        for r in range(len(self.rows) - 1):
-            for c, v in enumerate(self.rows[r + 1]):
-                if v <= self.rows[r][c]:
-                    return "column not increasing"
-        return None
-
-    def _check_srt(self):
-        shape = self.shape
-        if any(a < b for a, b in zip(shape, shape[1:])):
-            return "shape is not a partition"
-        for row in self.rows:
-            if any(a <= b for a, b in zip(row, row[1:])):
-                return "row not decreasing"
-        for r in range(len(self.rows) - 1):
-            for c, v in enumerate(self.rows[r + 1]):
-                if v >= self.rows[r][c]:
-                    return "column not decreasing upward"
+            if any(sign * a >= sign * b for a, b in zip(row, row[1:])):
+                return f"row not {order}"
+        for below, above in zip(self.rows, self.rows[1:]):
+            if any(sign * below[c + shift] >= sign * v for c, v in enumerate(above)):
+                return f"column not {order}"
         return None
 
     def _check_srct(self):
@@ -138,72 +146,29 @@ class Tableau:
                             return "triple rule violated"
         return None
 
-    def _check_sst(self):
-        shape = self.shape
-        if any(a <= b for a, b in zip(shape, shape[1:])):
-            return "shape is not a strict partition"
-        for row in self.rows:
-            if any(a >= b for a, b in zip(row, row[1:])):
-                return "row not increasing"
-        for r in range(len(self.rows) - 1):
-            # cell above (r, c) sits at absolute column r + c
-            for c2, v in enumerate(self.rows[r + 1]):
-                below = self.rows[r][c2 + 1]
-                if v <= below:
-                    return "column not increasing"
-        return None
-
     # -- reading words -----------------------------------------------------
 
-    def reading_cells(self):
-        """Cell order of the flavor's reading word."""
-        if self.flavor in ("SYT", "SST"):
-            return self._row_cells()
-        if self.flavor == "SRT":
-            return self._column_cells()
-        return self._bent_cells()
-
-    def _row_cells(self):
-        cells = []
-        for r in range(len(self.rows) - 1, -1, -1):
-            for c in range(len(self.rows[r])):
-                cells.append((r, c))
-        return cells
-
-    def _column_cells(self):
-        # up each column, columns right to left
-        width = max(len(row) for row in self.rows)
-        cells = []
-        for c in range(width - 1, -1, -1):
-            for r in range(len(self.rows)):
-                if c < len(self.rows[r]):
-                    cells.append((r, c))
-        return cells
-
-    def _bent_cells(self):
-        # down each column right to left, then up the leftmost column
-        width = max(len(row) for row in self.rows)
-        cells = []
-        for c in range(width - 1, 0, -1):
-            for r in range(len(self.rows) - 1, -1, -1):
-                if c < len(self.rows[r]):
-                    cells.append((r, c))
-        for r in range(len(self.rows)):
-            cells.append((r, 0))
-        return cells
-
     def reading_word(self):
-        return tuple(self.rows[r][c] for r, c in self.reading_cells())
+        if self._word is None:
+            cells = reading_cells(self.flavor, self.shape)
+            self._word = tuple(self.rows[r][c] for r, c in cells)
+        return self._word
 
     def with_word(self, word):
-        """Refill the same cells, in reading order, with a new word."""
-        cells = self.reading_cells()
+        """Refill the same cells, in reading order, with a new word; self
+        when the word is its own reading word, else a validated tableau."""
+        word = tuple(word)
+        if word == self.reading_word():
+            return self
+        cells = reading_cells(self.flavor, self.shape)
         if len(word) != len(cells):
             raise InvalidTableauError("word length does not match shape")
         grid = [[0] * len(row) for row in self.rows]
         for (r, c), v in zip(cells, word):
             grid[r][c] = v
-        return Tableau(grid, self.flavor)
+        t = Tableau(grid, self.flavor)
+        t._word = word
+        return t
 
     # -- descent statistics ------------------------------------------------
 
@@ -310,13 +275,21 @@ def pistol(shape, cell):
 
 
 def in_single_pistol(shape, cells):
-    """True when some pistol of the diagram contains every given cell."""
-    cells = set(cells)
-    for r in range(len(shape)):
-        for c in range(shape[r]):
-            if cells <= pistol(shape, (r, c)):
-                return True
-    return False
+    """True when some pistol of the diagram contains every given cell: the
+    cells lie in the diagram, and in one column or in adjacent columns
+    c - 1, c with no cell of column c above a cell of column c - 1 (then
+    the pistol of the highest cell in column c holds them all)."""
+    if not all(0 <= r < len(shape) and 0 <= c < shape[r] for r, c in cells):
+        return False
+    cols = sorted({c for _, c in cells})
+    if len(cols) < 2:
+        return True
+    left, right = cols[0], cols[-1]
+    return (
+        right == left + 1
+        and max(r for r, c in cells if c == right)
+        <= min(r for r, c in cells if c == left)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from tabkit.equivalence import (
     syt_universe,
 )
 from tabkit.operators import restricted_dual_move
-from tabkit.rsk import dual_move, insertion_tableau, recording_tableau
+from tabkit.rsk import dual_move, insertion_tableau, recording_tableau, rsk
 from tabkit.tableaux import enumerate_tableaux, superstandard
 
 
@@ -148,6 +148,23 @@ def test_perm_class_matches_perm_classes(relation):
                 queries = cls.members[:1] if q == last_q[q.shape] else ()
             for w in queries:
                 assert perm_class(w, relation) == cls
+
+
+@pytest.mark.parametrize("relation", ["shifted", "equiv2rev", "equiv2flip"])
+def test_word_relations_fix_q_and_act_on_p(relation):
+    # each move keeps the recording tableau Q and sends the insertion
+    # tableau P to a tableau that depends on P alone, so the word classes
+    # could be carried across Q by the move read through insertion
+    for n in range(1, 8):
+        moves = moves_for(relation, n)
+        on_p = {}
+        for w in all_permutations(n):
+            p, q = rsk(w)
+            for name, i, move in moves:
+                moved = move(w)
+                image_p, image_q = (p, q) if moved == w else rsk(moved)
+                assert image_q == q, (name, i, w)
+                assert on_p.setdefault((i, p), image_p) == image_p, (name, i, w)
 
 
 def test_perm_classes_partition_sn():

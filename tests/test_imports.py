@@ -6,14 +6,18 @@ import tabkit
 SRC = Path(tabkit.__file__).parent
 
 
-# stands in for a linter's unused-import rule, which this project does not run
+# stands in for a linter's unused-import rule, which this project does not run:
+# every module-level `import x`, `from x import y` and `from .x import y`
 def _unused_module_imports(path):
     tree = ast.parse(path.read_text())
     imported = {}
     for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
             for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
@@ -25,3 +29,14 @@ def test_no_unused_module_level_imports():
         if (found := _unused_module_imports(path))
     }
     assert unused == {}
+
+
+def test_stdlib_imports_are_checked_too(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import os\nimport os.path as osp\nfrom functools import lru_cache\n"
+        "from itertools import chain\nfrom .core import flip\n\nchain\n"
+    )
+    assert _unused_module_imports(module) == [
+        (1, "os"), (2, "osp"), (3, "lru_cache"), (5, "flip"),
+    ]

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from tabkit.core import all_permutations, compositions, partitions, strict_partitions
@@ -10,6 +12,7 @@ from tabkit.tableaux import (
     enumerate_tableaux,
     in_single_pistol,
     pistol,
+    reading_cells,
     restrict_to,
     run_cells,
     superstandard,
@@ -98,6 +101,62 @@ def test_bent_reading_word_golden():
     assert t.reading_word() == (3, 2, 6, 5, 8, 7, 4)
 
 
+def _shapes(n):
+    return (
+        ("SYT", partitions(n)),
+        ("SRT", partitions(n)),
+        ("SST", strict_partitions(n)),
+        ("SRCT", compositions(n)),
+    )
+
+
+def test_reading_cells_list_each_cell_once():
+    for n in range(1, 7):
+        for flavor, shapes in _shapes(n):
+            for shape in shapes:
+                cells = reading_cells(flavor, tuple(shape))
+                diagram = {(r, c) for r, part in enumerate(shape) for c in range(part)}
+                assert len(cells) == len(diagram) and set(cells) == diagram
+
+
+def test_with_word_identity_rule_and_position_of():
+    for n in range(1, 7):
+        for flavor, shapes in _shapes(n):
+            for shape in shapes:
+                tableaux = enumerate_tableaux(shape, flavor)
+                for t, other in zip(tableaux, tableaux[1:] + tableaux[:1]):
+                    assert t.with_word(t.reading_word()) is t
+                    # a moved word: the reading word of another tableau of
+                    # the shape, read back from a fresh, uncached tableau
+                    w = other.reading_word()
+                    image = t.with_word(w)
+                    assert image == other and image.reading_word() == w
+                    assert Tableau(image.rows, flavor).reading_word() == w
+                    for r, row in enumerate(t.rows):
+                        for c, v in enumerate(row):
+                            assert t.position_of(v) == (r, c)
+                    for missing in (0, n + 1):
+                        with pytest.raises(KeyError):
+                            t.position_of(missing)
+
+
+def test_monotone_validator_messages():
+    cases = [
+        ([(2, 1)], "SYT", "row not increasing"),
+        ([(3, 4), (1, 2)], "SYT", "column not increasing"),
+        ([(1,), (2, 3)], "SYT", "shape is not a partition"),
+        ([(2, 1), (3, 4)], "SRT", "row not decreasing"),
+        ([(3, 1), (4, 2)], "SRT", "column not decreasing"),
+        ([(2,), (3, 1)], "SRT", "shape is not a partition"),
+        ([(1, 2), (3, 4)], "SST", "shape is not a strict partition"),
+        ([(1, 4, 5), (2, 3)], "SST", "column not increasing"),
+        ([(2, 1, 3)], "SST", "row not increasing"),
+    ]
+    for rows, flavor, message in cases:
+        with pytest.raises(InvalidTableauError, match=f"^{message}$"):
+            Tableau(rows, flavor)
+
+
 def test_with_word_round_trip():
     for lam in partitions(5):
         for t in enumerate_tableaux(lam, "SYT"):
@@ -138,6 +197,22 @@ def test_pistols_golden():
     assert pistol(shape, (1, 0)) == {(0, 0), (1, 0)}
     assert in_single_pistol(shape, [(0, 1), (2, 0)])
     assert not in_single_pistol(shape, [(0, 0), (0, 4)])
+
+
+def test_in_single_pistol_matches_the_pistols():
+    # the closed form against the union of every pistol of the diagram
+    checked = 0
+    for n in range(1, 9):
+        for shape in compositions(n):
+            diagram = [(r, c) for r, part in enumerate(shape) for c in range(part)]
+            pistols = [pistol(shape, cell) for cell in diagram]
+            for size in (1, 2, 3):
+                for cells in combinations(diagram, size):
+                    expected = any(set(cells) <= p for p in pistols)
+                    assert in_single_pistol(shape, cells) == expected, (shape, cells)
+                    checked += 1
+    assert checked == 17667
+    assert not in_single_pistol((2, 1), [(0, 0), (1, 1)])  # (1, 1) is outside
 
 
 def test_enumerate_counts():

@@ -6,8 +6,8 @@ Classes are always listed with members sorted by key and classes sorted
 by least member.
 """
 
-from .core import all_permutations, partitions, reverse_word, flip
-from .rsk import dual_move_tableau, rsk, rsk_inverse
+from .core import partitions, reverse_word, flip
+from .rsk import dual_move_tableau, insertion_tableau, rsk, rsk_inverse
 from .operators import (
     mason_rho,
     quasi_dual_move_srct,
@@ -225,24 +225,27 @@ def syt_classes(shape_or_n, relation):
 def perm_classes(n, relation):
     """Classes of S_n under a word-level relation.
 
-    The tableau relations move a word's insertion tableau and fix its
-    recording tableau Q (Haiman's dual equivalence), so their word classes
-    are the tableau classes carried across each Q by inverse RSK.  The
-    other relations act on words directly and sweep S_n.
+    Each relation's moves fix a word's recording tableau Q and move its
+    insertion tableau P through P alone (Haiman's dual equivalence for the
+    tableau relations), so a class is a class of SYT(shape) carried across
+    each Q by inverse RSK.  A word move m acts on an SYT t as P(m(word of
+    t)): the reading word of t inserts back to t.
     """
-    if relation in TABLEAU_RELATIONS:
-        classes = []
-        for lam in partitions(n):
-            tab_classes = syt_classes(lam, relation)
-            for q in enumerate_tableaux(lam, "SYT"):
-                for cls in tab_classes:
-                    classes.append(
-                        EquivClass(
-                            relation, [rsk_inverse(p, q) for p in cls.members]
-                        )
-                    )
-        return sorted(classes, key=lambda cls: cls.key)
-    return all_classes(all_permutations(n), moves_for(relation, n), relation)
+    moves = moves_for(relation, n)
+    if relation not in TABLEAU_RELATIONS:
+        moves = [
+            (name, i, lambda t, m=move: insertion_tableau(m(t.reading_word())))
+            for name, i, move in moves
+        ]
+    classes = []
+    for lam in partitions(n):
+        tableaux = enumerate_tableaux(lam, "SYT")
+        for cls in all_classes(tableaux, moves, relation):
+            classes.extend(
+                EquivClass(relation, [rsk_inverse(p, q) for p in cls.members])
+                for q in tableaux
+            )
+    return sorted(classes, key=lambda cls: cls.key)
 
 
 def perm_class(word, relation):
@@ -285,13 +288,11 @@ def srt_image_classes(alpha, relation):
 def classes_for_cli(relation, n=None, alpha=None):
     """Carrier selection used by the command line front end: the
     quasi-dual relations take a composition alpha, the others a degree n."""
-    if relation in TABLEAU_RELATIONS:
-        if n is None or alpha is not None:
-            raise ValueError(f"relation {relation} needs --n")
-        return syt_classes(n, relation)
     if relation in WORD_RELATIONS:
         if n is None or alpha is not None:
             raise ValueError(f"relation {relation} needs --n")
+        if relation in TABLEAU_RELATIONS:
+            return syt_classes(n, relation)
         return perm_classes(n, relation)
     if relation == "quasiDualSRCT":
         if alpha is None:

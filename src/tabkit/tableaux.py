@@ -36,11 +36,12 @@ class InvalidTableauError(ValueError):
 class Tableau:
     """An immutable filling of a diagram with distinct positive integers."""
 
-    __slots__ = ("rows", "flavor", "_hash", "_word")
+    __slots__ = ("rows", "flavor", "shape", "_hash", "_word")
 
     def __init__(self, rows, flavor):
         self.rows = tuple(tuple(row) for row in rows)
         self.flavor = flavor
+        self.shape = tuple(len(row) for row in self.rows)
         self._hash = None
         self._word = None
         problem = self._validate()
@@ -54,15 +55,12 @@ class Tableau:
         t = cls.__new__(cls)
         t.rows = tuple(tuple(row) for row in rows)
         t.flavor = flavor
+        t.shape = tuple(len(row) for row in t.rows)
         t._hash = None
         t._word = None
         return t
 
     # -- basic structure ---------------------------------------------------
-
-    @property
-    def shape(self):
-        return tuple(len(row) for row in self.rows)
 
     @property
     def size(self):

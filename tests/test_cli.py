@@ -154,7 +154,6 @@ def test_expand_class_of_builds_one_class(capsys, monkeypatch, relation):
         "tabkit.cli.perm_classes",
         "tabkit.equivalence.perm_classes",
         "tabkit.core.all_permutations",
-        "tabkit.equivalence.all_permutations",
     ):
         monkeypatch.setattr(target, fail)
     code, out, _ = run(

@@ -1,5 +1,6 @@
 import pytest
 
+from tabkit import equivalence
 from tabkit.core import all_permutations, partitions, word_from_str
 from tabkit.equivalence import (
     CarrierError,
@@ -113,19 +114,38 @@ def test_perm_classes_transport_consistency():
                 assert len(images) == 1
 
 
-@pytest.mark.parametrize("relation", ["equiv2", "dual"])
+@pytest.mark.parametrize(
+    "relation", ["equiv2", "dual", "shifted", "equiv2rev", "equiv2flip"]
+)
 def test_perm_classes_transport_matches_word_sweep(relation):
     # reference: close S_n under the word-level moves directly
     if relation == "equiv2":
         word_move, indices = restricted_dual_move, lambda n: range(2, n - 1)
-    else:
+    elif relation == "dual":
         word_move, indices = dual_move, lambda n: range(2, n)
     for n in range(1, 8):
-        word_moves = [
-            ("w", i, lambda w, i=i: word_move(i, w)) for i in indices(n)
-        ]
+        if relation in TABLEAU_RELATIONS:
+            word_moves = [
+                ("w", i, lambda w, i=i: word_move(i, w)) for i in indices(n)
+            ]
+        else:
+            word_moves = moves_for(relation, n)
         expected = all_classes(all_permutations(n), word_moves, relation)
         assert perm_classes(n, relation) == expected
+
+
+@pytest.mark.parametrize("relation", ["shifted", "equiv2rev", "equiv2flip"])
+def test_perm_classes_sweeps_no_permutations(monkeypatch, relation):
+    # the word relations' classes come from SYT(shape) carried across Q;
+    # the sweep of S_n is only this test's reference
+    expected = all_classes(all_permutations(6), moves_for(relation, 6), relation)
+
+    def fail(*args):
+        raise AssertionError("perm_classes swept S_n")
+
+    monkeypatch.setattr("tabkit.core.all_permutations", fail)
+    assert not hasattr(equivalence, "all_permutations")
+    assert perm_classes(6, relation) == expected
 
 
 @pytest.mark.parametrize("relation", WORD_RELATIONS)
@@ -153,8 +173,9 @@ def test_perm_class_matches_perm_classes(relation):
 @pytest.mark.parametrize("relation", ["shifted", "equiv2rev", "equiv2flip"])
 def test_word_relations_fix_q_and_act_on_p(relation):
     # each move keeps the recording tableau Q and sends the insertion
-    # tableau P to a tableau that depends on P alone, so the word classes
-    # could be carried across Q by the move read through insertion
+    # tableau P to a tableau that depends on P alone; perm_classes relies on
+    # this to carry the word classes across Q by the move read through
+    # insertion
     for n in range(1, 8):
         moves = moves_for(relation, n)
         on_p = {}

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabkit.core import compositions
+from tabkit.equivalence import moves_for
 from tabkit.operators import (
     mason_rho,
     mason_rho_inverse,
@@ -16,7 +17,14 @@ from tabkit.operators import (
     restricted_dual_move_tableau,
     shifted_dual_move,
 )
-from tabkit.rsk import dual_move, dual_move_tableau, knuth_move, rsk, rsk_inverse
+from tabkit.rsk import (
+    dual_move,
+    dual_move_tableau,
+    insertion_tableau,
+    knuth_move,
+    rsk,
+    rsk_inverse,
+)
 from tabkit.tableaux import enumerate_tableaux
 
 permutations = st.integers(min_value=1, max_value=9).flatmap(
@@ -61,6 +69,17 @@ def test_restricted_dual_move_fixes_q_and_moves_p(w):
     p, q = rsk(w)
     for i in range(2, len(w) - 1):
         assert rsk(restricted_dual_move(i, w)) == (restricted_dual_move_tableau(i, p), q)
+
+
+@deterministic
+@given(permutations)
+def test_word_relations_move_p_through_insertion_and_fix_q(w):
+    # the premise on which perm_classes carries these relations' classes
+    # across Q, here up to the degree cap
+    p, q = rsk(w)
+    for relation in ("shifted", "equiv2rev", "equiv2flip"):
+        for _name, _i, move in moves_for(relation, len(w)):
+            assert rsk(move(w)) == (insertion_tableau(move(p.reading_word())), q)
 
 
 @deterministic

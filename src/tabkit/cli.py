@@ -32,9 +32,9 @@ from .equivalence import (
     moves_for,
     perm_class,
     perm_classes,
-    refines,
     syt_classes,
     syt_universe,
+    _straddling,
 )
 from .operators import (
     mason_rho,
@@ -290,8 +290,10 @@ def suite_poset(n):
     chain = ["equiv0", "equiv1", "equiv2", "dual"]
     universe_classes = {rel: syt_classes(n, rel) for rel in chain}
     for fine, coarse in zip(chain, chain[1:]):
-        ok = refines(universe_classes[fine], universe_classes[coarse])
-        results.append((f"{fine} refines {coarse} on SYT({n})", ok, None))
+        results.append(_first_failure(
+            f"{fine} refines {coarse} on SYT({n})",
+            _straddling(universe_classes[fine], universe_classes[coarse]),
+        ))
 
     # quasi-dual classes on the composition image are unions of equiv2 classes
     from .equivalence import srt_image_classes
@@ -299,28 +301,25 @@ def suite_poset(n):
     for alpha in compositions(n):
         fine = srt_image_classes(alpha, "quasiDualSRT-restricted")
         coarse = srt_image_classes(alpha, "quasiDualSRT")
-        ok = refines(fine, coarse)
-        results.append((f"restricted refines quasi-dual on image of {alpha}", ok, None))
+        results.append(_first_failure(
+            f"restricted refines quasi-dual on image of {alpha}",
+            _straddling(fine, coarse),
+        ))
 
     # equiv2 on S_n refines shifted dual equivalence taken on reversed words
     fine = perm_classes(n, "equiv2")
     shifted = perm_classes(n, "shifted")
-    shifted_on_rev = [
-        EquivClass("shifted-rev", [reverse_word(w) for w in cls.members])
-        for cls in shifted
-    ]
-    results.append(
-        (f"equiv2 refines reversed shifted classes on S_{n}",
-         refines(fine, shifted_on_rev), None)
-    )
-    shifted_on_flip = [
-        EquivClass("shifted-flip", [flip(w) for w in cls.members])
-        for cls in shifted
-    ]
-    results.append(
-        (f"equiv2 refines flipped shifted classes on S_{n}",
-         refines(fine, shifted_on_flip), None)
-    )
+    for name, relation, image in (
+        ("reversed", "shifted-rev", reverse_word),
+        ("flipped", "shifted-flip", flip),
+    ):
+        moved = [
+            EquivClass(relation, [image(w) for w in cls.members]) for cls in shifted
+        ]
+        results.append(_first_failure(
+            f"equiv2 refines {name} shifted classes on S_{n}",
+            _straddling(fine, moved),
+        ))
     return results
 
 

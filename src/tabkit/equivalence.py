@@ -187,17 +187,19 @@ def all_classes(universe, moves, relation=None):
     return sorted(classes, key=lambda cls: cls.key)
 
 
-def refines(fine, coarse):
-    """True iff every fine class is contained in some coarse class."""
-    lookup = {}
-    for cls in coarse:
-        for member in cls.members:
-            lookup[key_of(member)] = cls.key
+def _straddling(fine, coarse):
+    """The least key of each fine class that no single coarse class
+    contains, in the order of `fine`."""
+    lookup = {key_of(m): index for index, cls in enumerate(coarse) for m in cls.members}
     for cls in fine:
         targets = {lookup.get(key_of(m)) for m in cls.members}
         if len(targets) != 1 or None in targets:
-            return False
-    return True
+            yield cls.key
+
+
+def refines(fine, coarse):
+    """True iff every fine class is contained in some coarse class."""
+    return next(_straddling(fine, coarse), None) is None
 
 
 # ---------------------------------------------------------------------------

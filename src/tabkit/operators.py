@@ -1,6 +1,8 @@
 """Run-permuting involutions on SYT, restricted/quasi/shifted dual moves,
 and the column-sorting bijection between SRCT and SRT."""
 
+from collections import Counter
+
 from .core import apply_window, flip, inverse_descent_set, reverse_word, window_table
 from .rsk import dual_move
 from .tableaux import (
@@ -8,7 +10,6 @@ from .tableaux import (
     Tableau,
     in_single_pistol,
     reading_cells,
-    restrict_to,
     run_cells,
 )
 
@@ -17,13 +18,14 @@ from .tableaux import (
 # slink and slink_star
 
 def slink_context(t):
-    """(j, i, mu) for the run surgery, or None when t is superstandard.
+    """(j, i, beta) for the run surgery, or None when t is superstandard.
 
-    j is the first index whose run prefix fails to be superstandard, mu the
-    shape of the first j runs, and i the lowest row whose part satisfies
-    mu[i+1] <= beta[j] + i - j (1-based).  The values 1..m fill a
-    superstandard prefix exactly when their row indices never go down, so
-    j is the first run whose end reaches the first value that drops a row.
+    beta is the descent composition of t, j the first index whose run
+    prefix fails to be superstandard, and i the lowest row whose part
+    satisfies mu[i+1] <= beta[j] + i - j (1-based), with mu the shape of
+    the first j runs.  The values 1..m fill a superstandard prefix exactly
+    when their row indices never go down, so j is the first run whose end
+    reaches the first value that drops a row.
     """
     row_of = {v: r for r, row in enumerate(t.rows) for v in row}
     drop = next((v for v in range(2, t.size + 1) if row_of[v] < row_of[v - 1]), None)
@@ -35,12 +37,11 @@ def slink_context(t):
         cutoff += part
         if cutoff >= drop:
             break
-    mu = restrict_to(t, cutoff).shape
+    mu = Counter(row_of[v] for v in range(1, cutoff + 1))
     bj = beta[j - 1]
     for i in range(1, j):
-        mu_next = mu[i] if i < len(mu) else 0
-        if mu_next <= bj + i - j:
-            return (j, i, mu)
+        if mu[i] <= bj + i - j:
+            return (j, i, beta)
     raise AssertionError("no admissible row index found")  # pragma: no cover
 
 
@@ -58,37 +59,32 @@ def _from_runs(shape, runs):
     return Tableau._trusted(grid, "SYT")
 
 
-def _permute_runs(t, donor, j, take):
+def _permute_runs(t, beta, donor, j, take):
     """Exchange cells between runs donor and j (1-based) below row j so the
-    donor run ends up with `take` of the pooled cells.
+    donor run ends up with `take` of the pooled cells; beta is the descent
+    composition of t.
 
     The donor run lies entirely below row j, so the pool is all of it plus
-    the low cells of run j.  A split qualifies when it fills a standard
-    tableau with the prescribed run sizes.  More than one split can qualify
-    (from SYT(6) on), so the tie is broken by reading order: the donor
-    takes the first qualifying subset of the pooled cells in
-    `combinations` order over the pool sorted in reading order.
+    the cells of run j in rows below j - 1 (0-based), and run j keeps its
+    cells in rows j - 1 and up.  The donor takes the `take` leftmost pooled
+    cells in rows below `donor`, the lower row first within a column; run j
+    gets the rest.  The one image is validated, with its prescribed run
+    sizes.
     """
-    from itertools import combinations
-
     runs = run_cells(t)
-    beta = list(t.descent_composition())
-    pool = [c for c in runs[donor - 1]] + [
-        c for c in runs[j - 1] if c[0] < j - 1
+    pool = runs[donor - 1] + [c for c in runs[j - 1] if c[0] < j - 1]
+    low = sorted((c for c in pool if c[0] < donor), key=lambda c: (c[1], c[0]))
+    picked = low[:take]
+    runs[donor - 1] = picked
+    runs[j - 1] = [c for c in runs[j - 1] if c[0] >= j - 1] + [
+        c for c in pool if c not in picked
     ]
-    kept = [c for c in runs[j - 1] if c[0] >= j - 1]
     expected = list(beta)
     expected[donor - 1] = take
     expected[j - 1] = beta[donor - 1] + beta[j - 1] - take
-
-    pool = sorted(pool, key=reading_cells("SYT", t.shape).index)
-    for subset in combinations(pool, take):
-        new_runs = list(runs)
-        new_runs[donor - 1] = list(subset)
-        new_runs[j - 1] = kept + [c for c in pool if c not in subset]
-        cand = _from_runs(t.shape, new_runs)
-        if cand._validate() is None and list(cand.descent_composition()) == expected:
-            return cand
+    image = _from_runs(t.shape, runs)
+    if image._validate() is None and list(image.descent_composition()) == expected:
+        return image
     raise AssertionError(
         f"run exchange has no completion for {t!r} "
         f"(donor={donor}, j={j}, take={take})"
@@ -100,9 +96,8 @@ def slink(t):
     ctx = slink_context(t)
     if ctx is None:
         return t
-    j, _, _ = ctx
-    beta = t.descent_composition()
-    return _permute_runs(t, j - 1, j, beta[j - 1] - 1)
+    j, _, beta = ctx
+    return _permute_runs(t, beta, j - 1, j, beta[j - 1] - 1)
 
 
 def slink_star(t):
@@ -110,9 +105,8 @@ def slink_star(t):
     ctx = slink_context(t)
     if ctx is None:
         return t
-    j, i, _ = ctx
-    beta = t.descent_composition()
-    return _permute_runs(t, i, j, beta[j - 1] + i - j)
+    j, i, beta = ctx
+    return _permute_runs(t, beta, i, j, beta[j - 1] + i - j)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +220,7 @@ def quasi_dual_move_srt(i, t):
 # column sorting bijection between SRCT and SRT
 
 def _columns(t):
-    width = max(len(row) for row in t.rows)
+    width = max((len(row) for row in t.rows), default=0)
     return [
         [row[c] for row in t.rows if c < len(row)] for c in range(width)
     ]

@@ -15,7 +15,7 @@ from .core import (
     sort_to_partition,
     subset_to_composition,
 )
-from .equivalence import all_classes, moves_for, syt_classes
+from .equivalence import all_classes, key_of, moves_for, syt_classes
 from .rsk import rsk
 from .tableaux import Tableau, enumerate_tableaux, superstandard
 
@@ -250,21 +250,14 @@ def schur_expand_by_slinky(q):
 
 
 def class_union_qsym(classes):
-    """Fundamental generating function of a union of classes."""
+    """Fundamental generating function of a union of classes: each member
+    adds F of the descent composition of its key (a tableau's key is its
+    reading word)."""
     members = [m for cls in classes for m in cls.members]
     if not members:
         raise ValueError("empty class union")
-    degree = (
-        members[0].size if isinstance(members[0], Tableau) else len(members[0])
-    )
     return qsym_sum(
-        (
-            QsymElement.of_tableau(m)
-            if isinstance(m, Tableau)
-            else QsymElement.of_word(m)
-            for m in members
-        ),
-        degree,
+        (QsymElement.of_word(key_of(m)) for m in members), len(key_of(members[0]))
     )
 
 

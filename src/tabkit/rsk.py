@@ -35,15 +35,19 @@ def rsk(word):
 
 
 def rsk_inverse(p, q):
-    """The unique word with the given insertion and recording tableaux."""
+    """The unique word with the given insertion and recording tableaux.
+
+    The largest entry left in Q always ends its row, so each step pops the
+    last entry of the same row of P; only the row of each step is read.
+    """
     if p.shape != q.shape:
         raise InvalidTableauError("insertion and recording shapes differ")
     p_rows = [list(row) for row in p.rows]
-    n = p.size
+    row_of = {step: r for r, row in enumerate(q.rows) for step in row}
     word = []
-    for step in range(n, 0, -1):
-        r, c = q.position_of(step)
-        value = p_rows[r].pop(c)
+    for step in range(len(row_of), 0, -1):
+        r = row_of[step]
+        value = p_rows[r].pop()
         for r2 in range(r - 1, -1, -1):
             row = p_rows[r2]
             idx = bisect_right(row, value) - 1

@@ -321,8 +321,6 @@ def _enumerate_increasing(shape, shifted):
     if any(a < b for a, b in zip(shape, shape[1:])):
         raise InvalidTableauError(f"{shape} is not a partition")
     n = sum(shape)
-    if n == 0:
-        return []
     grid = [[0] * part for part in shape]
     filled = [0] * len(shape)  # cells filled so far in each row
     out = []
@@ -365,8 +363,6 @@ def _enumerate_srct(shape):
     if not all(part >= 1 for part in shape):
         raise InvalidTableauError(f"{shape} is not a composition")
     n = sum(shape)
-    if n == 0:
-        return []
     k = len(shape)
     grid = [[0] * part for part in shape]
     filled = [0] * k  # cells filled so far in row, from the right

@@ -363,6 +363,24 @@ def test_commutation_shape_change_is_a_failed_check(capsys, monkeypatch):
     assert [c["witness"] for c in failed] == [repr(first)] * 2
 
 
+def test_poset_failed_refinement_names_a_witness(capsys, monkeypatch):
+    # with the dual classes in place of the equiv0 ones, the first check
+    # fails and names the least key of the first straddling class
+    real = cli.syt_classes
+    monkeypatch.setattr(
+        cli, "syt_classes", lambda n, r: real(n, "dual" if r == "equiv0" else r)
+    )
+    name, ok, witness = cli.suite_poset(5)[0]
+    assert name == "equiv0 refines equiv1 on SYT(5)" and not ok
+    assert witness == next(
+        cls.key for cls in real(5, "dual")
+        if len({c.key for c in real(5, "equiv1") for m in cls.members if m in c}) > 1
+    )
+    code, out, _ = run(capsys, "verify", "--suite", "poset", "--n", "5")
+    assert code == 1
+    assert f"[FAIL] {name}  witness: {witness!r}" in out.splitlines()
+
+
 def test_mason_class_check_names_the_split_class():
     name = "every quasi-dual class of SRCT({}) generates a quasisymmetric Schur function"
     for n in range(1, 8):
@@ -417,6 +435,8 @@ def test_verify_unknown_suite():
         ["expand", "--quasischur", "2,0"],
         ["expand", "--class-of", "12a4", "--relation", "equiv2"],
         ["expand", "--shape", "2,1", "--out", "/nonexistent/dir/x"],
+        ["classes", "--relation", "equiv0", "--n", "0"],
+        ["expand", "--shape", ""],
     ],
 )
 def test_malformed_input_exits_2(capsys, argv):

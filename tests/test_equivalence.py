@@ -63,6 +63,17 @@ def test_refinement_chain():
         assert not refines(c2, c0) or len(c2) == len(c0)
 
 
+def test_straddling_names_the_classes_that_do_not_refine():
+    dual, equiv2 = syt_classes(5, "dual"), syt_classes(5, "equiv2")
+    straddling = list(equivalence._straddling(dual, equiv2))
+    assert straddling and not refines(dual, equiv2)
+    # each witness is the least key of a dual class spread over equiv2 classes
+    for key in straddling:
+        (cls,) = [c for c in dual if c.key == key]
+        assert len({c.key for c in equiv2 for m in cls.members if m in c}) > 1
+    assert list(equivalence._straddling(equiv2, dual)) == []
+
+
 def test_superstandard_classes_are_singletons():
     from tabkit.core import partitions
 
@@ -186,6 +197,11 @@ def test_word_relations_fix_q_and_act_on_p(relation):
                 image_p, image_q = (p, q) if moved == w else rsk(moved)
                 assert image_q == q, (name, i, w)
                 assert on_p.setdefault((i, p), image_p) == image_p, (name, i, w)
+
+
+def test_perm_classes_of_the_empty_word():
+    for relation in WORD_RELATIONS:
+        assert perm_classes(0, relation) == [EquivClass(relation, [()])]
 
 
 def test_perm_classes_partition_sn():

@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import pytest
 
 from tabkit.core import all_permutations, flip, reverse_word, slinky
 from tabkit.equivalence import syt_universe
 from tabkit.operators import (
     CYCLIC_WINDOW_TABLE,
+    _from_runs,
     RESTRICTED_WINDOW_TABLE,
     SHIFTED_WINDOW_TABLE,
     cyclic_dual_move,
@@ -24,6 +27,8 @@ from tabkit.tableaux import (
     InvalidTableauError,
     Tableau,
     enumerate_tableaux,
+    reading_cells,
+    run_cells,
     superstandard,
 )
 
@@ -78,6 +83,44 @@ def test_run_exchange_tie_takes_the_first_split():
     second = Tableau([(1, 2, 4), (3, 6), (5,)], "SYT")
     assert first.descent_composition() == second.descent_composition()
     assert slink(t) == slink_star(t) == first
+
+
+def run_exchange_by_search(t, donor, j, take):
+    """Oracle for the run exchange: the donor takes the first `take`-subset
+    of the pooled cells, in combinations order over the pool sorted in
+    reading order, that fills a standard tableau with the prescribed run
+    sizes; None when no split does."""
+    runs = run_cells(t)
+    beta = t.descent_composition()
+    pool = sorted(
+        runs[donor - 1] + [c for c in runs[j - 1] if c[0] < j - 1],
+        key=reading_cells("SYT", t.shape).index,
+    )
+    kept = [c for c in runs[j - 1] if c[0] >= j - 1]
+    expected = list(beta)
+    expected[donor - 1] = take
+    expected[j - 1] = beta[donor - 1] + beta[j - 1] - take
+    for subset in combinations(pool, take):
+        new_runs = list(runs)
+        new_runs[donor - 1] = list(subset)
+        new_runs[j - 1] = kept + [c for c in pool if c not in subset]
+        cand = _from_runs(t.shape, new_runs)
+        if cand._validate() is None and list(cand.descent_composition()) == expected:
+            return cand
+    return None
+
+
+def test_run_exchange_rule_matches_search():
+    # the closed-form split is the search's first qualifying split, ties
+    # included, on every SYT of size <= 9
+    for n in range(1, 10):
+        for t in syt_universe(n):
+            ctx = slink_context(t)
+            if ctx is None:
+                continue
+            j, i, beta = ctx
+            assert slink(t) == run_exchange_by_search(t, j - 1, j, beta[j - 1] - 1)
+            assert slink_star(t) == run_exchange_by_search(t, i, j, beta[j - 1] + i - j)
 
 
 def test_slink_fixes_superstandard():

@@ -87,6 +87,10 @@ def test_schur_fundamental_golden():
     assert schur_fundamental((1, 1, 1)) == F(1, 1, 1)
 
 
+def test_degree_zero_functions_are_one():
+    assert schur_fundamental(()) == quasi_schur(()) == QsymElement(0, {(): 1})
+
+
 def test_slinky_straightening_of_schur():
     for n in range(1, 7):
         for lam in partitions(n):

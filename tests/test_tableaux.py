@@ -224,7 +224,8 @@ def test_enumerate_counts():
 
 
 def test_enumerate_matches_brute_force():
-    for n in range(1, 7):
+    # n = 0: the empty shape has one tableau of each flavor
+    for n in range(0, 7):
         for lam in partitions(n):
             assert enumerate_tableaux(lam, "SYT") == brute_force_tableaux(lam, "SYT")
             assert enumerate_tableaux(lam, "SRT") == brute_force_tableaux(lam, "SRT")

@@ -6,7 +6,7 @@ Classes are always listed with members sorted by key and classes sorted
 by least member.
 """
 
-from .core import partitions, reverse_word, flip
+from .core import flip, partitions, reverse_word, word_to_str
 from .rsk import dual_move_tableau, insertion_tableau, rsk, rsk_inverse
 from .operators import (
     mason_rho,
@@ -273,17 +273,10 @@ def srct_classes(alpha):
     return all_classes(universe, moves_for("quasiDualSRCT", sum(alpha)), "quasiDualSRCT")
 
 
-def composition_srt_image(alpha):
-    """The image of SRCT(alpha) in SRT under the column sort."""
-    return sorted(
-        (mason_rho(t) for t in enumerate_tableaux(alpha, "SRCT")),
-        key=key_of,
-    )
-
-
 def srt_image_classes(alpha, relation):
     """Classes of the SRT image of SRCT(alpha) under a tableau relation."""
-    universe = composition_srt_image(alpha)
+    srct = enumerate_tableaux(alpha, "SRCT")
+    universe = sorted((mason_rho(t) for t in srct), key=key_of)
     return all_classes(universe, moves_for(relation, sum(alpha)), relation)
 
 
@@ -311,8 +304,6 @@ def classes_for_cli(relation, n=None, alpha=None):
 # export
 
 def classes_to_json(classes):
-    from .core import word_to_str
-
     return [
         {
             "relation": cls.relation,
@@ -325,8 +316,6 @@ def classes_to_json(classes):
 
 def classes_to_dot(classes, moves, name="classes"):
     """DOT graph: vertices labeled by reading word, edges by generator."""
-    from .core import word_to_str
-
     lines = [f"graph {name} {{"]
     for cls in classes:
         for member in cls.members:

@@ -15,7 +15,7 @@ from .core import (
     sort_to_partition,
     subset_to_composition,
 )
-from .equivalence import all_classes, key_of, moves_for, syt_classes
+from .equivalence import all_classes, key_of, moves_for, perm_classes, syt_classes
 from .rsk import rsk
 from .tableaux import Tableau, enumerate_tableaux, superstandard
 
@@ -333,8 +333,6 @@ def fk_family(k, n):
 
 def shifted_family(n):
     """Generating functions of the shifted classes of S_n."""
-    from .equivalence import perm_classes
-
     classes = perm_classes(n, "shifted")
     return [(cls.key, class_union_qsym([cls])) for cls in classes]
 

@@ -6,6 +6,7 @@ is indented r cells, so the absolute column of (r, c) is r + c.
 """
 
 from functools import lru_cache
+from itertools import permutations
 
 from .core import inverse_descent_set, descent_composition
 
@@ -393,8 +394,6 @@ def _enumerate_srct(shape):
 
 def brute_force_tableaux(shape, flavor):
     """Filter every assignment of [n] to the cells; oracle for enumerate."""
-    from itertools import permutations
-
     if flavor not in FLAVORS:
         raise InvalidTableauError(f"unknown flavor {flavor!r}")
     shape = tuple(shape)

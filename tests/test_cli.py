@@ -13,7 +13,11 @@ from tabkit.equivalence import (
     srct_classes,
     syt_classes,
 )
-from tabkit.operators import restricted_dual_move
+from tabkit.operators import (
+    RESTRICTED_WINDOW_TABLE,
+    SHIFTED_WINDOW_TABLE,
+    restricted_dual_move,
+)
 from tabkit.qsym import DecompositionError, class_union_qsym, qsym_sum, quasi_schur
 from tabkit.rsk import act_via_insertion, knuth_move, rsk
 from tabkit.tableaux import Tableau, superstandard
@@ -294,6 +298,72 @@ def test_involutions_checks_every_composition_of_n(capsys):
     assert all(c["ok"] for c in checks)
 
 
+def test_window_words_are_the_least_words_of_their_window_patterns():
+    assert [len(cli._window_words(n)) for n in range(1, 10)] == [0, 0, 0, 24, 42, 60, 78, 96, 114]
+    for n in range(4, 7):
+        words = cli._window_words(n)
+        assert words == sorted(set(words))
+        # the least word of S_n that holds the window's values in a given
+        # order is the window word with that order
+        least = {}
+        for w in all_permutations(n):
+            for low in range(1, n - 2):
+                least.setdefault((low, tuple(v for v in w if low <= v <= low + 3)), w)
+        assert sorted(set(least.values())) == words
+
+
+BROKEN_TABLES = {
+    "restricted entry deleted": (RESTRICTED_WINDOW_TABLE, (2, 1, 3, 4), None),
+    "shifted entry deleted": (SHIFTED_WINDOW_TABLE, (1, 4, 3, 2), None),
+    "restricted entry misdirected": (RESTRICTED_WINDOW_TABLE, (2, 1, 3, 4), (3, 1, 4, 2)),
+}
+
+
+@pytest.mark.parametrize("broken", [None, *BROKEN_TABLES])
+def test_window_suites_match_the_s_n_sweep(monkeypatch, broken):
+    # the window words decide every word check as the sweep of S_n does, with
+    # the same witnesses, on the true tables and on broken ones
+    degrees = range(4, 8)
+    if broken is not None:
+        table, key, image = BROKEN_TABLES[broken]
+        if image is None:
+            monkeypatch.delitem(table, key)
+        else:
+            monkeypatch.setitem(table, key, image)
+        degrees = range(4, 7)
+    for n in degrees:
+        by_window = (cli.suite_involutions(n), cli.suite_shifted(n))
+        with monkeypatch.context() as sweep:
+            sweep.setattr(cli, "_window_words", all_permutations)
+            assert (cli.suite_involutions(n), cli.suite_shifted(n)) == by_window
+        if broken is not None:
+            assert not all(ok for _, ok, _ in by_window[0] + by_window[1])
+
+
+@pytest.mark.parametrize("suite", ["involutions", "shifted"])
+def test_window_suites_never_sweep_s_n(capsys, monkeypatch, suite):
+    def fail(n):
+        raise AssertionError("a window suite swept S_n")
+
+    monkeypatch.setattr("tabkit.core.all_permutations", fail)
+    monkeypatch.setattr(cli, "all_permutations", fail)
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n", "6")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].endswith(" 0 failed")
+
+
+def test_shifted_carrier_escape_is_a_failed_check(capsys, monkeypatch):
+    # a restricted table entry that sends an SST reading word outside SST(lam)
+    # fails the transitivity check with the escaping word, not a traceback
+    monkeypatch.setitem(RESTRICTED_WINDOW_TABLE, (2, 1, 3, 4), (3, 1, 4, 2))
+    code, out, err = run(capsys, "verify", "--suite", "shifted", "--n", "7")
+    assert code == 1 and err == ""
+    witness = "move dR.flip_2 left the carrier at (4, 5, 7, 1, 2, 3, 6)"
+    lines = out.splitlines()
+    assert f"[FAIL] flip-conjugated moves transitive on SST((4, 3))  witness: {witness!r}" in lines
+    assert lines[-1] == "suite shifted: 5 passed, 9 failed"
+
+
 def test_commutation_matches_word_oracle():
     for n in range(1, 7):
         assert suite_commutation(n) == _commutation_by_words(n)
@@ -398,6 +468,19 @@ def test_mason_class_check_names_the_split_class():
     assert [len(c) for c in classes] == [2, 7]
     assert class_union_qsym([classes[0]]) == quasi_schur((2, 1, 3, 2))
     assert failed[1][2] == [(classes[1].key, class_union_qsym([classes[1]]))]
+
+
+def test_mason_transitivity_names_every_class(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "mason", "--n", "8", "--format", "json")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    check = checks["quasi-dual action transitive on SRCT((3, 1, 3, 1))"]
+    assert not check["ok"]
+    assert check["witness"] == repr(
+        [((1, 4, 3, 7, 8, 6, 5, 2), 7), ((2, 1, 4, 7, 8, 6, 5, 3), 2)]
+    )
+    transitive = [c for name, c in checks.items() if name.startswith("quasi-dual action")]
+    assert [c["witness"] for c in transitive if c["ok"]] == [None] * (len(transitive) - 1)
 
 
 def test_verify_json(capsys):

@@ -40,3 +40,28 @@ def test_stdlib_imports_are_checked_too(tmp_path):
     assert _unused_module_imports(module) == [
         (1, "os"), (2, "osp"), (3, "lru_cache"), (5, "flip"),
     ]
+
+
+def _function_level_imports(path):
+    """(line, function) for each import inside a function body."""
+    tree = ast.parse(path.read_text())
+    return sorted(
+        (inner.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    )
+
+
+def test_no_function_level_imports(tmp_path):
+    # every import sits at module level, where the unused-import check sees it
+    module = tmp_path / "m.py"
+    module.write_text("import os\n\ndef f():\n    from .core import flip\n    return flip\n")
+    assert _function_level_imports(module) == [(4, "f")]
+    found = {
+        path.name: found
+        for path in sorted(SRC.glob("*.py"))
+        if (found := _function_level_imports(path))
+    }
+    assert found == {}

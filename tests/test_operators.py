@@ -2,8 +2,8 @@ from itertools import combinations
 
 import pytest
 
-from tabkit.core import all_permutations, flip, reverse_word, slinky
-from tabkit.equivalence import syt_universe
+from tabkit.core import all_permutations, compositions, flip, reverse_word, slinky
+from tabkit.equivalence import srct_classes, syt_universe
 from tabkit.operators import (
     CYCLIC_WINDOW_TABLE,
     _from_runs,
@@ -22,6 +22,7 @@ from tabkit.operators import (
     slink_context,
     slink_star,
 )
+from tabkit.qsym import QsymElement, qsym_sum, quasi_schur
 from tabkit.rsk import DUAL_WINDOW_TABLE, dual_move
 from tabkit.tableaux import (
     InvalidTableauError,
@@ -332,6 +333,67 @@ def test_quasi_dual_srct_involution():
 def test_quasi_dual_srct_flavor_guard():
     with pytest.raises(InvalidTableauError):
         quasi_dual_move_srct(2, superstandard((2, 1)))
+
+
+# ---------------------------------------------------------------------------
+# SRCT((3,1,3,1)): the least shape on which the quasi-dual move is not
+# transitive, and why no one-window move can repair it
+
+SPLIT = (3, 1, 3, 1)
+
+
+def test_split_shape_has_quasi_dual_classes_of_7_and_2():
+    assert sorted(len(cls) for cls in srct_classes(SPLIT)) == [2, 7]
+
+
+def test_split_shape_has_no_cover_by_quasi_schur_blocks():
+    # six of the 511 nonempty subsets of SRCT((3,1,3,1)) sum to some S_beta,
+    # and the only partition into such blocks is the whole set: a move whose
+    # classes each generate a quasisymmetric Schur function is transitive here
+    members = enumerate_tableaux(SPLIT, "SRCT")
+    beta_of = {quasi_schur(beta): beta for beta in compositions(8)}
+    blocks = {}
+    for mask in range(1, 1 << len(members)):
+        part = (QsymElement.of_tableau(t) for k, t in enumerate(members) if mask >> k & 1)
+        beta = beta_of.get(qsym_sum(part, 8))
+        if beta is not None:
+            blocks[mask] = beta
+    assert sorted(blocks.values()) == [
+        (2, 1, 2, 1, 2), (2, 1, 3, 1, 1), (2, 1, 3, 1, 1), (2, 1, 3, 2), (2, 1, 3, 2), SPLIT,
+    ]
+
+    def covers(rest):
+        """Every partition of the set `rest` into blocks, as mask lists."""
+        if not rest:
+            return [[]]
+        low = rest & -rest
+        return [
+            [block] + cover
+            for block in blocks
+            if block & low and block & rest == block
+            for cover in covers(rest & ~block)
+        ]
+
+    whole = (1 << len(members)) - 1
+    assert covers(whole) == [[whole]]
+
+
+def test_split_shape_has_no_dual_or_cyclic_edge_between_its_classes():
+    # every valid SRCT that a dual or cyclic move makes of a member's bent
+    # reading word lies in the member's own class
+    small, large = sorted(srct_classes(SPLIT), key=len)
+    images = 0
+    for cls in (small, large):
+        for t in cls:
+            for i in range(2, 8):
+                for move in (dual_move, cyclic_dual_move):
+                    try:
+                        image = t.with_word(move(i, t.reading_word()))
+                    except InvalidTableauError:
+                        continue
+                    assert image in cls
+                    images += image != t
+    assert images > 0
 
 
 # ---------------------------------------------------------------------------

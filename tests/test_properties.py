@@ -1,5 +1,5 @@
 """Property tests on random permutations and composition tableaux of degree
-up to 9.
+up to 9, and on random quasisymmetric functions of degree up to 7.
 
 Hypothesis is a test-only dependency.  Every test is derandomized with a
 fixed example budget, so a run is deterministic and quick.
@@ -8,7 +8,7 @@ fixed example budget, so a run is deterministic and quick.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabkit.core import compositions
+from tabkit.core import composition_to_subset, compositions
 from tabkit.equivalence import moves_for
 from tabkit.operators import (
     mason_rho,
@@ -17,6 +17,7 @@ from tabkit.operators import (
     restricted_dual_move_tableau,
     shifted_dual_move,
 )
+from tabkit.qsym import QsymElement
 from tabkit.rsk import (
     dual_move,
     dual_move_tableau,
@@ -40,6 +41,13 @@ srcts = (
             st.just(alpha), st.sampled_from(enumerate_tableaux(alpha, "SRCT"))
         )
     )
+)
+
+# integer combinations of fundamentals F_alpha, |alpha| <= 7
+f_combinations = st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.dictionaries(
+        st.sampled_from(compositions(n)), st.integers(min_value=-9, max_value=9)
+    ).map(lambda coeffs: QsymElement(n, coeffs))
 )
 
 deterministic = settings(max_examples=150, derandomize=True, database=None)
@@ -101,3 +109,18 @@ def test_mason_rho_round_trip(case):
     image = mason_rho(t)
     assert image._validate() is None
     assert mason_rho_inverse(image, alpha) == t
+
+
+@deterministic
+@given(f_combinations)
+def test_monomial_expansion_inverts_by_moebius(q):
+    # M_beta = sum of (-1)^(l(alpha) - l(beta)) F_alpha over the alpha that
+    # refine beta, i.e. whose partial sums include those of beta
+    back = {}
+    for beta, c in q.to_monomial().items():
+        cuts = composition_to_subset(beta)
+        for alpha in compositions(q.degree):
+            if cuts <= composition_to_subset(alpha):
+                sign = (-1) ** (len(alpha) - len(beta))
+                back[alpha] = back.get(alpha, 0) + sign * c
+    assert {alpha: c for alpha, c in back.items() if c} == q.coeffs

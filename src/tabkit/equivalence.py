@@ -214,38 +214,43 @@ def syt_universe(n):
 
 
 def syt_classes(shape_or_n, relation):
-    """Classes of SYT under equiv0/equiv1/equiv2/dual."""
+    """Classes of SYT under a word relation.
+
+    The tableau relations move tableaux directly.  A word move m of the
+    other relations acts on an SYT t as P(m(word of t)): the reading word
+    of t inserts back to t.
+    """
     if isinstance(shape_or_n, int):
         universe = syt_universe(shape_or_n)
         n = shape_or_n
     else:
         universe = enumerate_tableaux(shape_or_n, "SYT")
         n = sum(shape_or_n)
-    return all_classes(universe, moves_for(relation, n), relation)
-
-
-def perm_classes(n, relation):
-    """Classes of S_n under a word-level relation.
-
-    Each relation's moves fix a word's recording tableau Q and move its
-    insertion tableau P through P alone (Haiman's dual equivalence for the
-    tableau relations), so a class is a class of SYT(shape) carried across
-    each Q by inverse RSK.  A word move m acts on an SYT t as P(m(word of
-    t)): the reading word of t inserts back to t.
-    """
     moves = moves_for(relation, n)
     if relation not in TABLEAU_RELATIONS:
         moves = [
             (name, i, lambda t, m=move: insertion_tableau(m(t.reading_word())))
             for name, i, move in moves
         ]
+    return all_classes(universe, moves, relation)
+
+
+def perm_classes(n, relation):
+    """Classes of S_n under a word relation.
+
+    Each relation's moves fix a word's recording tableau Q and move its
+    insertion tableau P through P alone (Haiman's dual equivalence for the
+    tableau relations), so a class is a class of SYT(shape) carried across
+    each Q of that shape by inverse RSK.
+    """
     classes = []
     for lam in partitions(n):
-        tableaux = enumerate_tableaux(lam, "SYT")
-        for cls in all_classes(tableaux, moves, relation):
+        tableau_classes = syt_classes(lam, relation)
+        recording = [q for cls in tableau_classes for q in cls.members]
+        for cls in tableau_classes:
             classes.extend(
                 EquivClass(relation, [rsk_inverse(p, q) for p in cls.members])
-                for q in tableaux
+                for q in recording
             )
     return sorted(classes, key=lambda cls: cls.key)
 

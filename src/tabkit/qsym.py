@@ -15,7 +15,7 @@ from .core import (
     sort_to_partition,
     subset_to_composition,
 )
-from .equivalence import all_classes, key_of, moves_for, perm_classes, syt_classes
+from .equivalence import all_classes, key_of, moves_for, syt_classes
 from .rsk import rsk
 from .tableaux import Tableau, enumerate_tableaux, superstandard
 
@@ -328,12 +328,6 @@ def fk_family(k, n):
     as (class key, function) pairs sorted by least reading word."""
     relation = f"equiv{k}"
     classes = syt_classes(n, relation)
-    return [(cls.key, class_union_qsym([cls])) for cls in classes]
-
-
-def shifted_family(n):
-    """Generating functions of the shifted classes of S_n."""
-    classes = perm_classes(n, "shifted")
     return [(cls.key, class_union_qsym([cls])) for cls in classes]
 
 

@@ -60,10 +60,6 @@ def insertion_tableau(word):
     return rsk(word)[0]
 
 
-def recording_tableau(word):
-    return rsk(word)[1]
-
-
 # nontrivial windows of the dual move, on values [i-1, i+1]
 DUAL_WINDOW_TABLE = window_table(("x1y", "x3y"))
 

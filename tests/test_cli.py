@@ -5,11 +5,22 @@ import pytest
 
 from tabkit import cli
 from tabkit.cli import SUITE_RUNNERS, main, suite_commutation, suite_mason
-from tabkit.core import all_permutations, descent_composition, word_from_str, word_to_str
+from tabkit.core import (
+    all_permutations,
+    descent_composition,
+    flip,
+    reverse_word,
+    word_from_str,
+    word_to_str,
+)
 from tabkit.equivalence import (
     TABLEAU_RELATIONS,
     WORD_RELATIONS,
+    EquivClass,
+    all_classes,
     moves_for,
+    perm_classes,
+    refines,
     srct_classes,
     syt_classes,
 )
@@ -19,7 +30,7 @@ from tabkit.operators import (
     restricted_dual_move,
 )
 from tabkit.qsym import DecompositionError, class_union_qsym, qsym_sum, quasi_schur
-from tabkit.rsk import act_via_insertion, knuth_move, rsk
+from tabkit.rsk import act_via_insertion, insertion_tableau, knuth_move, rsk
 from tabkit.tableaux import Tableau, superstandard
 
 
@@ -141,7 +152,6 @@ def test_expand_dot_rejected_before_any_work(capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("expand computed an answer it cannot print")
 
-    monkeypatch.setattr("tabkit.cli.perm_classes", fail)
     monkeypatch.setattr("tabkit.cli.perm_class", fail)
     code, _, err = run(
         capsys, "expand", "--class-of", "2143", "--relation", "equiv2", "--format", "dot"
@@ -155,7 +165,6 @@ def test_expand_class_of_builds_one_class(capsys, monkeypatch, relation):
         raise AssertionError("expand --class-of partitioned all of S_n")
 
     for target in (
-        "tabkit.cli.perm_classes",
         "tabkit.equivalence.perm_classes",
         "tabkit.core.all_permutations",
     ):
@@ -449,6 +458,98 @@ def test_poset_failed_refinement_names_a_witness(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "poset", "--n", "5")
     assert code == 1
     assert f"[FAIL] {name}  witness: {witness!r}" in out.splitlines()
+
+
+def _poset_s_n_checks(n, classes_of):
+    """The (name, ok) pairs of the poset suite's two S_n checks, built from
+    whole classes of S_n: equiv2 against the reversed and the flipped
+    shifted classes."""
+    fine, shifted = classes_of("equiv2"), classes_of("shifted")
+    return [
+        (
+            f"equiv2 refines {name} shifted classes on S_{n}",
+            refines(fine, [EquivClass(name, map(image, cls)) for cls in shifted]),
+        )
+        for name, image in (("reversed", reverse_word), ("flipped", flip))
+    ]
+
+
+def _swept_classes(n):
+    """Union-find over all of S_n under the word moves of equiv2 or shifted."""
+    def classes_of(relation):
+        if relation == "equiv2":
+            moves = [("dR", i, lambda w, i=i: restricted_dual_move(i, w)) for i in range(2, n - 1)]
+        else:
+            moves = moves_for(relation, n)
+        return all_classes(all_permutations(n), moves, relation)
+    return classes_of
+
+
+def _poset_s_n_results(n):
+    return [r for r in cli.suite_poset(n) if r[0].endswith(f"shifted classes on S_{n}")]
+
+
+def test_poset_s_n_checks_match_the_sweep_of_s_n():
+    for n in range(1, 8):
+        results = _poset_s_n_results(n)
+        assert [r[:2] for r in results] == _poset_s_n_checks(n, _swept_classes(n))
+        assert all(ok for _, ok, _ in results)
+
+
+def test_poset_s_n_checks_match_perm_classes_on_broken_tables(monkeypatch):
+    # with each inverse pair of the shifted table removed in turn, the
+    # per-shape checks give the verdicts of the construction from whole
+    # perm_classes, and each failure names the least reading word of an
+    # equiv2rev (equiv2flip) class of SYT(lam) that no shifted class holds
+    pairs = [(a, b) for a, b in SHIFTED_WINDOW_TABLE.items() if a < b]
+    assert len(pairs) == 8
+    failing = 0
+    for n in (5, 6):
+        for pair in pairs:
+            with monkeypatch.context() as broken:
+                for key in pair:
+                    broken.delitem(SHIFTED_WINDOW_TABLE, key)
+                results = _poset_s_n_results(n)
+                expected = _poset_s_n_checks(n, lambda r: perm_classes(n, r))
+                assert [r[:2] for r in results] == expected, pair
+                for (_, ok, witness), relation in zip(results, ("equiv2rev", "equiv2flip")):
+                    if ok:
+                        continue
+                    shape = insertion_tableau(witness).shape
+                    fine = next(c for c in syt_classes(shape, relation) if c.key == witness)
+                    shifted = syt_classes(shape, "shifted")
+                    assert sum(any(m in c for m in fine) for c in shifted) > 1
+                failing += n == 6 and not all(ok for _, ok, _ in results)
+    assert failing == 6
+
+
+def test_poset_suite_never_sweeps_s_n(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("the poset suite swept S_n")
+
+    for target in (
+        "tabkit.core.all_permutations",
+        "tabkit.equivalence.perm_classes",
+        "tabkit.equivalence.rsk_inverse",
+    ):
+        monkeypatch.setattr(target, fail)
+    monkeypatch.setattr(cli, "all_permutations", fail)
+    code, out, err = run(capsys, "verify", "--suite", "poset", "--n", "6")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].endswith(" 0 failed")
+
+
+def test_poset_carrier_escape_is_a_failed_check(capsys, monkeypatch):
+    # a shifted table entry whose move sends an SYT outside SYT(lam) fails
+    # both S_n checks with the escaping reading word, not a traceback
+    monkeypatch.setitem(SHIFTED_WINDOW_TABLE, (1, 2, 4, 3), (1, 2, 3, 4))
+    code, out, err = run(capsys, "verify", "--suite", "poset", "--n", "6")
+    assert code == 1 and err == ""
+    witness = "move h_3 left the carrier at (3, 4, 6, 1, 2, 5)"
+    lines = out.splitlines()
+    for name in ("reversed", "flipped"):
+        assert f"[FAIL] equiv2 refines {name} shifted classes on S_6  witness: {witness!r}" in lines
+    assert lines[-1] == "suite poset: 35 passed, 2 failed"
 
 
 def test_mason_class_check_names_the_split_class():

@@ -23,7 +23,7 @@ from tabkit.equivalence import (
     syt_universe,
 )
 from tabkit.operators import restricted_dual_move
-from tabkit.rsk import dual_move, insertion_tableau, recording_tableau, rsk
+from tabkit.rsk import dual_move, insertion_tableau, rsk
 from tabkit.tableaux import enumerate_tableaux, superstandard
 
 
@@ -163,7 +163,7 @@ def test_perm_classes_sweeps_no_permutations(monkeypatch, relation):
 def test_perm_class_matches_perm_classes(relation):
     # every word for n <= 5; at n = 6, 7 the first and last member of each
     # class, except that a tableau-relation query partitions one shape
-    # (~6 ms at n = 7), so there each tableau class is queried once, through
+    # (a few ms at n = 7), so there each tableau class is queried once, through
     # the word class at the last recording tableau of its shape
     for n in range(1, 8):
         last_q = {
@@ -175,7 +175,7 @@ def test_perm_class_matches_perm_classes(relation):
             elif relation not in TABLEAU_RELATIONS:
                 queries = (cls.members[0], cls.members[-1])
             else:
-                q = recording_tableau(cls.members[0])
+                q = rsk(cls.members[0])[1]
                 queries = cls.members[:1] if q == last_q[q.shape] else ()
             for w in queries:
                 assert perm_class(w, relation) == cls

@@ -23,7 +23,7 @@ from tabkit.operators import (
     slink_star,
 )
 from tabkit.qsym import QsymElement, qsym_sum, quasi_schur
-from tabkit.rsk import DUAL_WINDOW_TABLE, dual_move
+from tabkit.rsk import DUAL_WINDOW_TABLE, dual_move, knuth_move
 from tabkit.tableaux import (
     InvalidTableauError,
     Tableau,
@@ -394,6 +394,25 @@ def test_split_shape_has_no_dual_or_cyclic_edge_between_its_classes():
                     assert image in cls
                     images += image != t
     assert images > 0
+
+
+def test_split_shape_has_no_move_between_the_srt_images_of_its_classes():
+    # on the column-sorted side: no dual, cyclic or Knuth move on the reading
+    # word of a member's SRT image gives the reading word of an image of the
+    # other class, though some give that of another image of its own
+    small, large = (
+        {mason_rho(t).reading_word() for t in cls}
+        for cls in sorted(srct_classes(SPLIT), key=len)
+    )
+    inner = 0
+    for words, other in ((small, large), (large, small)):
+        for w in words:
+            for i in range(2, 8):
+                for move in (dual_move, cyclic_dual_move, knuth_move):
+                    image = move(i, w)
+                    assert image not in other
+                    inner += image != w and image in words
+    assert inner > 0
 
 
 # ---------------------------------------------------------------------------

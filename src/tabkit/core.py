@@ -261,8 +261,8 @@ def standardized_yamanouchi(lam):
 def word_to_str(word):
     """Digit string for n <= 9, comma-separated otherwise."""
     if len(word) <= 9:
-        return "".join(str(v) for v in word)
-    return ",".join(str(v) for v in word)
+        return "".join(map(str, word))
+    return ",".join(map(str, word))
 
 
 def word_from_str(text):

@@ -7,7 +7,15 @@ by least member.
 """
 
 from .core import flip, partitions, reverse_word, word_to_str
-from .rsk import dual_move_tableau, insertion_tableau, rsk, rsk_inverse
+from .rsk import (
+    dual_move,
+    dual_move_tableau,
+    insertion_tableau,
+    row_sequence,
+    rsk,
+    rsk_inverse,
+    unbump,
+)
 from .operators import (
     mason_rho,
     quasi_dual_move_srct,
@@ -216,23 +224,36 @@ def syt_universe(n):
 def syt_classes(shape_or_n, relation):
     """Classes of SYT under a word relation.
 
-    The tableau relations move tableaux directly.  A word move m of the
-    other relations acts on an SYT t as P(m(word of t)): the reading word
-    of t inserts back to t.
+    The slink relations move tableaux.  The others close the reading words
+    of each SYT(shape) under word moves: dR_i, d_i, or w -> reading word of
+    P(m(w)) (an SYT's reading word inserts back to it).  A reading word
+    fixes the filling of its shape, so the carrier check of `all_classes`
+    (CarrierError) is the check that an image is an SYT.
     """
     if isinstance(shape_or_n, int):
-        universe = syt_universe(shape_or_n)
-        n = shape_or_n
+        shapes, n = partitions(shape_or_n), shape_or_n
     else:
-        universe = enumerate_tableaux(shape_or_n, "SYT")
-        n = sum(shape_or_n)
-    moves = moves_for(relation, n)
-    if relation not in TABLEAU_RELATIONS:
+        shapes, n = [tuple(shape_or_n)], sum(shape_or_n)
+    if relation in ("equiv0", "equiv1"):
+        universe = [t for lam in shapes for t in enumerate_tableaux(lam, "SYT")]
+        return all_classes(universe, moves_for(relation, n), relation)
+    if relation == "equiv2":
+        moves = [("dR", i, _bind(restricted_dual_move, i)) for i in range(2, n - 1)]
+    elif relation == "dual":
+        moves = [("d", i, _bind(dual_move, i)) for i in range(2, n)]
+    else:
         moves = [
-            (name, i, lambda t, m=move: insertion_tableau(m(t.reading_word())))
-            for name, i, move in moves
+            (name, i, lambda w, m=move: insertion_tableau(m(w)).reading_word())
+            for name, i, move in moves_for(relation, n)
         ]
-    return all_classes(universe, moves, relation)
+    classes = []
+    for lam in shapes:
+        by_word = {t.reading_word(): t for t in enumerate_tableaux(lam, "SYT")}
+        classes.extend(
+            EquivClass(relation, [by_word[w] for w in cls.members])
+            for cls in all_classes(by_word, moves, relation)
+        )
+    return sorted(classes, key=lambda cls: cls.key)
 
 
 def perm_classes(n, relation):
@@ -241,16 +262,16 @@ def perm_classes(n, relation):
     Each relation's moves fix a word's recording tableau Q and move its
     insertion tableau P through P alone (Haiman's dual equivalence for the
     tableau relations), so a class is a class of SYT(shape) carried across
-    each Q of that shape by inverse RSK.
+    each Q of that shape by inverse RSK, with Q's row sequence read once.
     """
     classes = []
     for lam in partitions(n):
         tableau_classes = syt_classes(lam, relation)
-        recording = [q for cls in tableau_classes for q in cls.members]
+        sequences = [row_sequence(q) for cls in tableau_classes for q in cls.members]
         for cls in tableau_classes:
             classes.extend(
-                EquivClass(relation, [rsk_inverse(p, q) for p in cls.members])
-                for q in recording
+                EquivClass(relation, [unbump(p.rows, steps) for p in cls.members])
+                for steps in sequences
             )
     return sorted(classes, key=lambda cls: cls.key)
 

@@ -35,25 +35,36 @@ def rsk(word):
 
 
 def rsk_inverse(p, q):
-    """The unique word with the given insertion and recording tableaux.
-
-    The largest entry left in Q always ends its row, so each step pops the
-    last entry of the same row of P; only the row of each step is read.
-    """
+    """The unique word with the given insertion and recording tableaux."""
     if p.shape != q.shape:
         raise InvalidTableauError("insertion and recording shapes differ")
-    p_rows = [list(row) for row in p.rows]
-    row_of = {step: r for r, row in enumerate(q.rows) for step in row}
+    return unbump(p.rows, row_sequence(q))
+
+
+def row_sequence(q):
+    """Rows of the steps n, n - 1, ..., 1 of a recording tableau: the
+    largest entry left in Q ends its row, so inverse RSK pops that row of P."""
+    steps = [0] * q.size
+    for r, row in enumerate(q.rows):
+        for step in row:
+            steps[-step] = r
+    return steps
+
+
+def unbump(p_rows, steps):
+    """Reverse-bump the rows of an insertion tableau along a row sequence
+    of the same shape (`row_sequence`); the word that inserts to them."""
+    rows = [list(row) for row in p_rows]
     word = []
-    for step in range(len(row_of), 0, -1):
-        r = row_of[step]
-        value = p_rows[r].pop()
+    for r in steps:
+        value = rows[r].pop()
         for r2 in range(r - 1, -1, -1):
-            row = p_rows[r2]
+            row = rows[r2]
             idx = bisect_right(row, value) - 1
             value, row[idx] = row[idx], value
         word.append(value)
-    return tuple(reversed(word))
+    word.reverse()
+    return tuple(word)
 
 
 def insertion_tableau(word):

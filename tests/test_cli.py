@@ -16,6 +16,7 @@ from tabkit.core import (
 from tabkit.equivalence import (
     TABLEAU_RELATIONS,
     WORD_RELATIONS,
+    CarrierError,
     EquivClass,
     all_classes,
     moves_for,
@@ -371,6 +372,17 @@ def test_shifted_carrier_escape_is_a_failed_check(capsys, monkeypatch):
     lines = out.splitlines()
     assert f"[FAIL] flip-conjugated moves transitive on SST((4, 3))  witness: {witness!r}" in lines
     assert lines[-1] == "suite shifted: 5 passed, 9 failed"
+
+
+def test_broken_restricted_entry_names_the_move(capsys, monkeypatch):
+    # a table entry whose image is no SYT leaves the carrier of reading words
+    monkeypatch.setitem(RESTRICTED_WINDOW_TABLE, (2, 1, 3, 4), (3, 1, 4, 2))
+    message = "move dR_2 left the carrier at (2, 1, 3, 4, 5, 6)"
+    with pytest.raises(CarrierError) as caught:
+        syt_classes(6, "equiv2")
+    assert str(caught.value) == message
+    code, out, err = run(capsys, "classes", "--relation", "equiv2", "--n", "6")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_commutation_matches_word_oracle():

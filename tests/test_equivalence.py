@@ -24,7 +24,7 @@ from tabkit.equivalence import (
 )
 from tabkit.operators import restricted_dual_move
 from tabkit.rsk import dual_move, insertion_tableau, rsk
-from tabkit.tableaux import enumerate_tableaux, superstandard
+from tabkit.tableaux import Tableau, enumerate_tableaux, superstandard
 
 
 # class counts over all SYT of size n, frozen from the closure engine and
@@ -109,6 +109,43 @@ def test_carrier_error():
     bad = [t for t in universe if t.reading_word() != (4, 1, 2, 3)]
     with pytest.raises(CarrierError):
         all_classes(bad, moves_for("dual", 4))
+
+
+def test_dual_and_restricted_images_of_syt_are_syt():
+    # syt_classes checks the images of these two word moves on SYT(lam) by
+    # carrier membership only; Tableau's validation must accept every one
+    for n in range(1, 9):
+        for t in syt_universe(n):
+            w = t.reading_word()
+            images = [dual_move(i, w) for i in range(2, n)]
+            images += [restricted_dual_move(i, w) for i in range(2, n - 1)]
+            for image in images:
+                assert Tableau(t.with_word(image).rows, "SYT").shape == t.shape
+
+
+def _tableau_moves(relation, n):
+    # the validated tableau moves, or the word moves read through insertion
+    moves = moves_for(relation, n)
+    if relation in ("equiv2", "dual"):
+        return moves
+    return [
+        (name, i, lambda t, m=move: insertion_tableau(m(t.reading_word())))
+        for name, i, move in moves
+    ]
+
+
+@pytest.mark.parametrize(
+    "relation", ["equiv2", "dual", "shifted", "equiv2rev", "equiv2flip"]
+)
+def test_syt_classes_match_tableau_moves(relation):
+    # reference: close the tableaux themselves under tableau-level moves
+    for n in range(1, 8):
+        moves = _tableau_moves(relation, n)
+        expected = all_classes(syt_universe(n), moves, relation)
+        assert syt_classes(n, relation) == expected
+        for lam in partitions(n):
+            expected = all_classes(enumerate_tableaux(lam, "SYT"), moves, relation)
+            assert syt_classes(lam, relation) == expected
 
 
 def test_perm_classes_transport_consistency():

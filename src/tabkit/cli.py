@@ -62,7 +62,7 @@ from .qsym import (
     schur_fundamental,
 )
 from .rsk import act_via_insertion, dual_move_tableau, knuth_move, rsk
-from .tableaux import enumerate_tableaux
+from .tableaux import InvalidTableauError, enumerate_tableaux
 
 DEFAULT_MAX_DEGREE = 9
 
@@ -562,7 +562,11 @@ def cmd_verify(args):
         raise UsageError("verify has no dot output")
     n = args.n if args.n is not None else 5
     check_degree(n)
-    results = SUITE_RUNNERS[args.suite](n)
+    try:
+        results = SUITE_RUNNERS[args.suite](n)
+    except (CarrierError, InvalidTableauError) as exc:
+        # a move that leaves its carrier fails the suite with its message
+        results = [(f"suite {args.suite} runs to completion at n = {n}", False, str(exc))]
     failures = [r for r in results if not r[1]]
     if args.format == "json":
         payload = {

@@ -53,24 +53,9 @@ def sort_to_partition(alpha):
     return tuple(sorted(alpha, reverse=True))
 
 
-def conjugate(lam):
-    """Conjugate partition (column lengths)."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
-
-
 def all_permutations(n):
     """S_n in lexicographic order, as tuples."""
     return [tuple(p) for p in _itertools_permutations(range(1, n + 1))]
-
-
-def invert(word):
-    """Inverse of a permutation in one-line notation."""
-    inv = [0] * len(word)
-    for pos, val in enumerate(word):
-        inv[val - 1] = pos + 1
-    return tuple(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -116,16 +101,6 @@ def composition_to_subset(alpha):
 
 # ---------------------------------------------------------------------------
 # word surgeries
-
-def standardize(word):
-    """Permutation with the same relative order; earlier copies of equal
-    values are treated as smaller."""
-    order = sorted(range(len(word)), key=lambda idx: (word[idx], idx))
-    out = [0] * len(word)
-    for rank, idx in enumerate(order):
-        out[idx] = rank + 1
-    return tuple(out)
-
 
 def reverse_word(word):
     return tuple(reversed(word))
@@ -203,56 +178,6 @@ def slinky(alpha):
     sign = -1 if inversions % 2 else 1
     lam = tuple(val + i for i, val in enumerate(sorted(v, reverse=True), start=1))
     return (sign, lam)
-
-
-def slinky_by_swaps(alpha):
-    """Straighten by repeated adjacent row swaps; oracle for slinky()."""
-    parts = list(alpha)
-    sign = 1
-    while True:
-        for i in range(len(parts) - 1):
-            if parts[i] < parts[i + 1]:
-                if parts[i] + 1 == parts[i + 1]:
-                    return None
-                parts[i], parts[i + 1] = parts[i + 1] - 1, parts[i] + 1
-                sign = -sign
-                break
-        else:
-            return (sign, tuple(parts))
-
-
-# ---------------------------------------------------------------------------
-# Yamanouchi words
-
-def yamanouchi_words(lam):
-    """All words of weight lam such that every suffix contains weakly more
-    i's than (i+1)'s."""
-    k = len(lam)
-    n = sum(lam)
-    words = []
-
-    def build(remaining, counts, acc):
-        # builds the word right to left; counts are of the suffix built so far
-        if remaining == 0:
-            words.append(tuple(acc))
-            return
-        for val in range(1, k + 1):
-            if counts[val - 1] == lam[val - 1]:
-                continue
-            counts[val - 1] += 1
-            if all(counts[i] >= counts[i + 1] for i in range(k - 1)):
-                acc.insert(0, val)
-                build(remaining - 1, counts, acc)
-                acc.pop(0)
-            counts[val - 1] -= 1
-
-    build(n, [0] * k, [])
-    return sorted(words)
-
-
-def standardized_yamanouchi(lam):
-    """Standardizations of the Yamanouchi words of weight lam."""
-    return sorted(standardize(w) for w in yamanouchi_words(lam))
 
 
 # ---------------------------------------------------------------------------

@@ -205,11 +205,6 @@ def _straddling(fine, coarse):
             yield cls.key
 
 
-def refines(fine, coarse):
-    """True iff every fine class is contained in some coarse class."""
-    return next(_straddling(fine, coarse), None) is None
-
-
 # ---------------------------------------------------------------------------
 # standard carriers
 

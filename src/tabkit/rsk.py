@@ -2,7 +2,7 @@
 
 from bisect import bisect_right
 
-from .core import apply_window, invert, window_table
+from .core import apply_window, window_table
 from .tableaux import Tableau, InvalidTableauError
 
 
@@ -109,11 +109,6 @@ def knuth_move(i, word):
     elif window == (z, x, y):
         window = (x, z, y)
     return tuple(word[: i - 2]) + window + tuple(word[i + 1:])
-
-
-def knuth_move_by_inverse(i, word):
-    """Oracle: the Knuth move as an inverse-conjugated dual move."""
-    return invert(dual_move(i, invert(word)))
 
 
 def act_via_insertion(f, word):

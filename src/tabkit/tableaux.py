@@ -6,7 +6,6 @@ is indented r cells, so the absolute column of (r, c) is r + c.
 """
 
 from functools import lru_cache
-from itertools import permutations
 
 from .core import inverse_descent_set, descent_composition
 
@@ -214,18 +213,6 @@ def superstandard(lam):
     return Tableau(rows, "SYT")
 
 
-def syt_from_word(word, shape):
-    """Build an SYT of the given shape from its row reading word."""
-    rows = []
-    pos = 0
-    for part in reversed(shape):
-        rows.insert(0, tuple(word[pos:pos + part]))
-        pos += part
-    if pos != len(word):
-        raise InvalidTableauError("word length does not match shape")
-    return Tableau(rows, "SYT")
-
-
 # ---------------------------------------------------------------------------
 # run decomposition
 
@@ -255,23 +242,6 @@ def restrict_to(t, cutoff):
 
 # ---------------------------------------------------------------------------
 # pistols
-
-def pistol(shape, cell):
-    """Cells weakly below `cell` in its column plus cells weakly above it in
-    the column to its left.  `shape` lists row lengths bottom to top."""
-    r, c = cell
-    if not (0 <= r < len(shape) and 0 <= c < shape[r]):
-        raise ValueError(f"cell {cell} not in shape {shape}")
-    cells = set()
-    for r2 in range(r + 1):
-        if c < shape[r2]:
-            cells.add((r2, c))
-    if c >= 1:
-        for r2 in range(r, len(shape)):
-            if c - 1 < shape[r2]:
-                cells.add((r2, c - 1))
-    return cells
-
 
 def in_single_pistol(shape, cells):
     """True when some pistol of the diagram contains every given cell: the
@@ -390,22 +360,3 @@ def _enumerate_srct(shape):
 
     place(1)
     return out
-
-
-def brute_force_tableaux(shape, flavor):
-    """Filter every assignment of [n] to the cells; oracle for enumerate."""
-    if flavor not in FLAVORS:
-        raise InvalidTableauError(f"unknown flavor {flavor!r}")
-    shape = tuple(shape)
-    n = sum(shape)
-    out = []
-    for perm in permutations(range(1, n + 1)):
-        grid = []
-        pos = 0
-        for part in shape:
-            grid.append(perm[pos:pos + part])
-            pos += part
-        cand = Tableau._trusted(grid, flavor)
-        if cand._validate() is None:
-            out.append(cand)
-    return sorted(out, key=lambda t: t.reading_word())

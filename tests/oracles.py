@@ -1,0 +1,145 @@
+"""References and helpers for the tests; nothing in tabkit calls them.
+
+Each oracle decides again, by another route, something the library decides
+once: enumeration by filtering every filling, the Knuth move through
+inverses, straightening by row swaps, Yamanouchi words by recursion,
+pistols by their definition.  `refines` and `syt_from_word` spell a test's
+verdict or input in library calls.  Test modules import them as
+`from oracles import ...`.
+"""
+
+from itertools import permutations
+
+from tabkit.equivalence import _straddling
+from tabkit.rsk import dual_move
+from tabkit.tableaux import FLAVORS, InvalidTableauError, Tableau, superstandard
+
+
+# ---------------------------------------------------------------------------
+# words and partitions
+
+def conjugate(lam):
+    """Conjugate partition (column lengths)."""
+    if not lam:
+        return ()
+    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
+
+
+def invert(word):
+    """Inverse of a permutation in one-line notation."""
+    inv = [0] * len(word)
+    for pos, val in enumerate(word):
+        inv[val - 1] = pos + 1
+    return tuple(inv)
+
+
+def standardize(word):
+    """Permutation with the same relative order; earlier copies of equal
+    values are treated as smaller."""
+    order = sorted(range(len(word)), key=lambda idx: (word[idx], idx))
+    out = [0] * len(word)
+    for rank, idx in enumerate(order):
+        out[idx] = rank + 1
+    return tuple(out)
+
+
+def slinky_by_swaps(alpha):
+    """Straighten by repeated adjacent row swaps; oracle for slinky()."""
+    parts = list(alpha)
+    sign = 1
+    while True:
+        for i in range(len(parts) - 1):
+            if parts[i] < parts[i + 1]:
+                if parts[i] + 1 == parts[i + 1]:
+                    return None
+                parts[i], parts[i + 1] = parts[i + 1] - 1, parts[i] + 1
+                sign = -sign
+                break
+        else:
+            return (sign, tuple(parts))
+
+
+def yamanouchi_words(lam):
+    """All words of weight lam such that every suffix contains weakly more
+    i's than (i+1)'s."""
+    k = len(lam)
+    n = sum(lam)
+    words = []
+
+    def build(remaining, counts, acc):
+        # builds the word right to left; counts are of the suffix built so far
+        if remaining == 0:
+            words.append(tuple(acc))
+            return
+        for val in range(1, k + 1):
+            if counts[val - 1] == lam[val - 1]:
+                continue
+            counts[val - 1] += 1
+            if all(counts[i] >= counts[i + 1] for i in range(k - 1)):
+                acc.insert(0, val)
+                build(remaining - 1, counts, acc)
+                acc.pop(0)
+            counts[val - 1] -= 1
+
+    build(n, [0] * k, [])
+    return sorted(words)
+
+
+def standardized_yamanouchi(lam):
+    """Standardizations of the Yamanouchi words of weight lam."""
+    return sorted(standardize(w) for w in yamanouchi_words(lam))
+
+
+def knuth_move_by_inverse(i, word):
+    """Oracle: the Knuth move as an inverse-conjugated dual move."""
+    return invert(dual_move(i, invert(word)))
+
+
+def refines(fine, coarse):
+    """True iff every fine class is contained in some coarse class."""
+    return next(_straddling(fine, coarse), None) is None
+
+
+# ---------------------------------------------------------------------------
+# tableaux
+
+def syt_from_word(word, shape):
+    """The SYT of the given shape with the given row reading word."""
+    return superstandard(shape).with_word(word)
+
+
+def pistol(shape, cell):
+    """Cells weakly below `cell` in its column plus cells weakly above it in
+    the column to its left.  `shape` lists row lengths bottom to top."""
+    r, c = cell
+    if not (0 <= r < len(shape) and 0 <= c < shape[r]):
+        raise ValueError(f"cell {cell} not in shape {shape}")
+    cells = set()
+    for r2 in range(r + 1):
+        if c < shape[r2]:
+            cells.add((r2, c))
+    if c >= 1:
+        for r2 in range(r, len(shape)):
+            if c - 1 < shape[r2]:
+                cells.add((r2, c - 1))
+    return cells
+
+
+def brute_force_tableaux(shape, flavor):
+    """Filter every assignment of [n] to the cells; oracle for enumerate."""
+    if flavor not in FLAVORS:
+        raise InvalidTableauError(f"unknown flavor {flavor!r}")
+    shape = tuple(shape)
+    n = sum(shape)
+    out = []
+    for perm in permutations(range(1, n + 1)):
+        grid = []
+        pos = 0
+        for part in shape:
+            grid.append(perm[pos:pos + part])
+            pos += part
+        try:
+            out.append(Tableau(grid, flavor))
+        except InvalidTableauError:
+            pass
+    return sorted(out, key=lambda t: t.reading_word())

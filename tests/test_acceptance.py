@@ -10,7 +10,6 @@ from itertools import combinations
 from tabkit.core import (
     all_permutations,
     compositions,
-    conjugate,
     descent_composition,
     flip,
     inverse_descent_set,
@@ -18,7 +17,6 @@ from tabkit.core import (
     reverse_word,
     slinky,
     sort_to_partition,
-    standardized_yamanouchi,
     strict_partitions,
 )
 from tabkit.equivalence import (
@@ -27,7 +25,6 @@ from tabkit.equivalence import (
     key_of,
     moves_for,
     perm_classes,
-    refines,
     srct_classes,
     srt_image_classes,
     syt_classes,
@@ -58,11 +55,13 @@ from tabkit.qsym import (
     schur_fundamental,
 )
 from tabkit.rsk import dual_move, insertion_tableau, rsk, rsk_inverse
-from tabkit.tableaux import (
-    Tableau,
+from tabkit.tableaux import Tableau, enumerate_tableaux, superstandard
+
+from oracles import (
     brute_force_tableaux,
-    enumerate_tableaux,
-    superstandard,
+    conjugate,
+    refines,
+    standardized_yamanouchi,
     syt_from_word,
 )
 

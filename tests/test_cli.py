@@ -21,7 +21,6 @@ from tabkit.equivalence import (
     all_classes,
     moves_for,
     perm_classes,
-    refines,
     srct_classes,
     syt_classes,
 )
@@ -33,6 +32,8 @@ from tabkit.operators import (
 from tabkit.qsym import DecompositionError, class_union_qsym, qsym_sum, quasi_schur
 from tabkit.rsk import act_via_insertion, insertion_tableau, knuth_move, rsk
 from tabkit.tableaux import Tableau, superstandard
+
+from oracles import refines
 
 
 def run(capsys, *argv):
@@ -383,6 +384,30 @@ def test_broken_restricted_entry_names_the_move(capsys, monkeypatch):
     assert str(caught.value) == message
     code, out, err = run(capsys, "classes", "--relation", "equiv2", "--n", "6")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("suite, message", [
+    ("poset", "move dR_2 left the carrier at (2, 1, 3, 4, 5, 6)"),
+    ("conjecture", "move dR_2 left the carrier at (2, 1, 3, 4, 5, 6)"),
+    ("commutation", "row not increasing"),
+])
+def test_suite_that_leaves_its_carrier_fails_with_exit_1(capsys, monkeypatch, suite, message):
+    # a move image outside the carrier fails the suite with the error text as
+    # witness, in text and JSON alike, instead of ending in a traceback
+    monkeypatch.setitem(RESTRICTED_WINDOW_TABLE, (2, 1, 3, 4), (3, 1, 4, 2))
+    name = f"suite {suite} runs to completion at n = 6"
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n", "6")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        f"[FAIL] {name}  witness: {message!r}",
+        f"suite {suite}: 0 passed, 1 failed",
+    ]
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n", "6", "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "suite": suite, "n": 6, "passed": 0, "failed": 1,
+        "checks": [{"name": name, "ok": False, "witness": repr(message)}],
+    }
 
 
 def test_commutation_matches_word_oracle():

@@ -5,23 +5,26 @@ from tabkit.core import (
     apply_window,
     compositions,
     composition_to_subset,
-    conjugate,
     descent_composition,
     flip,
-    invert,
     inverse_descent_set,
     partitions,
     reverse_word,
     slinky,
-    slinky_by_swaps,
     sort_to_partition,
-    standardize,
-    standardized_yamanouchi,
     strict_partitions,
     subset_to_composition,
     window_table,
     word_from_str,
     word_to_str,
+)
+
+from oracles import (
+    conjugate,
+    invert,
+    slinky_by_swaps,
+    standardize,
+    standardized_yamanouchi,
     yamanouchi_words,
 )
 

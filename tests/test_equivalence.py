@@ -16,7 +16,6 @@ from tabkit.equivalence import (
     moves_for,
     perm_class,
     perm_classes,
-    refines,
     srct_classes,
     srt_image_classes,
     syt_classes,
@@ -25,6 +24,8 @@ from tabkit.equivalence import (
 from tabkit.operators import restricted_dual_move
 from tabkit.rsk import dual_move, insertion_tableau, rsk
 from tabkit.tableaux import Tableau, enumerate_tableaux, superstandard
+
+from oracles import refines
 
 
 # class counts over all SYT of size n, frozen from the closure engine and

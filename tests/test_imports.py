@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import tabkit
@@ -40,6 +41,50 @@ def test_stdlib_imports_are_checked_too(tmp_path):
     assert _unused_module_imports(module) == [
         (1, "os"), (2, "osp"), (3, "lru_cache"), (5, "flip"),
     ]
+
+
+LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+
+
+def _traced_names():
+    """layer.name of each function the benchmark's tracer wraps by name."""
+    constants = {
+        target.id: ast.literal_eval(node.value)
+        for node in ast.parse(LAYERTRACE.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+        and target.id in ("FUNCTION_METRICS", "OPERATOR_MOVES")
+    }
+    return set(constants["FUNCTION_METRICS"]) | {
+        f"operators.{move}" for move in constants["OPERATOR_MOVES"]
+    }
+
+
+def _names_used(node):
+    """Names read anywhere under node, as identifiers or attributes."""
+    return Counter(
+        inner.id if isinstance(inner, ast.Name) else inner.attr
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Name, ast.Attribute))
+    )
+
+
+def test_src_holds_what_it_runs():
+    # each module-level function of src is used in src outside its own def,
+    # or is named by the tracer; test-only references live in tests/oracles.py
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    traced = _traced_names()
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and used[node.name] == _names_used(node)[node.name]
+        and f"{module}.{node.name}" not in traced
+    ]
+    assert unused == []
 
 
 def _function_level_imports(path):

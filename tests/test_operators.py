@@ -33,10 +33,10 @@ from tabkit.tableaux import (
     superstandard,
 )
 
+from oracles import syt_from_word
+
 
 def syt(word, shape):
-    from tabkit.tableaux import syt_from_word
-
     return syt_from_word(word, shape)
 
 

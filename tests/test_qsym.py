@@ -27,6 +27,8 @@ from tabkit.qsym import (
     solve_exact,
 )
 
+from oracles import conjugate
+
 
 def F(*alpha):
     return QsymElement.fundamental(alpha)
@@ -75,8 +77,6 @@ def test_omega_involution_and_descent_complement():
 def test_omega_on_schur_conjugates():
     for n in range(1, 7):
         for lam in partitions(n):
-            from tabkit.core import conjugate
-
             assert schur_fundamental(lam).omega() == schur_fundamental(conjugate(lam))
 
 

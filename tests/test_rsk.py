@@ -1,17 +1,18 @@
 import pytest
 
-from tabkit.core import all_permutations, inverse_descent_set, invert, partitions
+from tabkit.core import all_permutations, inverse_descent_set, partitions
 from tabkit.rsk import (
     act_via_insertion,
     dual_move,
     dual_move_tableau,
     insertion_tableau,
     knuth_move,
-    knuth_move_by_inverse,
     rsk,
     rsk_inverse,
 )
 from tabkit.tableaux import Tableau, enumerate_tableaux, superstandard
+
+from oracles import invert, knuth_move_by_inverse
 
 
 def test_rsk_round_trip():

@@ -8,16 +8,15 @@ from tabkit.rsk import rsk
 from tabkit.tableaux import (
     InvalidTableauError,
     Tableau,
-    brute_force_tableaux,
     enumerate_tableaux,
     in_single_pistol,
-    pistol,
     reading_cells,
     restrict_to,
     run_cells,
     superstandard,
-    syt_from_word,
 )
+
+from oracles import brute_force_tableaux, pistol, syt_from_word
 
 # rows are listed bottom-to-top throughout
 

@@ -11,9 +11,9 @@ from .rsk import (
     dual_move,
     dual_move_tableau,
     insertion_tableau,
+    knuth_move,
     row_sequence,
     rsk,
-    rsk_inverse,
     unbump,
 )
 from .operators import (
@@ -251,23 +251,70 @@ def syt_classes(shape_or_n, relation):
     return sorted(classes, key=lambda cls: cls.key)
 
 
+def _dual_move_tree(lam):
+    """Breadth-first spanning tree of SYT(lam) under the dual moves d_j.
+
+    Returns the tableaux of SYT(lam), the root first, and the edges
+    (child, parent, j) as indices into them, with child = d_j(parent) and
+    each parent the root or an earlier child.  A d_j image that is not the
+    reading word of an SYT(lam), or a tableau the tree does not reach,
+    raises CarrierError.
+    """
+    tableaux = enumerate_tableaux(lam, "SYT")
+    words = [t.reading_word() for t in tableaux]
+    index = {w: k for k, w in enumerate(words)}
+    reached = [False] * len(words)
+    reached[0] = True
+    edges = []
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for parent in frontier:
+            word = words[parent]
+            for j in range(2, len(word)):
+                image = dual_move(j, word)
+                child = index.get(image)
+                if child is None:
+                    raise CarrierError(f"move d_{j} left SYT{lam} at {word}")
+                if not reached[child]:
+                    reached[child] = True
+                    edges.append((child, parent, j))
+                    nxt.append(child)
+        frontier = nxt
+    if not all(reached):
+        missed = min(w for w, seen in zip(words, reached) if not seen)
+        raise CarrierError(
+            f"moves d_2..d_{sum(lam) - 1} on SYT{lam} do not reach {missed}"
+            f" from {words[0]}"
+        )
+    return tableaux, edges
+
+
 def perm_classes(n, relation):
     """Classes of S_n under a word relation.
 
     Each relation's moves fix a word's recording tableau Q and move its
     insertion tableau P through P alone (Haiman's dual equivalence for the
     tableau relations), so a class is a class of SYT(shape) carried across
-    each Q of that shape by inverse RSK, with Q's row sequence read once.
+    each Q of that shape.  The carrying rests on fact A: the Knuth move K_j
+    fixes P and acts on Q as the dual move d_j.  So one reverse bump per P,
+    against the root of a d_j spanning tree of SYT(shape), gives the word
+    with that root as Q, and K_j along each tree edge gives the others.
     """
     classes = []
     for lam in partitions(n):
-        tableau_classes = syt_classes(lam, relation)
-        sequences = [row_sequence(q) for cls in tableau_classes for q in cls.members]
-        for cls in tableau_classes:
-            classes.extend(
-                EquivClass(relation, [unbump(p.rows, steps) for p in cls.members])
-                for steps in sequences
-            )
+        tableaux, edges = _dual_move_tree(lam)
+        root_steps = row_sequence(tableaux[0])
+        for cls in syt_classes(lam, relation):
+            carried = []
+            for p in cls.members:
+                words = [None] * len(tableaux)
+                words[0] = unbump(p.rows, root_steps)
+                for child, parent, j in edges:
+                    words[child] = knuth_move(j, words[parent])
+                carried.append(words)
+            # one class per Q: the words of the members of cls with that Q
+            classes.extend(EquivClass(relation, column) for column in zip(*carried))
     return sorted(classes, key=lambda cls: cls.key)
 
 
@@ -276,15 +323,16 @@ def perm_class(word, relation):
 
     For the tableau relations it is the class of the insertion tableau P
     inside SYT(shape of P), carried across the word's one recording tableau
-    Q by inverse RSK; the other relations' moves are involutions on words,
-    so a breadth-first closure from the word finds it.  Neither partitions
-    S_n.
+    Q by inverse RSK, with Q's row sequence read once; the other relations'
+    moves are involutions on words, so a breadth-first closure from the
+    word finds it.  Neither partitions S_n.
     """
     word = tuple(word)
     if relation in TABLEAU_RELATIONS:
         p, q = rsk(word)
         cls = next(c for c in syt_classes(p.shape, relation) if p in c)
-        return EquivClass(relation, [rsk_inverse(m, q) for m in cls.members])
+        steps = row_sequence(q)
+        return EquivClass(relation, [unbump(m.rows, steps) for m in cls.members])
     return closure(word, moves_for(relation, len(word)), relation)
 
 

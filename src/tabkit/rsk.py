@@ -93,22 +93,24 @@ def dual_move_tableau(i, t):
 
 
 def knuth_move(i, word):
-    """Knuth move: rearranges the entries in positions i-1, i, i+1."""
+    """Knuth move: rearranges the entries in positions i-1, i, i+1.
+
+    With a, b, c the entries there, it swaps the last two when a lies
+    between them (yxz <-> yzx) and the first two when c lies between them
+    (xzy <-> zxy); when b lies between its neighbors it is the identity.
+    """
     n = len(word)
     if not 2 <= i <= n - 1:
         raise ValueError(f"index {i} out of range [2, {n - 1}]")
-    a, b, c = word[i - 2], word[i - 1], word[i]
-    x, y, z = sorted((a, b, c))
-    window = (a, b, c)
-    if window == (y, x, z):
-        window = (y, z, x)
-    elif window == (y, z, x):
-        window = (y, x, z)
-    elif window == (x, z, y):
-        window = (z, x, y)
-    elif window == (z, x, y):
-        window = (x, z, y)
-    return tuple(word[: i - 2]) + window + tuple(word[i + 1:])
+    word = tuple(word)
+    a, b, c = word[i - 2:i + 1]
+    if b < a < c or c < a < b:
+        window = (a, c, b)
+    elif a < c < b or b < c < a:
+        window = (b, a, c)
+    else:
+        return word
+    return word[:i - 2] + window + word[i + 1:]
 
 
 def act_via_insertion(f, word):

@@ -30,7 +30,13 @@ from tabkit.operators import (
     restricted_dual_move,
 )
 from tabkit.qsym import DecompositionError, class_union_qsym, qsym_sum, quasi_schur
-from tabkit.rsk import act_via_insertion, insertion_tableau, knuth_move, rsk
+from tabkit.rsk import (
+    DUAL_WINDOW_TABLE,
+    act_via_insertion,
+    insertion_tableau,
+    knuth_move,
+    rsk,
+)
 from tabkit.tableaux import Tableau, superstandard
 
 from oracles import refines
@@ -386,6 +392,22 @@ def test_broken_restricted_entry_names_the_move(capsys, monkeypatch):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("image, message", [
+    ((1, 2, 3), "move d_2 left SYT(5, 1) at (2, 1, 3, 4, 5, 6)"),
+    ((2, 1, 3), "moves d_2..d_5 on SYT(5, 1) do not reach (3, 1, 2, 4, 5, 6)"
+                " from (2, 1, 3, 4, 5, 6)"),
+])
+def test_broken_dual_entry_fails_the_transport_tree(capsys, monkeypatch, image, message):
+    # perm_classes carries words across Q along a tree of d_j moves: an image
+    # that is no SYT, or an SYT the tree misses, is named, not a KeyError
+    monkeypatch.setitem(DUAL_WINDOW_TABLE, (2, 1, 3), image)
+    with pytest.raises(CarrierError) as caught:
+        perm_classes(6, "shifted")
+    assert str(caught.value) == message
+    code, out, err = run(capsys, "classes", "--relation", "shifted", "--n", "6")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("suite, message", [
     ("poset", "move dR_2 left the carrier at (2, 1, 3, 4, 5, 6)"),
     ("conjecture", "move dR_2 left the carrier at (2, 1, 3, 4, 5, 6)"),
@@ -567,7 +589,8 @@ def test_poset_suite_never_sweeps_s_n(capsys, monkeypatch):
     for target in (
         "tabkit.core.all_permutations",
         "tabkit.equivalence.perm_classes",
-        "tabkit.equivalence.rsk_inverse",
+        "tabkit.equivalence.unbump",
+        "tabkit.equivalence.knuth_move",
     ):
         monkeypatch.setattr(target, fail)
     monkeypatch.setattr(cli, "all_permutations", fail)

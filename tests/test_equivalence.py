@@ -22,7 +22,7 @@ from tabkit.equivalence import (
     syt_universe,
 )
 from tabkit.operators import restricted_dual_move
-from tabkit.rsk import dual_move, insertion_tableau, rsk
+from tabkit.rsk import dual_move, dual_move_tableau, insertion_tableau, rsk, rsk_inverse
 from tabkit.tableaux import Tableau, enumerate_tableaux, superstandard
 
 from oracles import refines
@@ -181,6 +181,44 @@ def test_perm_classes_transport_matches_word_sweep(relation):
             word_moves = moves_for(relation, n)
         expected = all_classes(all_permutations(n), word_moves, relation)
         assert perm_classes(n, relation) == expected
+
+
+def _carried_by_inverse_rsk(n, relation):
+    """Reference: each tableau class C of SYT(lam) carried across each Q in
+    SYT(lam) by one inverse RSK per pair (P, Q)."""
+    classes = []
+    for lam in partitions(n):
+        tableau_classes = syt_classes(lam, relation)
+        for q in enumerate_tableaux(lam, "SYT"):
+            classes.extend(
+                EquivClass(relation, [rsk_inverse(p, q) for p in cls.members])
+                for cls in tableau_classes
+            )
+    return sorted(classes, key=lambda cls: cls.key)
+
+
+@pytest.mark.parametrize(
+    "relation, top", [(relation, 7) for relation in WORD_RELATIONS] + [("shifted", 8)]
+)
+def test_perm_classes_match_inverse_rsk_pair_by_pair(relation, top):
+    # the transport along the dual-move tree against inverse RSK of each pair
+    for n in range(1, top + 1):
+        assert perm_classes(n, relation) == _carried_by_inverse_rsk(n, relation)
+
+
+def test_dual_move_tree_spans_syt():
+    # each edge is a d_j move from a tableau already reached to a new one,
+    # and the edges reach every SYT(lam) from the root
+    for n in range(1, 9):
+        for lam in partitions(n):
+            tableaux, edges = equivalence._dual_move_tree(lam)
+            assert tableaux == enumerate_tableaux(lam, "SYT")
+            reached = {0}
+            for child, parent, j in edges:
+                assert parent in reached and child not in reached
+                assert dual_move_tableau(j, tableaux[parent]) == tableaux[child]
+                reached.add(child)
+            assert reached == set(range(len(tableaux)))
 
 
 @pytest.mark.parametrize("relation", ["shifted", "equiv2rev", "equiv2flip"])

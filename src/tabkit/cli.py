@@ -37,6 +37,7 @@ from .equivalence import (
     srt_image_classes,
     syt_classes,
     syt_universe,
+    word_moves,
     _straddling,
 )
 from .operators import (
@@ -360,10 +361,8 @@ def suite_involutions(n):
     def involutive(name, fn, domain):
         return _first_failure(name, (x for x in domain if fn(fn(x)) != x))
 
-    for i in range(2, n - 1):
-        results.append(involutive(f"dR_{i} on S_{n}", lambda w, i=i: restricted_dual_move(i, w), words))
-    for i in range(1, n - 2):
-        results.append(involutive(f"h_{i} on S_{n}", lambda w, i=i: shifted_dual_move(i, w), words))
+    for name, i, move in word_moves("equiv2", n) + word_moves("shifted", n):
+        results.append(involutive(f"{name}_{i} on S_{n}", move, words))
 
     # slink_star is an involution on non-superstandard tableaux; on a
     # superstandard tableau both maps fix it

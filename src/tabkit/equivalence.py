@@ -7,21 +7,12 @@ by least member.
 """
 
 from .core import flip, partitions, reverse_word, word_to_str
-from .rsk import (
-    dual_move,
-    dual_move_tableau,
-    insertion_tableau,
-    knuth_move,
-    row_sequence,
-    rsk,
-    unbump,
-)
+from .rsk import dual_move, knuth_move, row_sequence, rsk, unbump
 from .operators import (
     mason_rho,
     quasi_dual_move_srct,
     quasi_dual_move_srt,
     restricted_dual_move,
-    restricted_dual_move_tableau,
     shifted_dual_move,
     slink,
     slink_star,
@@ -74,36 +65,54 @@ class EquivClass:
 # ---------------------------------------------------------------------------
 # move families
 
+# The word-move relations: (generator name, low, top, move on words), with
+# one move for each index i = low .. n - top.  Every nontrivial action of each
+# move is a dual move d_k, so each fixes a word's recording tableau Q, and it
+# sends the reading word of an SYT to the reading word of an SYT of the same
+# shape.  Each move looks its operator up by name when called, so an operator
+# patched in this module is the one that runs.
+WORD_MOVES = {
+    "equiv2": ("dR", 2, 2, lambda i, w: restricted_dual_move(i, w)),
+    "dual": ("d", 2, 1, lambda i, w: dual_move(i, w)),
+    "shifted": ("h", 1, 3, lambda i, w: shifted_dual_move(i, w)),
+    "equiv2rev": (
+        "dR.rev", 2, 2,
+        lambda i, w: reverse_word(restricted_dual_move(i, reverse_word(w))),
+    ),
+    "equiv2flip": (
+        "dR.flip", 2, 2, lambda i, w: flip(restricted_dual_move(i, flip(w))),
+    ),
+}
+
+
+def word_moves(relation, n):
+    """The indexed word moves of a word-move relation on words of length n."""
+    if relation not in WORD_MOVES:
+        raise ValueError(f"unknown relation {relation!r}")
+    name, low, top, move = WORD_MOVES[relation]
+    return [(name, i, _bind(move, i)) for i in range(low, n - top + 1)]
+
+
 def moves_for(relation, n):
-    """Indexed involutions (or the slink generator) for a carrier of size n."""
+    """Indexed involutions (or the slink generator) for a carrier of size n.
+
+    `equiv2`, its restriction to SRT and `dual` move tableaux by the word
+    moves of `equiv2` and `dual` on their reading words.
+    """
     if relation == "equiv0":
         return [("slink*", 0, slink_star)]
     if relation == "equiv1":
         return [("slink", 0, slink)]
-    if relation in ("equiv2", "quasiDualSRT-restricted"):
-        return [
-            ("dR", i, _bind(restricted_dual_move_tableau, i))
-            for i in range(2, n - 1)
-        ]
-    if relation == "dual":
-        return [("d", i, _bind(dual_move_tableau, i)) for i in range(2, n)]
     if relation == "quasiDualSRCT":
         return [("DQ", i, _bind(quasi_dual_move_srct, i)) for i in range(2, n)]
     if relation == "quasiDualSRT":
         return [("dQ", i, _bind(quasi_dual_move_srt, i)) for i in range(2, n)]
-    if relation == "shifted":
-        return [("h", i, _bind(shifted_dual_move, i)) for i in range(1, n - 2)]
-    if relation == "equiv2rev":
+    if relation in ("equiv2", "quasiDualSRT-restricted", "dual"):
         return [
-            ("dR.rev", i, _conjugated(restricted_dual_move, i, reverse_word))
-            for i in range(2, n - 1)
+            (name, i, lambda t, m=move: t.with_word(m(t.reading_word())))
+            for name, i, move in word_moves("dual" if relation == "dual" else "equiv2", n)
         ]
-    if relation == "equiv2flip":
-        return [
-            ("dR.flip", i, _conjugated(restricted_dual_move, i, flip))
-            for i in range(2, n - 1)
-        ]
-    raise ValueError(f"unknown relation {relation!r}")
+    return word_moves(relation, n)
 
 
 # the relations whose word classes are tableau classes carried across a
@@ -127,10 +136,6 @@ RELATIONS = (
 
 def _bind(fn, i):
     return lambda x: fn(i, x)
-
-
-def _conjugated(word_fn, i, outer):
-    return lambda w: outer(word_fn(i, outer(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +225,9 @@ def syt_classes(shape_or_n, relation):
     """Classes of SYT under a word relation.
 
     The slink relations move tableaux.  The others close the reading words
-    of each SYT(shape) under word moves: dR_i, d_i, or w -> reading word of
-    P(m(w)) (an SYT's reading word inserts back to it).  A reading word
-    fixes the filling of its shape, so the carrier check of `all_classes`
-    (CarrierError) is the check that an image is an SYT.
+    of each SYT(shape) under their word moves (`word_moves`).  A reading
+    word fixes the filling of its shape, so the carrier check of
+    `all_classes` (CarrierError) is the check that an image is an SYT.
     """
     if isinstance(shape_or_n, int):
         shapes, n = partitions(shape_or_n), shape_or_n
@@ -232,15 +236,7 @@ def syt_classes(shape_or_n, relation):
     if relation in ("equiv0", "equiv1"):
         universe = [t for lam in shapes for t in enumerate_tableaux(lam, "SYT")]
         return all_classes(universe, moves_for(relation, n), relation)
-    if relation == "equiv2":
-        moves = [("dR", i, _bind(restricted_dual_move, i)) for i in range(2, n - 1)]
-    elif relation == "dual":
-        moves = [("d", i, _bind(dual_move, i)) for i in range(2, n)]
-    else:
-        moves = [
-            (name, i, lambda w, m=move: insertion_tableau(m(w)).reading_word())
-            for name, i, move in moves_for(relation, n)
-        ]
+    moves = word_moves(relation, n)
     classes = []
     for lam in shapes:
         by_word = {t.reading_word(): t for t in enumerate_tableaux(lam, "SYT")}
@@ -321,19 +317,19 @@ def perm_classes(n, relation):
 def perm_class(word, relation):
     """The class of one permutation under a word-level relation.
 
-    For the tableau relations it is the class of the insertion tableau P
-    inside SYT(shape of P), carried across the word's one recording tableau
-    Q by inverse RSK, with Q's row sequence read once; the other relations'
-    moves are involutions on words, so a breadth-first closure from the
-    word finds it.  Neither partitions S_n.
+    The word-move relations' moves are involutions on words, so a
+    breadth-first closure from the word finds the class.  For the slink
+    relations it is the class of the insertion tableau P inside SYT(shape
+    of P), carried across the word's one recording tableau Q by inverse
+    RSK, with Q's row sequence read once.  Neither partitions S_n.
     """
     word = tuple(word)
-    if relation in TABLEAU_RELATIONS:
-        p, q = rsk(word)
-        cls = next(c for c in syt_classes(p.shape, relation) if p in c)
-        steps = row_sequence(q)
-        return EquivClass(relation, [unbump(m.rows, steps) for m in cls.members])
-    return closure(word, moves_for(relation, len(word)), relation)
+    if relation in WORD_MOVES:
+        return closure(word, word_moves(relation, len(word)), relation)
+    p, q = rsk(word)
+    cls = next(c for c in syt_classes(p.shape, relation) if p in c)
+    steps = row_sequence(q)
+    return EquivClass(relation, [unbump(m.rows, steps) for m in cls.members])
 
 
 def srct_classes(alpha):

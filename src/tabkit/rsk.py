@@ -67,10 +67,6 @@ def unbump(p_rows, steps):
     return tuple(word)
 
 
-def insertion_tableau(word):
-    return rsk(word)[0]
-
-
 # nontrivial windows of the dual move, on values [i-1, i+1]
 DUAL_WINDOW_TABLE = window_table(("x1y", "x3y"))
 

@@ -3,15 +3,15 @@
 Each oracle decides again, by another route, something the library decides
 once: enumeration by filtering every filling, the Knuth move through
 inverses, straightening by row swaps, Yamanouchi words by recursion,
-pistols by their definition.  `refines` and `syt_from_word` spell a test's
-verdict or input in library calls.  Test modules import them as
-`from oracles import ...`.
+pistols by their definition.  `refines`, `syt_from_word` and
+`insertion_tableau` spell a test's verdict or input in library calls.  Test
+modules import them as `from oracles import ...`.
 """
 
 from itertools import permutations
 
 from tabkit.equivalence import _straddling
-from tabkit.rsk import dual_move
+from tabkit.rsk import dual_move, rsk
 from tabkit.tableaux import FLAVORS, InvalidTableauError, Tableau, superstandard
 
 
@@ -106,6 +106,11 @@ def refines(fine, coarse):
 def syt_from_word(word, shape):
     """The SYT of the given shape with the given row reading word."""
     return superstandard(shape).with_word(word)
+
+
+def insertion_tableau(word):
+    """The insertion tableau P of a word."""
+    return rsk(word)[0]
 
 
 def pistol(shape, cell):

@@ -54,12 +54,13 @@ from tabkit.qsym import (
     schur_expand_class_union,
     schur_fundamental,
 )
-from tabkit.rsk import dual_move, insertion_tableau, rsk, rsk_inverse
+from tabkit.rsk import dual_move, rsk, rsk_inverse
 from tabkit.tableaux import Tableau, enumerate_tableaux, superstandard
 
 from oracles import (
     brute_force_tableaux,
     conjugate,
+    insertion_tableau,
     refines,
     standardized_yamanouchi,
     syt_from_word,

@@ -33,13 +33,12 @@ from tabkit.qsym import DecompositionError, class_union_qsym, qsym_sum, quasi_sc
 from tabkit.rsk import (
     DUAL_WINDOW_TABLE,
     act_via_insertion,
-    insertion_tableau,
     knuth_move,
     rsk,
 )
 from tabkit.tableaux import Tableau, superstandard
 
-from oracles import refines
+from oracles import insertion_tableau, refines
 
 
 def run(capsys, *argv):
@@ -177,6 +176,22 @@ def test_expand_class_of_builds_one_class(capsys, monkeypatch, relation):
         "tabkit.core.all_permutations",
     ):
         monkeypatch.setattr(target, fail)
+    code, out, _ = run(
+        capsys, "expand", "--class-of", "3152764", "--relation", relation,
+        "--format", "json",
+    )
+    assert code == 0
+    assert "3152764" in json.loads(out)["class"]["members"]
+
+
+@pytest.mark.parametrize("relation", ["equiv2", "dual"])
+def test_expand_class_of_closes_the_word(capsys, monkeypatch, relation):
+    # a word-move relation's class is the closure of the word under its moves;
+    # no shape of tableaux is partitioned
+    def fail(*args):
+        raise AssertionError("expand --class-of partitioned a shape")
+
+    monkeypatch.setattr("tabkit.equivalence.syt_classes", fail)
     code, out, _ = run(
         capsys, "expand", "--class-of", "3152764", "--relation", relation,
         "--format", "json",
@@ -389,6 +404,18 @@ def test_broken_restricted_entry_names_the_move(capsys, monkeypatch):
         syt_classes(6, "equiv2")
     assert str(caught.value) == message
     code, out, err = run(capsys, "classes", "--relation", "equiv2", "--n", "6")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_broken_shifted_entry_names_the_move(capsys, monkeypatch):
+    # the carrier check of syt_classes is what proves each h_i image an SYT
+    monkeypatch.setitem(SHIFTED_WINDOW_TABLE, (1, 2, 4, 3), (1, 2, 3, 4))
+    message = "move h_3 left the carrier at (3, 4, 6, 1, 2, 5)"
+    for classes in (syt_classes, perm_classes):
+        with pytest.raises(CarrierError) as caught:
+            classes(6, "shifted")
+        assert str(caught.value) == message
+    code, out, err = run(capsys, "classes", "--relation", "shifted", "--n", "6")
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

@@ -6,7 +6,7 @@ from tabkit.equivalence import (
     CarrierError,
     EquivClass,
     RELATIONS,
-    TABLEAU_RELATIONS,
+    WORD_MOVES,
     WORD_RELATIONS,
     all_classes,
     classes_to_dot,
@@ -20,12 +20,12 @@ from tabkit.equivalence import (
     srt_image_classes,
     syt_classes,
     syt_universe,
+    word_moves,
 )
-from tabkit.operators import restricted_dual_move
-from tabkit.rsk import dual_move, dual_move_tableau, insertion_tableau, rsk, rsk_inverse
+from tabkit.rsk import dual_move_tableau, rsk, rsk_inverse
 from tabkit.tableaux import Tableau, enumerate_tableaux, superstandard
 
-from oracles import refines
+from oracles import insertion_tableau, refines
 
 
 # class counts over all SYT of size n, frozen from the closure engine and
@@ -113,15 +113,17 @@ def test_carrier_error():
 
 
 def test_dual_and_restricted_images_of_syt_are_syt():
-    # syt_classes checks the images of these two word moves on SYT(lam) by
-    # carrier membership only; Tableau's validation must accept every one
+    # syt_classes checks the images of the registry's word moves on SYT(lam)
+    # by carrier membership only; Tableau's validation must accept every one,
+    # and each must be the reading word of its own insertion tableau
     for n in range(1, 9):
         for t in syt_universe(n):
             w = t.reading_word()
-            images = [dual_move(i, w) for i in range(2, n)]
-            images += [restricted_dual_move(i, w) for i in range(2, n - 1)]
-            for image in images:
-                assert Tableau(t.with_word(image).rows, "SYT").shape == t.shape
+            for relation in WORD_MOVES:
+                for name, i, move in word_moves(relation, n):
+                    image = move(w)
+                    assert Tableau(t.with_word(image).rows, "SYT").shape == t.shape
+                    assert insertion_tableau(image).reading_word() == image, (name, i, w)
 
 
 def _tableau_moves(relation, n):
@@ -168,18 +170,8 @@ def test_perm_classes_transport_consistency():
 )
 def test_perm_classes_transport_matches_word_sweep(relation):
     # reference: close S_n under the word-level moves directly
-    if relation == "equiv2":
-        word_move, indices = restricted_dual_move, lambda n: range(2, n - 1)
-    elif relation == "dual":
-        word_move, indices = dual_move, lambda n: range(2, n)
     for n in range(1, 8):
-        if relation in TABLEAU_RELATIONS:
-            word_moves = [
-                ("w", i, lambda w, i=i: word_move(i, w)) for i in indices(n)
-            ]
-        else:
-            word_moves = moves_for(relation, n)
-        expected = all_classes(all_permutations(n), word_moves, relation)
+        expected = all_classes(all_permutations(n), word_moves(relation, n), relation)
         assert perm_classes(n, relation) == expected
 
 
@@ -238,9 +230,9 @@ def test_perm_classes_sweeps_no_permutations(monkeypatch, relation):
 @pytest.mark.parametrize("relation", WORD_RELATIONS)
 def test_perm_class_matches_perm_classes(relation):
     # every word for n <= 5; at n = 6, 7 the first and last member of each
-    # class, except that a tableau-relation query partitions one shape
-    # (a few ms at n = 7), so there each tableau class is queried once, through
-    # the word class at the last recording tableau of its shape
+    # class, except that a slink-relation query partitions one shape (a few
+    # ms at n = 7), so there each tableau class is queried once, through the
+    # word class at the last recording tableau of its shape
     for n in range(1, 8):
         last_q = {
             lam: enumerate_tableaux(lam, "SYT")[-1] for lam in partitions(n)
@@ -248,7 +240,7 @@ def test_perm_class_matches_perm_classes(relation):
         for cls in perm_classes(n, relation):
             if n <= 5:
                 queries = cls.members
-            elif relation not in TABLEAU_RELATIONS:
+            elif relation in WORD_MOVES:
                 queries = (cls.members[0], cls.members[-1])
             else:
                 q = rsk(cls.members[0])[1]
@@ -257,14 +249,14 @@ def test_perm_class_matches_perm_classes(relation):
                 assert perm_class(w, relation) == cls
 
 
-@pytest.mark.parametrize("relation", ["shifted", "equiv2rev", "equiv2flip"])
+@pytest.mark.parametrize("relation", list(WORD_MOVES))
 def test_word_relations_fix_q_and_act_on_p(relation):
     # each move keeps the recording tableau Q and sends the insertion
     # tableau P to a tableau that depends on P alone; perm_classes relies on
-    # this to carry the word classes across Q by the move read through
-    # insertion
+    # this to carry the word classes across Q, and perm_class to close one
+    # word under the moves
     for n in range(1, 8):
-        moves = moves_for(relation, n)
+        moves = word_moves(relation, n)
         on_p = {}
         for w in all_permutations(n):
             p, q = rsk(w)

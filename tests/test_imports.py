@@ -1,4 +1,5 @@
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -59,6 +60,18 @@ def _traced_names():
     return set(constants["FUNCTION_METRICS"]) | {
         f"operators.{move}" for move in constants["OPERATOR_MOVES"]
     }
+
+
+def test_traced_names_exist():
+    # the tracer wraps tabkit functions by name; renaming or deleting one of
+    # them would otherwise show only when the benchmark runs
+    names = sorted(_traced_names())
+    missing = []
+    for dotted in names:
+        layer, name = dotted.split(".")
+        if not hasattr(importlib.import_module(f"tabkit.{layer}"), name):
+            missing.append(dotted)
+    assert names and missing == []
 
 
 def _names_used(node):

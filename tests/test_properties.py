@@ -21,12 +21,13 @@ from tabkit.qsym import QsymElement
 from tabkit.rsk import (
     dual_move,
     dual_move_tableau,
-    insertion_tableau,
     knuth_move,
     rsk,
     rsk_inverse,
 )
 from tabkit.tableaux import enumerate_tableaux
+
+from oracles import insertion_tableau
 
 permutations = st.integers(min_value=1, max_value=9).flatmap(
     lambda n: st.permutations(range(1, n + 1))

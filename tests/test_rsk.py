@@ -5,14 +5,13 @@ from tabkit.rsk import (
     act_via_insertion,
     dual_move,
     dual_move_tableau,
-    insertion_tableau,
     knuth_move,
     rsk,
     rsk_inverse,
 )
 from tabkit.tableaux import Tableau, enumerate_tableaux, superstandard
 
-from oracles import invert, knuth_move_by_inverse
+from oracles import insertion_tableau, invert, knuth_move_by_inverse
 
 
 def test_rsk_round_trip():

@@ -54,9 +54,10 @@ from .operators import (
 )
 from .qsym import (
     DecompositionError,
+    NotUnitriangularError,
     class_union_qsym,
     decompose_in_fk,
-    family_independence_report,
+    lead_table,
     quasi_schur,
     schur_expand_by_slinky,
     schur_expand_class_union,
@@ -525,22 +526,41 @@ def suite_shifted(n):
 
 
 def suite_conjecture(n):
-    results = []
-    for k in (0, 1, 2):
-        report = family_independence_report(k, n)
-        ok = report["rank"] == report["dimension"]
-        if k == 2:
-            ok = ok and report["distinct"] == report["dimension"]
-        label = "independent basis" if k == 2 else "spanning"
-        results.append(
-            (
-                f"k={k} family {label} at degree {n}: "
-                f"{report['classes']} classes, {report['distinct']} distinct, "
-                f"rank {report['rank']} of {report['dimension']}",
-                ok,
-                None if ok else report,
-            )
+    """The basis conjecture, certified by one lead table.
+
+    The distinct k=2 class functions are a basis of QSym_n when they lead
+    unitriangularly at all 2^(n-1) coordinates.  Each k=2 class is a union
+    of equiv0 (and of equiv1) classes, so its function is a sum of theirs,
+    and the coarser families span whatever the k=2 family spans.
+    """
+    dimension = 1 << (n - 1)
+    equiv2 = syt_classes(n, "equiv2")
+    try:
+        table = lead_table(
+            (cls, class_union_qsym([cls]).to_vector()) for cls in equiv2
         )
+    except NotUnitriangularError as exc:
+        leads, witness = "not unitriangular", {"classes": exc.keys, "lead": exc.lead}
+    else:
+        missing = next((lead for lead in range(dimension) if lead not in table), None)
+        leads = f"{len(table)} leads of {dimension}"
+        witness = None if missing is None else {"least missing lead": missing}
+    results = [(
+        f"k=2 family is a unitriangular basis of QSym_{n}: "
+        f"{len(equiv2)} classes, {leads}",
+        witness is None,
+        witness,
+    )]
+    spans = None if witness is None else "the k=2 family is not certified to span"
+    for k in (0, 1):
+        classes = syt_classes(n, f"equiv{k}")
+        straddler = next(_straddling(classes, equiv2), None)
+        witness = spans if straddler is None else {"straddling class": straddler}
+        results.append((
+            f"k={k} family spans QSym_{n}: {len(classes)} classes refine the k=2 classes",
+            witness is None,
+            witness,
+        ))
     return results
 
 

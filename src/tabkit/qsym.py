@@ -1,6 +1,6 @@
 """Quasisymmetric functions on the fundamental basis, symmetry detection,
 Schur expansions of class unions, quasisymmetric Schur functions, and the
-class generating-function families with exact rank computations."""
+class generating-function families."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -322,58 +322,6 @@ def quasi_schur(alpha):
 
 # ---------------------------------------------------------------------------
 # class generating-function families
-
-def fk_family(k, n):
-    """Generating functions of the degree-n classes of the k-th relation,
-    as (class key, function) pairs sorted by least reading word."""
-    relation = f"equiv{k}"
-    classes = syt_classes(n, relation)
-    return [(cls.key, class_union_qsym([cls])) for cls in classes]
-
-
-def exact_rank(vectors):
-    """Rank of integer row vectors by fraction-free (Bareiss) elimination."""
-    m = [list(map(int, row)) for row in vectors]
-    if not m:
-        return 0
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < rows and col < cols:
-        pivot = next((r for r in range(rank, rows) if m[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for r in range(rank + 1, rows):
-            for c in range(col + 1, cols):
-                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
-            m[r][col] = 0
-        prev = m[rank][col]
-        rank += 1
-        col += 1
-    return rank
-
-
-def family_independence_report(k, n):
-    """Class count, distinct-function count, and exact rank for a family.
-
-    Distinct classes can share a generating function, so independence is a
-    statement about the set of distinct functions.
-    """
-    fam = fk_family(k, n)
-    distinct = sorted({tuple(q.to_vector()) for _key, q in fam})
-    rank = exact_rank(distinct)
-    return {
-        "degree": n,
-        "k": k,
-        "classes": len(fam),
-        "distinct": len(distinct),
-        "rank": rank,
-        "dimension": 1 << max(n - 1, 0),
-    }
-
 
 def solve_exact(columns, target):
     """Solve sum_j x_j * columns[j] = target over the rationals.

@@ -3,14 +3,17 @@
 Each oracle decides again, by another route, something the library decides
 once: enumeration by filtering every filling, the Knuth move through
 inverses, straightening by row swaps, Yamanouchi words by recursion,
-pistols by their definition.  `refines`, `syt_from_word` and
+pistols by their definition, and the basis conjecture by the exact rank of
+each family (`fk_family`, `exact_rank`, `family_independence_report`)
+where the library reads one lead table.  `refines`, `syt_from_word` and
 `insertion_tableau` spell a test's verdict or input in library calls.  Test
 modules import them as `from oracles import ...`.
 """
 
 from itertools import permutations
 
-from tabkit.equivalence import _straddling
+from tabkit.equivalence import _straddling, syt_classes
+from tabkit.qsym import class_union_qsym
 from tabkit.rsk import dual_move, rsk
 from tabkit.tableaux import FLAVORS, InvalidTableauError, Tableau, superstandard
 
@@ -148,3 +151,58 @@ def brute_force_tableaux(shape, flavor):
         except InvalidTableauError:
             pass
     return sorted(out, key=lambda t: t.reading_word())
+
+
+# ---------------------------------------------------------------------------
+# class generating-function families
+
+def fk_family(k, n):
+    """Generating functions of the degree-n classes of the k-th relation,
+    as (class key, function) pairs sorted by least reading word."""
+    relation = f"equiv{k}"
+    classes = syt_classes(n, relation)
+    return [(cls.key, class_union_qsym([cls])) for cls in classes]
+
+
+def exact_rank(vectors):
+    """Rank of integer row vectors by fraction-free (Bareiss) elimination."""
+    m = [list(map(int, row)) for row in vectors]
+    if not m:
+        return 0
+    rows, cols = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    col = 0
+    while rank < rows and col < cols:
+        pivot = next((r for r in range(rank, rows) if m[r][col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, rows):
+            for c in range(col + 1, cols):
+                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
+            m[r][col] = 0
+        prev = m[rank][col]
+        rank += 1
+        col += 1
+    return rank
+
+
+def family_independence_report(k, n):
+    """Class count, distinct-function count, and exact rank for a family.
+
+    Distinct classes can share a generating function, so independence is a
+    statement about the set of distinct functions.
+    """
+    fam = fk_family(k, n)
+    distinct = sorted({tuple(q.to_vector()) for _key, q in fam})
+    rank = exact_rank(distinct)
+    return {
+        "degree": n,
+        "k": k,
+        "classes": len(fam),
+        "distinct": len(distinct),
+        "rank": rank,
+        "dimension": 1 << max(n - 1, 0),
+    }

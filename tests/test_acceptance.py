@@ -47,7 +47,6 @@ from tabkit.qsym import (
     SchurExpansion,
     class_union_qsym,
     decompose_in_fk,
-    family_independence_report,
     qsym_sum,
     quasi_schur,
     schur_expand_by_slinky,
@@ -60,6 +59,7 @@ from tabkit.tableaux import Tableau, enumerate_tableaux, superstandard
 from oracles import (
     brute_force_tableaux,
     conjugate,
+    family_independence_report,
     insertion_tableau,
     refines,
     standardized_yamanouchi,

@@ -29,7 +29,14 @@ from tabkit.operators import (
     SHIFTED_WINDOW_TABLE,
     restricted_dual_move,
 )
-from tabkit.qsym import DecompositionError, class_union_qsym, qsym_sum, quasi_schur
+from tabkit.qsym import (
+    DecompositionError,
+    QsymElement,
+    class_union_qsym,
+    f2_lead_table,
+    qsym_sum,
+    quasi_schur,
+)
 from tabkit.rsk import (
     DUAL_WINDOW_TABLE,
     act_via_insertion,
@@ -38,7 +45,7 @@ from tabkit.rsk import (
 )
 from tabkit.tableaux import Tableau, superstandard
 
-from oracles import insertion_tableau, refines
+from oracles import family_independence_report, insertion_tableau, refines
 
 
 def run(capsys, *argv):
@@ -457,6 +464,97 @@ def test_suite_that_leaves_its_carrier_fails_with_exit_1(capsys, monkeypatch, su
         "suite": suite, "n": 6, "passed": 0, "failed": 1,
         "checks": [{"name": name, "ok": False, "witness": repr(message)}],
     }
+
+
+def test_conjecture_verdict_never_rests_on_a_cached_lead_table(capsys, monkeypatch):
+    # expand --quasischur caches f2_lead_table(n); the suite builds its own
+    # classes, so a broken move still fails it after the table is cached
+    assert len(f2_lead_table(6)) == 32
+    monkeypatch.setitem(RESTRICTED_WINDOW_TABLE, (2, 1, 3, 4), (3, 1, 4, 2))
+    message = "move dR_2 left the carrier at (2, 1, 3, 4, 5, 6)"
+    code, out, err = run(capsys, "verify", "--suite", "conjecture", "--n", "6")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[0] == (
+        f"[FAIL] suite conjecture runs to completion at n = 6  witness: {message!r}"
+    )
+
+
+def test_conjecture_suite_matches_the_rank_oracle():
+    # the lead table and the refinement decide what the exact ranks decide
+    for n in range(1, 8):
+        expected = []
+        for k in (2, 0, 1):
+            report = family_independence_report(k, n)
+            dimension = report["dimension"]
+            if k == 2:
+                name = (f"k=2 family is a unitriangular basis of QSym_{n}: "
+                        f"{report['classes']} classes, {report['distinct']} leads of {dimension}")
+                ok = report["rank"] == report["distinct"] == dimension
+            else:
+                name = (f"k={k} family spans QSym_{n}: "
+                        f"{report['classes']} classes refine the k=2 classes")
+                ok = report["rank"] == dimension
+            expected.append((name, ok))
+        assert [(name, ok) for name, ok, _ in cli.suite_conjecture(n)] == expected
+
+
+def _equiv2_shares_a_lead(monkeypatch):
+    # class (2, 5, 1, 3, 4) gets the function of (2, 4, 1, 3, 5) plus
+    # F(1,1,1,1,1): a different function with the same lead 2
+    real = cli.class_union_qsym
+    donor = next(c for c in syt_classes(5, "equiv2") if c.key == (2, 4, 1, 3, 5))
+
+    def shared(classes):
+        if classes[0].key == (2, 5, 1, 3, 4):
+            return real([donor]) + QsymElement.fundamental((1, 1, 1, 1, 1))
+        return real(classes)
+
+    monkeypatch.setattr(cli, "class_union_qsym", shared)
+
+
+def _swap_classes(monkeypatch, relation):
+    real = cli.syt_classes
+    monkeypatch.setattr(
+        cli, "syt_classes", lambda n, r: real(n, "dual" if r == relation else r)
+    )
+
+
+@pytest.mark.parametrize("inject, failed", [
+    (lambda mp: _swap_classes(mp, "equiv2"), [
+        ("k=2 family is a unitriangular basis of QSym_5: 7 classes, 7 leads of 16",
+         {"least missing lead": 4}),
+        ("k=0 family spans QSym_5: 23 classes refine the k=2 classes",
+         "the k=2 family is not certified to span"),
+        ("k=1 family spans QSym_5: 22 classes refine the k=2 classes",
+         "the k=2 family is not certified to span"),
+    ]),
+    (_equiv2_shares_a_lead, [
+        ("k=2 family is a unitriangular basis of QSym_5: 17 classes, not unitriangular",
+         {"classes": ((2, 4, 1, 3, 5), (2, 5, 1, 3, 4)), "lead": 2}),
+        ("k=0 family spans QSym_5: 23 classes refine the k=2 classes",
+         "the k=2 family is not certified to span"),
+        ("k=1 family spans QSym_5: 22 classes refine the k=2 classes",
+         "the k=2 family is not certified to span"),
+    ]),
+    (lambda mp: _swap_classes(mp, "equiv1"), [
+        ("k=1 family spans QSym_5: 7 classes refine the k=2 classes",
+         {"straddling class": (2, 1, 3, 4, 5)}),
+    ]),
+], ids=["missing-lead", "shared-lead", "straddling-class"])
+def test_conjecture_failed_checks_name_a_witness(capsys, monkeypatch, inject, failed):
+    inject(monkeypatch)
+    code, out, err = run(capsys, "verify", "--suite", "conjecture", "--n", "5")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("[FAIL]")] == [
+        f"[FAIL] {name}  witness: {witness!r}" for name, witness in failed
+    ]
+    assert lines[-1] == f"suite conjecture: {3 - len(failed)} passed, {len(failed)} failed"
+    code, out, err = run(capsys, "verify", "--suite", "conjecture", "--n", "5", "--format", "json")
+    assert (code, err) == (1, "")
+    assert [
+        (c["name"], c["witness"]) for c in json.loads(out)["checks"] if not c["ok"]
+    ] == [(name, repr(witness)) for name, witness in failed]
 
 
 def test_commutation_matches_word_oracle():

@@ -84,8 +84,9 @@ def _names_used(node):
 
 
 def test_src_holds_what_it_runs():
-    # each module-level function of src is used in src outside its own def,
-    # or is named by the tracer; test-only references live in tests/oracles.py
+    # each module-level function and class of src is used in src outside its
+    # own body, or is named by the tracer; test-only references live in
+    # tests/oracles.py
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     used = sum((_names_used(tree) for tree in trees.values()), Counter())
     traced = _traced_names()
@@ -93,7 +94,7 @@ def test_src_holds_what_it_runs():
         f"{module}.{node.name}"
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, ast.FunctionDef)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and used[node.name] == _names_used(node)[node.name]
         and f"{module}.{node.name}" not in traced
     ]

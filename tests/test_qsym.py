@@ -13,10 +13,7 @@ from tabkit.qsym import (
     SchurExpansion,
     class_union_qsym,
     decompose_in_fk,
-    exact_rank,
     f2_lead_table,
-    family_independence_report,
-    fk_family,
     lead_table,
     qsym_sum,
     quasi_schur,
@@ -27,7 +24,7 @@ from tabkit.qsym import (
     solve_exact,
 )
 
-from oracles import conjugate
+from oracles import conjugate, exact_rank, family_independence_report, fk_family
 
 
 def F(*alpha):

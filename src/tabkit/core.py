@@ -35,17 +35,9 @@ def partitions(n, max_part=None):
     return out
 
 
-def strict_partitions(n, max_part=None):
-    """All strictly decreasing partitions of n."""
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        return [()]
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in strict_partitions(n - first, first - 1):
-            out.append((first,) + rest)
-    return out
+def strict_partitions(n):
+    """All strictly decreasing partitions of n, in the order of partitions(n)."""
+    return [lam for lam in partitions(n) if all(a > b for a, b in zip(lam, lam[1:]))]
 
 
 def sort_to_partition(alpha):

@@ -115,23 +115,19 @@ def moves_for(relation, n):
     return word_moves(relation, n)
 
 
-# the relations whose word classes are tableau classes carried across a
-# fixed recording tableau, and all the relations with a carrier S_n
-TABLEAU_RELATIONS = ("equiv0", "equiv1", "equiv2", "dual")
-WORD_RELATIONS = TABLEAU_RELATIONS + ("shifted", "equiv2rev", "equiv2flip")
-
-RELATIONS = (
-    "equiv0",
-    "equiv1",
-    "equiv2",
-    "dual",
-    "quasiDualSRCT",
-    "quasiDualSRT",
-    "quasiDualSRT-restricted",
-    "shifted",
-    "equiv2rev",
-    "equiv2flip",
-)
+# the carrier of each relation, in the order the CLI lists them: SYT(n), S_n,
+# SRCT(alpha) or the SRT image of SRCT(alpha).  The word relations are those
+# on S_n and those on SYT(n), whose word classes are tableau classes carried
+# across a fixed recording tableau.
+CARRIERS = {
+    **dict.fromkeys(("equiv0", "equiv1", "equiv2", "dual"), "SYT"),
+    "quasiDualSRCT": "SRCT",
+    **dict.fromkeys(("quasiDualSRT", "quasiDualSRT-restricted"), "SRT"),
+    **dict.fromkeys(("shifted", "equiv2rev", "equiv2flip"), "S_n"),
+}
+RELATIONS = tuple(CARRIERS)
+TABLEAU_RELATIONS = tuple(r for r in RELATIONS if CARRIERS[r] == "SYT")
+WORD_RELATIONS = tuple(r for r in RELATIONS if CARRIERS[r] in ("SYT", "S_n"))
 
 
 def _bind(fn, i):
@@ -145,31 +141,34 @@ class CarrierError(ValueError):
     """A move produced an element outside the declared carrier."""
 
 
+def _search(seed, moves):
+    """Breadth-first search from seed: each element reached, in the order
+    reached, mapped to (parent, generator name, index) of the move that
+    first reached it, and the seed to None."""
+    reached = {seed: None}
+    order = [seed]
+    for element in order:
+        for name, idx, move in moves:
+            image = move(element)
+            if image not in reached:
+                reached[image] = (element, name, idx)
+                order.append(image)
+    return reached
+
+
 def closure(seed, moves, relation):
     """Minimal move-closed superset of {seed}, as a class of the relation.
 
     With involutive moves a plain breadth-first search suffices; the
     non-involutive slink needs the components that all_classes finds.
     """
-    seen = {key_of(seed): seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for element in frontier:
-            for _name, _idx, move in moves:
-                image = move(element)
-                k = key_of(image)
-                if k not in seen:
-                    seen[k] = image
-                    nxt.append(image)
-        frontier = nxt
-    return EquivClass(relation, list(seen.values()))
+    return EquivClass(relation, list(_search(seed, moves)))
 
 
 def all_classes(universe, moves, relation=None):
     """Partition of the universe into move-connected components."""
     elements = list(universe)
-    index = {key_of(e): i for i, e in enumerate(elements)}
+    index = {e: i for i, e in enumerate(elements)}
     parent = list(range(len(elements)))
 
     def find(a):
@@ -185,13 +184,12 @@ def all_classes(universe, moves, relation=None):
 
     for i, element in enumerate(elements):
         for _name, _idx, move in moves:
-            image = move(element)
-            k = key_of(image)
-            if k not in index:
+            k = index.get(move(element))
+            if k is None:
                 raise CarrierError(
                     f"move {_name}_{_idx} left the carrier at {key_of(element)}"
                 )
-            union(i, index[k])
+            union(i, k)
 
     groups = {}
     for i, element in enumerate(elements):
@@ -203,9 +201,9 @@ def all_classes(universe, moves, relation=None):
 def _straddling(fine, coarse):
     """The least key of each fine class that no single coarse class
     contains, in the order of `fine`."""
-    lookup = {key_of(m): index for index, cls in enumerate(coarse) for m in cls.members}
+    lookup = {m: index for index, cls in enumerate(coarse) for m in cls.members}
     for cls in fine:
-        targets = {lookup.get(key_of(m)) for m in cls.members}
+        targets = {lookup.get(m) for m in cls.members}
         if len(targets) != 1 or None in targets:
             yield cls.key
 
@@ -257,31 +255,18 @@ def _dual_move_tree(lam):
     raises CarrierError.
     """
     tableaux = enumerate_tableaux(lam, "SYT")
-    words = [t.reading_word() for t in tableaux]
-    index = {w: k for k, w in enumerate(words)}
-    reached = [False] * len(words)
-    reached[0] = True
+    index = {t.reading_word(): k for k, t in enumerate(tableaux)}
+    reached = _search(tableaux[0].reading_word(), word_moves("dual", sum(lam)))
     edges = []
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for parent in frontier:
-            word = words[parent]
-            for j in range(2, len(word)):
-                image = dual_move(j, word)
-                child = index.get(image)
-                if child is None:
-                    raise CarrierError(f"move d_{j} left SYT{lam} at {word}")
-                if not reached[child]:
-                    reached[child] = True
-                    edges.append((child, parent, j))
-                    nxt.append(child)
-        frontier = nxt
-    if not all(reached):
-        missed = min(w for w, seen in zip(words, reached) if not seen)
+    for word, (parent, _name, j) in list(reached.items())[1:]:
+        if word not in index:
+            raise CarrierError(f"move d_{j} left SYT{lam} at {parent}")
+        edges.append((index[word], index[parent], j))
+    if len(reached) < len(tableaux):
+        missed = min(w for w in index if w not in reached)
         raise CarrierError(
             f"moves d_2..d_{sum(lam) - 1} on SYT{lam} do not reach {missed}"
-            f" from {words[0]}"
+            f" from {tableaux[0].reading_word()}"
         )
     return tableaux, edges
 
@@ -348,21 +333,18 @@ def srt_image_classes(alpha, relation):
 def classes_for_cli(relation, n=None, alpha=None):
     """Carrier selection used by the command line front end: the
     quasi-dual relations take a composition alpha, the others a degree n."""
-    if relation in WORD_RELATIONS:
+    carrier = CARRIERS.get(relation)
+    if carrier is None:
+        raise ValueError(f"unknown relation {relation!r}")
+    if carrier in ("SYT", "S_n"):
         if n is None or alpha is not None:
             raise ValueError(f"relation {relation} needs --n")
-        if relation in TABLEAU_RELATIONS:
-            return syt_classes(n, relation)
-        return perm_classes(n, relation)
-    if relation == "quasiDualSRCT":
-        if alpha is None:
-            raise ValueError("relation quasiDualSRCT needs --alpha")
+        return (syt_classes if carrier == "SYT" else perm_classes)(n, relation)
+    if alpha is None:
+        raise ValueError(f"relation {relation} needs --alpha")
+    if carrier == "SRCT":
         return srct_classes(alpha)
-    if relation in ("quasiDualSRT", "quasiDualSRT-restricted"):
-        if alpha is None:
-            raise ValueError(f"relation {relation} needs --alpha")
-        return srt_image_classes(alpha, relation)
-    raise ValueError(f"unknown relation {relation!r}")
+    return srt_image_classes(alpha, relation)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,7 @@ from itertools import combinations
 from tabkit.core import (
     all_permutations,
     compositions,
-    descent_composition,
     flip,
-    inverse_descent_set,
     partitions,
     reverse_word,
     slinky,
@@ -20,9 +18,7 @@ from tabkit.core import (
     strict_partitions,
 )
 from tabkit.equivalence import (
-    EquivClass,
     all_classes,
-    key_of,
     moves_for,
     perm_classes,
     srct_classes,
@@ -43,7 +39,6 @@ from tabkit.operators import (
     slink_star,
 )
 from tabkit.qsym import (
-    QsymElement,
     SchurExpansion,
     class_union_qsym,
     decompose_in_fk,

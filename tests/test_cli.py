@@ -92,10 +92,16 @@ def test_classes_srct(capsys):
 def test_classes_usage_errors(capsys):
     code, _, err = run(capsys, "classes", "--relation", "nope", "--n", "4")
     assert code == 2 and "unknown relation" in err
-    code, _, err = run(capsys, "classes", "--relation", "equiv2")
-    assert code == 2 and "--n" in err
-    code, _, err = run(capsys, "classes", "--relation", "quasiDualSRCT", "--n", "4")
-    assert code == 2
+    # a relation given the option of another carrier names its own
+    for argv, needs in [
+        (["--relation", "equiv2"], "--n"),
+        (["--relation", "shifted", "--alpha", "2,1"], "--n"),
+        (["--relation", "quasiDualSRT", "--n", "4"], "--alpha"),
+        (["--relation", "quasiDualSRCT", "--n", "4"], "--alpha"),
+    ]:
+        assert run(capsys, "classes", *argv) == (
+            2, "", f"error: relation {argv[1]} needs {needs}\n"
+        )
 
 
 def test_degree_cap(capsys, monkeypatch):

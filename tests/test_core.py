@@ -1,5 +1,3 @@
-import pytest
-
 from tabkit.core import (
     all_permutations,
     apply_window,

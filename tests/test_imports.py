@@ -6,6 +6,7 @@ from pathlib import Path
 import tabkit
 
 SRC = Path(tabkit.__file__).parent
+TESTS = Path(__file__).parent
 
 
 # stands in for a linter's unused-import rule, which this project does not run:
@@ -26,8 +27,8 @@ def _unused_module_imports(path):
 
 def test_no_unused_module_level_imports():
     unused = {
-        path.name: found
-        for path in sorted(SRC.glob("*.py"))
+        f"{path.parent.name}/{path.name}": found
+        for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
         if (found := _unused_module_imports(path))
     }
     assert unused == {}

@@ -1,5 +1,3 @@
-import pytest
-
 from tabkit.core import all_permutations, inverse_descent_set, partitions
 from tabkit.rsk import (
     act_via_insertion,
@@ -9,9 +7,9 @@ from tabkit.rsk import (
     rsk,
     rsk_inverse,
 )
-from tabkit.tableaux import Tableau, enumerate_tableaux, superstandard
+from tabkit.tableaux import enumerate_tableaux, superstandard
 
-from oracles import insertion_tableau, invert, knuth_move_by_inverse
+from oracles import insertion_tableau, knuth_move_by_inverse
 
 
 def test_rsk_round_trip():

@@ -126,7 +126,6 @@ CARRIERS = {
     **dict.fromkeys(("shifted", "equiv2rev", "equiv2flip"), "S_n"),
 }
 RELATIONS = tuple(CARRIERS)
-TABLEAU_RELATIONS = tuple(r for r in RELATIONS if CARRIERS[r] == "SYT")
 WORD_RELATIONS = tuple(r for r in RELATIONS if CARRIERS[r] in ("SYT", "S_n"))
 
 
@@ -333,9 +332,7 @@ def srt_image_classes(alpha, relation):
 def classes_for_cli(relation, n=None, alpha=None):
     """Carrier selection used by the command line front end: the
     quasi-dual relations take a composition alpha, the others a degree n."""
-    carrier = CARRIERS.get(relation)
-    if carrier is None:
-        raise ValueError(f"unknown relation {relation!r}")
+    carrier = CARRIERS[relation]
     if carrier in ("SYT", "S_n"):
         if n is None or alpha is not None:
             raise ValueError(f"relation {relation} needs --n")
@@ -361,9 +358,9 @@ def classes_to_json(classes):
     ]
 
 
-def classes_to_dot(classes, moves, name="classes"):
+def classes_to_dot(classes, moves):
     """DOT graph: vertices labeled by reading word, edges by generator."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph classes {"]
     for cls in classes:
         for member in cls.members:
             lines.append(f'  "{word_to_str(key_of(member))}";')

@@ -39,11 +39,7 @@ class Tableau:
     __slots__ = ("rows", "flavor", "shape", "_hash", "_word")
 
     def __init__(self, rows, flavor):
-        self.rows = tuple(tuple(row) for row in rows)
-        self.flavor = flavor
-        self.shape = tuple(len(row) for row in self.rows)
-        self._hash = None
-        self._word = None
+        self._assign(rows, flavor)
         problem = self._validate()
         if problem:
             raise InvalidTableauError(problem)
@@ -53,12 +49,15 @@ class Tableau:
         """A tableau whose rows are valid by construction, or a filter's
         candidate that is kept only if its _validate() is None."""
         t = cls.__new__(cls)
-        t.rows = tuple(tuple(row) for row in rows)
-        t.flavor = flavor
-        t.shape = tuple(len(row) for row in t.rows)
-        t._hash = None
-        t._word = None
+        t._assign(rows, flavor)
         return t
+
+    def _assign(self, rows, flavor):
+        self.rows = tuple(tuple(row) for row in rows)
+        self.flavor = flavor
+        self.shape = tuple(len(row) for row in self.rows)
+        self._hash = None
+        self._word = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -268,89 +267,54 @@ def enumerate_tableaux(shape, flavor):
     """All standard fillings of the shape with the flavor's constraints,
     ordered by reading word."""
     shape = tuple(shape)
-    if flavor == "SYT":
-        out = _enumerate_increasing(shape, shifted=False)
-    elif flavor == "SST":
-        if not all(a > b for a, b in zip(shape, shape[1:])):
-            raise InvalidTableauError(f"{shape} is not a strict partition")
-        out = _enumerate_increasing(shape, shifted=True)
-    elif flavor == "SRT":
+    if flavor not in FLAVORS:
+        raise InvalidTableauError(f"unknown flavor {flavor!r}")
+    if flavor == "SRCT" and not all(part >= 1 for part in shape):
+        raise InvalidTableauError(f"{shape} is not a composition")
+    if flavor == "SST" and not all(a > b for a, b in zip(shape, shape[1:])):
+        raise InvalidTableauError(f"{shape} is not a strict partition")
+    if flavor != "SRCT" and any(a < b for a, b in zip(shape, shape[1:])):
+        raise InvalidTableauError(f"{shape} is not a partition")
+    out = _fillings(shape, "SYT" if flavor == "SRT" else flavor)
+    if flavor == "SRT":
         n = sum(shape)
         out = [
             Tableau._trusted([[n + 1 - v for v in row] for row in t.rows], "SRT")
-            for t in _enumerate_increasing(shape, shifted=False)
+            for t in out
         ]
-    elif flavor == "SRCT":
-        out = _enumerate_srct(shape)
-    else:
-        raise InvalidTableauError(f"unknown flavor {flavor!r}")
     return sorted(out, key=lambda t: t.reading_word())
 
 
-def _enumerate_increasing(shape, shifted):
-    """Backtracking fill with 1..n; rows and columns increase."""
-    if any(a < b for a, b in zip(shape, shape[1:])):
-        raise InvalidTableauError(f"{shape} is not a partition")
-    n = sum(shape)
+def _fillings(shape, flavor):
+    """Backtracking fill with 1..n in order: each value takes the next open
+    cell of a row the flavor admits.  SYT and SST rows fill left to right,
+    a row above the bottom only while the row below holds more filled cells
+    (two more for SST, whose row r is indented r cells), so rows and
+    columns increase.  SRCT rows fill right to left, a row's first cell
+    only once the row above is full, so rows decrease and the first column
+    increases downward; the triple rule is checked on completion."""
+    n, k = sum(shape), len(shape)
+    srct = flavor == "SRCT"
+    gap = int(flavor == "SST")
     grid = [[0] * part for part in shape]
-    filled = [0] * len(shape)  # cells filled so far in each row
-    out = []
-
-    def supported(r, c):
-        if c > 0 and grid[r][c - 1] == 0:
-            return False
-        if r > 0:
-            below_c = c + 1 if shifted else c
-            if below_c < len(grid[r - 1]) and grid[r - 1][below_c] == 0:
-                return False
-            # partition shapes always have the below cell; shifted shapes may
-            # hang over on the right, where no support is needed
-            if not shifted and below_c >= len(grid[r - 1]):
-                return False
-        return True
-
-    def place(v):
-        if v > n:
-            out.append(Tableau._trusted(grid, "SST" if shifted else "SYT"))
-            return
-        for r in range(len(shape)):
-            c = filled[r]
-            if c >= shape[r] or not supported(r, c):
-                continue
-            grid[r][c] = v
-            filled[r] += 1
-            place(v + 1)
-            filled[r] -= 1
-            grid[r][c] = 0
-
-    place(1)
-    return out
-
-
-def _enumerate_srct(shape):
-    """Backtracking fill of a composition shape: each row is filled right to
-    left and the first column top to bottom, so rows decrease and the first
-    column increases downward; the triple rule is checked on completion."""
-    if not all(part >= 1 for part in shape):
-        raise InvalidTableauError(f"{shape} is not a composition")
-    n = sum(shape)
-    k = len(shape)
-    grid = [[0] * part for part in shape]
-    filled = [0] * k  # cells filled so far in row, from the right
+    filled = [0] * k  # cells filled so far in each row
     out = []
 
     def place(v):
         if v > n:
-            cand = Tableau._trusted(grid, "SRCT")
-            if cand._validate() is None:
-                out.append(cand)
+            t = Tableau._trusted(grid, flavor)
+            if not srct or t._validate() is None:
+                out.append(t)
             return
         for r in range(k):
-            if filled[r] >= shape[r]:
+            c = filled[r]
+            if c >= shape[r]:
                 continue
-            c = shape[r] - 1 - filled[r]
-            if c == 0 and r + 1 < k and filled[r + 1] < shape[r + 1]:
-                # first column must grow top to bottom
+            if srct:
+                c = shape[r] - 1 - c
+                if c == 0 and r + 1 < k and filled[r + 1] < shape[r + 1]:
+                    continue
+            elif r and filled[r - 1] <= c + gap:
                 continue
             grid[r][c] = v
             filled[r] += 1

@@ -14,7 +14,7 @@ from tabkit.core import (
     word_to_str,
 )
 from tabkit.equivalence import (
-    TABLEAU_RELATIONS,
+    CARRIERS,
     WORD_RELATIONS,
     CarrierError,
     EquivClass,
@@ -87,6 +87,20 @@ def test_classes_srct(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data) == 1  # the action is transitive on this shape
+    # the SRT image of SRCT(2,2,2): one class under the quasi-dual moves,
+    # split in two by the restricted ones
+    assert run(capsys, "classes", "--relation", "quasiDualSRT", "--alpha", "2,2,2") == (
+        0, "1 classes under quasiDualSRT\n  [5] 321654 421653 431652 521643 531642\n", ""
+    )
+    assert run(
+        capsys, "classes", "--relation", "quasiDualSRT-restricted", "--alpha", "2,2,2"
+    ) == (
+        0,
+        "2 classes under quasiDualSRT-restricted\n"
+        "  [2] 321654 421653\n"
+        "  [3] 431652 521643 531642\n",
+        "",
+    )
 
 
 def test_classes_usage_errors(capsys):
@@ -111,6 +125,10 @@ def test_degree_cap(capsys, monkeypatch):
     monkeypatch.setenv("TABKIT_MAX_DEGREE", "abc")
     code, _, err = run(capsys, "classes", "--relation", "equiv2", "--n", "4")
     assert code == 2 and "integer" in err
+    monkeypatch.setenv("TABKIT_MAX_DEGREE", "0")
+    assert run(capsys, "classes", "--relation", "equiv2", "--n", "4") == (
+        2, "", "error: TABKIT_MAX_DEGREE must be >= 1\n"
+    )
 
 
 def test_expand_shape(capsys):
@@ -161,6 +179,9 @@ def test_expand_usage_errors(capsys):
     assert code == 2 and "not a permutation" in err
     code, _, err = run(capsys, "expand", "--class-of", "1234")
     assert code == 2 and "--relation" in err
+    assert run(capsys, "expand", "--class-of", "2143", "--relation", "quasiDualSRCT") == (
+        2, "", "error: --class-of works with word relations, not quasiDualSRCT\n"
+    )
     code, _, err = run(capsys, "expand", "--shape", "2,1", "--format", "dot")
     assert code == 2
     for selector in (("--shape", "2,1"), ("--quasischur", "2,1")):
@@ -228,7 +249,7 @@ def test_expand_class_of_at_the_degree_cap(capsys, relation):
     # move-closed: word moves act on the members themselves; tableau moves
     # act on the insertion tableaux, with the seed's recording tableau fixed
     moves = moves_for(relation, 9)
-    if relation in TABLEAU_RELATIONS:
+    if CARRIERS[relation] == "SYT":
         seed_q = rsk(word_from_str(seed))[1]
         pairs = [rsk(w) for w in members]
         assert all(q == seed_q for _p, q in pairs)

@@ -84,20 +84,34 @@ def _names_used(node):
     )
 
 
+def _defined_names(node):
+    """Names a module-level statement defines: a function, a class, or the
+    plain-name targets of an assignment, dunders such as __version__ aside."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [
+            target.id
+            for target in node.targets
+            if isinstance(target, ast.Name) and not target.id.startswith("__")
+        ]
+    return []
+
+
 def test_src_holds_what_it_runs():
-    # each module-level function and class of src is used in src outside its
-    # own body, or is named by the tracer; test-only references live in
-    # tests/oracles.py
+    # each module-level function, class and constant of src is used in src
+    # outside its own definition, or is named by the tracer; test-only
+    # references live in tests/oracles.py
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     used = sum((_names_used(tree) for tree in trees.values()), Counter())
     traced = _traced_names()
     unused = [
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and used[node.name] == _names_used(node)[node.name]
-        and f"{module}.{node.name}" not in traced
+        for name in _defined_names(node)
+        if used[name] == _names_used(node)[name]
+        and f"{module}.{name}" not in traced
     ]
     assert unused == []
 

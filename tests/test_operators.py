@@ -214,6 +214,25 @@ def test_moves_reject_a_missing_window_value(move, i, word):
         move(i, word)
 
 
+@pytest.mark.parametrize(
+    "move, i, word, message",
+    [
+        (dual_move, 1, (1, 2, 3), r"index 1 out of range \[2, 2\]"),
+        (dual_move, 3, (1, 2, 3), r"index 3 out of range \[2, 2\]"),
+        (knuth_move, 1, (2, 1, 3), r"index 1 out of range \[2, 2\]"),
+        (knuth_move, 3, (2, 1, 3), r"index 3 out of range \[2, 2\]"),
+        (restricted_dual_move, 1, (1, 2, 3, 4), r"index 1 out of range \[2, 2\]"),
+        (restricted_dual_move, 3, (1, 2, 3, 4), r"index 3 out of range \[2, 2\]"),
+        (shifted_dual_move, 0, (1, 2, 3, 4), r"index 0 out of range \[1, 1\]"),
+        (shifted_dual_move, 2, (1, 2, 3, 4), r"index 2 out of range \[1, 1\]"),
+        (shifted_dual_move, 2, (1, 2, 3), "index 2 out of range for n=3"),
+    ],
+)
+def test_moves_reject_an_index_out_of_range(move, i, word, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        move(i, word)
+
+
 # ---------------------------------------------------------------------------
 # restricted dual move
 

@@ -1,4 +1,6 @@
+from fractions import Fraction
 from itertools import combinations
+from math import factorial, prod
 
 import pytest
 
@@ -16,7 +18,7 @@ from tabkit.tableaux import (
     superstandard,
 )
 
-from oracles import brute_force_tableaux, pistol, syt_from_word
+from oracles import brute_force_tableaux, conjugate, pistol, syt_from_word
 
 # rows are listed bottom-to-top throughout
 
@@ -214,12 +216,40 @@ def test_in_single_pistol_matches_the_pistols():
     assert not in_single_pistol((2, 1), [(0, 0), (1, 1)])  # (1, 1) is outside
 
 
+def _hook_length_count(lam):
+    """f^lam = n! / (product of the hook lengths)."""
+    columns = conjugate(lam)
+    hooks = prod(
+        part - c + columns[c] - r - 1 for r, part in enumerate(lam) for c in range(part)
+    )
+    return factorial(sum(lam)) // hooks
+
+
+def _schur_shifted_count(lam):
+    """g^lam = n! / prod(lam_i!) * prod over i < j of (lam_i - lam_j) / (lam_i + lam_j)."""
+    count = Fraction(factorial(sum(lam)), prod(factorial(part) for part in lam))
+    for a, b in combinations(lam, 2):
+        count *= Fraction(a - b, a + b)
+    assert count.denominator == 1
+    return count.numerator
+
+
 def test_enumerate_counts():
     # hook length counts for SYT
     expected = {(3, 2): 5, (2, 2, 1): 5, (4, 1): 4, (1, 1, 1): 1, (3, 3): 5}
     for lam, count in expected.items():
+        assert _hook_length_count(lam) == count
         assert len(enumerate_tableaux(lam, "SYT")) == count
         assert len(enumerate_tableaux(lam, "SRT")) == count
+    # up to the default degree cap: the hook length formula for SYT and
+    # SRT, and Schur's formula for shifted tableaux
+    for n in range(0, 10):
+        for lam in partitions(n):
+            count = _hook_length_count(lam)
+            assert len(enumerate_tableaux(lam, "SYT")) == count, lam
+            assert len(enumerate_tableaux(lam, "SRT")) == count, lam
+        for lam in strict_partitions(n):
+            assert len(enumerate_tableaux(lam, "SST")) == _schur_shifted_count(lam), lam
 
 
 def test_enumerate_matches_brute_force():
@@ -237,7 +267,7 @@ def test_enumerate_matches_brute_force():
 def test_srct_count_equals_shape_fiber():
     # composition tableaux of all alpha with sorted shape lambda biject with
     # the reverse tableaux of lambda
-    for n in range(1, 8):
+    for n in range(1, 10):
         for lam in partitions(n):
             total = sum(
                 len(enumerate_tableaux(alpha, "SRCT"))

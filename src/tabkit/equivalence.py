@@ -4,6 +4,13 @@ Carrier elements are either Tableau objects or words (tuples).  The
 canonical key of a tableau is its reading word; of a word, itself.
 Classes are always listed with members sorted by key and classes sorted
 by least member.
+
+All seven SYT relations close plain reading words, one shape at a time
+(`syt_classes`): the slink relations by the run exchange on the word, the
+others by their value-window moves.  A move checks its own rules (the slink
+run sizes, a window's values); carrier membership checks that each image is
+an SYT word.  Tableau moves (`moves_for`) remain for dot output, `closure`
+and the suites, and each returns a validated tableau.
 """
 
 from .core import flip, partitions, reverse_word, word_to_str
@@ -16,6 +23,8 @@ from .operators import (
     shifted_dual_move,
     slink,
     slink_star,
+    slink_star_word,
+    slink_word,
 )
 from .tableaux import Tableau, enumerate_tableaux
 
@@ -85,6 +94,16 @@ WORD_MOVES = {
 }
 
 
+# The slink relations on SYT: (generator name, move on the reading word of an
+# SYT of a given shape).  slink* is an involution off the superstandard
+# tableau and slink is not; either way all_classes' union-find gives the
+# connected components.
+SLINK_MOVES = {
+    "equiv0": ("slink*", lambda w, lam: slink_star_word(w, lam)),
+    "equiv1": ("slink", lambda w, lam: slink_word(w, lam)),
+}
+
+
 def word_moves(relation, n):
     """The indexed word moves of a word-move relation on words of length n."""
     if relation not in WORD_MOVES:
@@ -96,8 +115,11 @@ def word_moves(relation, n):
 def moves_for(relation, n):
     """Indexed involutions (or the slink generator) for a carrier of size n.
 
-    `equiv2`, its restriction to SRT and `dual` move tableaux by the word
-    moves of `equiv2` and `dual` on their reading words.
+    Each tableau move acts on the tableau's reading word and refills it
+    through `Tableau.with_word`, which validates the image: `slink` and
+    `slink_star` by the slink word moves, `equiv2`, its restriction to SRT
+    and `dual` by the word moves of `equiv2` and `dual`.  The quasi-dual
+    moves choose their word move from the cells of the window.
     """
     if relation == "equiv0":
         return [("slink*", 0, slink_star)]
@@ -159,7 +181,8 @@ def closure(seed, moves, relation):
     """Minimal move-closed superset of {seed}, as a class of the relation.
 
     With involutive moves a plain breadth-first search suffices; the
-    non-involutive slink needs the components that all_classes finds.
+    non-involutive slink needs the components that all_classes finds, and
+    `syt_classes` finds them on reading words.
     """
     return EquivClass(relation, list(_search(seed, moves)))
 
@@ -218,28 +241,32 @@ def syt_universe(n):
     return out
 
 
-def syt_classes(shape_or_n, relation):
-    """Classes of SYT under a word relation.
+def shape_moves(relation, lam):
+    """The moves of an SYT relation on the reading words of SYT(lam): the
+    slink move bound to lam (`SLINK_MOVES`), or the relation's indexed
+    word moves (`word_moves`)."""
+    if relation in SLINK_MOVES:
+        name, move = SLINK_MOVES[relation]
+        return [(name, 0, lambda w: move(w, lam))]
+    return word_moves(relation, sum(lam))
 
-    The slink relations move tableaux.  The others close the reading words
-    of each SYT(shape) under their word moves (`word_moves`).  A reading
-    word fixes the filling of its shape, so the carrier check of
-    `all_classes` (CarrierError) is the check that an image is an SYT.
+
+def syt_classes(shape_or_n, relation):
+    """Classes of SYT under one of the seven SYT relations.
+
+    Every relation closes the reading words of each SYT(shape) under its
+    moves on words (`shape_moves`); no Tableau is built per image.  A
+    reading word fixes the filling of its shape, so the carrier check of
+    `all_classes` (CarrierError) is the check that an image is an SYT; the
+    slink moves check their run sizes themselves (InvalidTableauError).
     """
-    if isinstance(shape_or_n, int):
-        shapes, n = partitions(shape_or_n), shape_or_n
-    else:
-        shapes, n = [tuple(shape_or_n)], sum(shape_or_n)
-    if relation in ("equiv0", "equiv1"):
-        universe = [t for lam in shapes for t in enumerate_tableaux(lam, "SYT")]
-        return all_classes(universe, moves_for(relation, n), relation)
-    moves = word_moves(relation, n)
+    shapes = partitions(shape_or_n) if isinstance(shape_or_n, int) else [tuple(shape_or_n)]
     classes = []
     for lam in shapes:
         by_word = {t.reading_word(): t for t in enumerate_tableaux(lam, "SYT")}
         classes.extend(
             EquivClass(relation, [by_word[w] for w in cls.members])
-            for cls in all_classes(by_word, moves, relation)
+            for cls in all_classes(by_word, shape_moves(relation, lam), relation)
         )
     return sorted(classes, key=lambda cls: cls.key)
 
@@ -302,10 +329,12 @@ def perm_class(word, relation):
     """The class of one permutation under a word-level relation.
 
     The word-move relations' moves are involutions on words, so a
-    breadth-first closure from the word finds the class.  For the slink
-    relations it is the class of the insertion tableau P inside SYT(shape
-    of P), carried across the word's one recording tableau Q by inverse
-    RSK, with Q's row sequence read once.  Neither partitions S_n.
+    breadth-first closure from the word finds the class.  slink is not an
+    involution, so for the slink relations it is the class of the insertion
+    tableau P among the classes of SYT(shape of P) that `syt_classes`
+    closes on reading words, carried across the word's one recording
+    tableau Q by inverse RSK, with Q's row sequence read once.  Neither
+    partitions S_n.
     """
     word = tuple(word)
     if relation in WORD_MOVES:

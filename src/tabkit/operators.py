@@ -3,41 +3,47 @@ and the column-sorting bijection between SRCT and SRT."""
 
 from collections import Counter
 
-from .core import apply_window, flip, inverse_descent_set, reverse_word, window_table
-from .rsk import dual_move
-from .tableaux import (
-    InvalidTableauError,
-    Tableau,
-    in_single_pistol,
-    reading_cells,
-    run_cells,
+from .core import (
+    apply_window,
+    descent_composition,
+    flip,
+    inverse_descent_set,
+    reverse_word,
+    window_table,
 )
+from .rsk import dual_move
+from .tableaux import InvalidTableauError, Tableau, in_single_pistol, reading_cells
 
 
 # ---------------------------------------------------------------------------
-# slink and slink_star
+# slink and slink_star, on the reading word of an SYT of shape lam; position p
+# of the word stands for the cell reading_cells("SYT", lam)[p]
 
-def slink_context(t):
-    """(j, i, beta) for the run surgery, or None when t is superstandard.
+def slink_context(word, shape):
+    """(j, i, beta) for the run surgery, or None when the word is the
+    reading word of the superstandard tableau of the shape.
 
-    beta is the descent composition of t, j the first index whose run
+    beta is the descent composition of the word, j the first index whose run
     prefix fails to be superstandard, and i the lowest row whose part
     satisfies mu[i+1] <= beta[j] + i - j (1-based), with mu the shape of
     the first j runs.  The values 1..m fill a superstandard prefix exactly
     when their row indices never go down, so j is the first run whose end
     reaches the first value that drops a row.
     """
-    row_of = {v: r for r, row in enumerate(t.rows) for v in row}
-    drop = next((v for v in range(2, t.size + 1) if row_of[v] < row_of[v - 1]), None)
+    cells = reading_cells("SYT", tuple(shape))
+    row_of = [0] * (len(word) + 1)
+    for p, v in enumerate(word):
+        row_of[v] = cells[p][0]
+    drop = next((v for v in range(2, len(word) + 1) if row_of[v] < row_of[v - 1]), None)
     if drop is None:
         return None
-    beta = t.descent_composition()
+    beta = descent_composition(word)
     cutoff = 0
     for j, part in enumerate(beta, start=1):
         cutoff += part
         if cutoff >= drop:
             break
-    mu = Counter(row_of[v] for v in range(1, cutoff + 1))
+    mu = Counter(row_of[1:cutoff + 1])
     bj = beta[j - 1]
     for i in range(1, j):
         if mu[i] <= bj + i - j:
@@ -45,68 +51,91 @@ def slink_context(t):
     raise AssertionError("no admissible row index found")  # pragma: no cover
 
 
-def _from_runs(shape, runs):
-    """Fill an SYT candidate from run cell sets: run m gets the next block
-    of consecutive values, increasing in reading order of its cells.  The
-    result is not validated."""
-    grid = [[0] * part for part in shape]
-    order = reading_cells("SYT", shape).index
-    value = 1
-    for cells in runs:
-        for r, c in sorted(cells, key=order):
-            grid[r][c] = value
-            value += 1
-    return Tableau._trusted(grid, "SYT")
-
-
-def _permute_runs(t, beta, donor, j, take):
-    """Exchange cells between runs donor and j (1-based) below row j so the
-    donor run ends up with `take` of the pooled cells; beta is the descent
-    composition of t.
+def _exchange(cells, runs, donor, j, take):
+    """Pass positions between runs donor and j (1-based) below row j so the
+    donor run ends up with `take` of the pooled positions; runs lists the
+    positions of each run, cells the cell of each position.
 
     The donor run lies entirely below row j, so the pool is all of it plus
-    the cells of run j in rows below j - 1 (0-based), and run j keeps its
-    cells in rows j - 1 and up.  The donor takes the `take` leftmost pooled
-    cells in rows below `donor`, the lower row first within a column; run j
-    gets the rest.  The one image is validated, with its prescribed run
-    sizes.
+    the positions of run j in rows below j - 1 (0-based), and run j keeps
+    its positions in rows j - 1 and up.  The donor takes the `take`
+    leftmost pooled cells in rows below `donor`, the lower row first within
+    a column; run j gets the rest.
     """
-    runs = run_cells(t)
-    pool = runs[donor - 1] + [c for c in runs[j - 1] if c[0] < j - 1]
-    low = sorted((c for c in pool if c[0] < donor), key=lambda c: (c[1], c[0]))
-    picked = low[:take]
-    runs[donor - 1] = picked
-    runs[j - 1] = [c for c in runs[j - 1] if c[0] >= j - 1] + [
-        c for c in pool if c not in picked
-    ]
+    kept = [p for p in runs[j - 1] if cells[p][0] >= j - 1]
+    pool = runs[donor - 1] + [p for p in runs[j - 1] if cells[p][0] < j - 1]
+    low = sorted(
+        (p for p in pool if cells[p][0] < donor),
+        key=lambda p: (cells[p][1], cells[p][0]),
+    )
+    picked = set(low[:take])
+    runs = list(runs)
+    runs[donor - 1] = list(picked)
+    runs[j - 1] = kept + [p for p in pool if p not in picked]
+    return runs
+
+
+def _permute_runs(word, shape, beta, donor, j, take):
+    """The word after the run exchange of `_exchange`: each run gets the
+    next block of consecutive values, in position order.  The image's
+    descent composition must be beta with `take` in the donor's place;
+    otherwise InvalidTableauError names the word and both run sizes.
+    Whether the image is an SYT word is its caller's check."""
+    cells = reading_cells("SYT", tuple(shape))
+    pos = [0] * (len(word) + 1)
+    for p, v in enumerate(word):
+        pos[v] = p
+    runs, low = [], 0
+    for part in beta:
+        runs.append(pos[low + 1:low + part + 1])
+        low += part
+    image = [0] * len(word)
+    value = 1
+    for positions in _exchange(cells, runs, donor, j, take):
+        for p in sorted(positions):
+            image[p] = value
+            value += 1
+    image = tuple(image)
     expected = list(beta)
     expected[donor - 1] = take
     expected[j - 1] = beta[donor - 1] + beta[j - 1] - take
-    image = _from_runs(t.shape, runs)
-    if image._validate() is None and list(image.descent_composition()) == expected:
-        return image
-    raise AssertionError(
-        f"run exchange has no completion for {t!r} "
-        f"(donor={donor}, j={j}, take={take})"
-    )
+    found = descent_composition(image)
+    if found != tuple(expected):
+        raise InvalidTableauError(
+            f"run exchange on {word} of shape {tuple(shape)} gives run sizes "
+            f"{found}, not {tuple(expected)}"
+        )
+    return image
+
+
+def slink_word(word, shape):
+    """slink on the reading word of an SYT of the shape: pass the lead of
+    the offending run back to the previous run."""
+    ctx = slink_context(word, shape)
+    if ctx is None:
+        return tuple(word)
+    j, _, beta = ctx
+    return _permute_runs(word, shape, beta, j - 1, j, beta[j - 1] - 1)
+
+
+def slink_star_word(word, shape):
+    """slink* on the reading word of an SYT of the shape: exchange the
+    offending run with the lowest row that can absorb it."""
+    ctx = slink_context(word, shape)
+    if ctx is None:
+        return tuple(word)
+    j, i, beta = ctx
+    return _permute_runs(word, shape, beta, i, j, beta[j - 1] + i - j)
 
 
 def slink(t):
-    """Pass the lead of the offending run back to the previous run."""
-    ctx = slink_context(t)
-    if ctx is None:
-        return t
-    j, _, beta = ctx
-    return _permute_runs(t, beta, j - 1, j, beta[j - 1] - 1)
+    """slink on an SYT, through its reading word; a validated tableau."""
+    return t.with_word(slink_word(t.reading_word(), t.shape))
 
 
 def slink_star(t):
-    """Exchange the offending run with the lowest row that can absorb it."""
-    ctx = slink_context(t)
-    if ctx is None:
-        return t
-    j, i, beta = ctx
-    return _permute_runs(t, beta, i, j, beta[j - 1] + i - j)
+    """slink* on an SYT, through its reading word; a validated tableau."""
+    return t.with_word(slink_star_word(t.reading_word(), t.shape))
 
 
 # ---------------------------------------------------------------------------

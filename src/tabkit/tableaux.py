@@ -212,23 +212,6 @@ def superstandard(lam):
     return Tableau(rows, "SYT")
 
 
-# ---------------------------------------------------------------------------
-# run decomposition
-
-def run_cells(t):
-    """Cells of each run, in order of increasing value."""
-    word = t.reading_word()
-    n = len(word)
-    marks = sorted(inverse_descent_set(word) | {n})
-    runs = []
-    low = 0
-    for high in marks:
-        cells = [t.position_of(v) for v in range(low + 1, high + 1)]
-        runs.append(cells)
-        low = high
-    return runs
-
-
 def restrict_to(t, cutoff):
     """Restriction of an SYT to values <= cutoff."""
     rows = []
@@ -292,7 +275,9 @@ def _fillings(shape, flavor):
     (two more for SST, whose row r is indented r cells), so rows and
     columns increase.  SRCT rows fill right to left, a row's first cell
     only once the row above is full, so rows decrease and the first column
-    increases downward; the triple rule is checked on completion."""
+    increases downward.  The triple rule for a value involves only smaller
+    values, so it is checked as the value is placed, pruning the branch;
+    each completed SRCT still passes the _validate() filter."""
     n, k = sum(shape), len(shape)
     srct = flavor == "SRCT"
     gap = int(flavor == "SST")
@@ -313,6 +298,12 @@ def _fillings(shape, flavor):
             if srct:
                 c = shape[r] - 1 - c
                 if c == 0 and r + 1 < k and filled[r + 1] < shape[r + 1]:
+                    continue
+                # triple rule for v at (r, c): every value below in column
+                # c + 1 that is filled is smaller than v, so none may exceed
+                # v's right neighbour b (0 when there is none)
+                b = grid[r][c + 1] if c + 1 < shape[r] else 0
+                if any(c + 1 < shape[r2] and grid[r2][c + 1] > b for r2 in range(r)):
                     continue
             elif r and filled[r - 1] <= c + gap:
                 continue

@@ -3,19 +3,30 @@
 Each oracle decides again, by another route, something the library decides
 once: enumeration by filtering every filling, the Knuth move through
 inverses, straightening by row swaps, Yamanouchi words by recursion,
-pistols by their definition, and the basis conjecture by the exact rank of
-each family (`fk_family`, `exact_rank`, `family_independence_report`)
-where the library reads one lead table.  `refines`, `syt_from_word` and
-`insertion_tableau` spell a test's verdict or input in library calls.  Test
-modules import them as `from oracles import ...`.
+pistols by their definition, slink and slink* by moving the cells of a
+tableau's runs (`slink_by_runs`, `slink_star_by_runs`) where the library
+moves positions of its reading word, and the basis conjecture by the exact
+rank of each family (`fk_family`, `exact_rank`,
+`family_independence_report`) where the library reads one lead table.
+`refines`, `syt_from_word` and `insertion_tableau` spell a test's verdict
+or input in library calls, and `misfiled_exchange` breaks the library's
+run exchange on purpose.  Test modules import them as
+`from oracles import ...`.
 """
 
+from collections import Counter
 from itertools import permutations
 
 from tabkit.equivalence import _straddling, syt_classes
 from tabkit.qsym import class_union_qsym
 from tabkit.rsk import dual_move, rsk
-from tabkit.tableaux import FLAVORS, InvalidTableauError, Tableau, superstandard
+from tabkit.tableaux import (
+    FLAVORS,
+    InvalidTableauError,
+    Tableau,
+    reading_cells,
+    superstandard,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +162,103 @@ def brute_force_tableaux(shape, flavor):
         except InvalidTableauError:
             pass
     return sorted(out, key=lambda t: t.reading_word())
+
+
+# ---------------------------------------------------------------------------
+# slink and slink* on tableaux: the runs' cells move, then refill
+
+def run_cells(t):
+    """Cells of each run of an SYT, in order of increasing value."""
+    runs, low = [], 0
+    for part in t.descent_composition():
+        runs.append([t.position_of(v) for v in range(low + 1, low + part + 1)])
+        low += part
+    return runs
+
+
+def from_runs(shape, runs):
+    """Fill an SYT candidate from run cell sets: run m gets the next block
+    of consecutive values, increasing in reading order of its cells.  The
+    result is not validated."""
+    grid = [[0] * part for part in shape]
+    order = reading_cells("SYT", shape).index
+    value = 1
+    for cells in runs:
+        for r, c in sorted(cells, key=order):
+            grid[r][c] = value
+            value += 1
+    return Tableau._trusted(grid, "SYT")
+
+
+def _slink_context_by_rows(t):
+    """(j, i, beta) of the run surgery read off the rows of t, or None when
+    t is superstandard."""
+    row_of = {v: r for r, row in enumerate(t.rows) for v in row}
+    drop = next((v for v in range(2, t.size + 1) if row_of[v] < row_of[v - 1]), None)
+    if drop is None:
+        return None
+    beta = t.descent_composition()
+    cutoff = 0
+    for j, part in enumerate(beta, start=1):
+        cutoff += part
+        if cutoff >= drop:
+            break
+    mu = Counter(row_of[v] for v in range(1, cutoff + 1))
+    for i in range(1, j):
+        if mu[i] <= beta[j - 1] + i - j:
+            return (j, i, beta)
+    raise AssertionError("no admissible row index found")
+
+
+def _permute_runs_of_cells(t, beta, donor, j, take):
+    """Exchange cells between runs donor and j below row j so the donor run
+    ends up with `take` of the pooled cells; the image is validated, with
+    its prescribed run sizes."""
+    runs = run_cells(t)
+    pool = runs[donor - 1] + [c for c in runs[j - 1] if c[0] < j - 1]
+    picked = sorted((c for c in pool if c[0] < donor), key=lambda c: (c[1], c[0]))[:take]
+    runs[donor - 1] = picked
+    runs[j - 1] = [c for c in runs[j - 1] if c[0] >= j - 1] + [
+        c for c in pool if c not in picked
+    ]
+    expected = list(beta)
+    expected[donor - 1] = take
+    expected[j - 1] = beta[donor - 1] + beta[j - 1] - take
+    image = from_runs(t.shape, runs)
+    assert image._validate() is None and list(image.descent_composition()) == expected
+    return image
+
+
+def slink_by_runs(t):
+    """Oracle for slink: pass the lead of the offending run back."""
+    ctx = _slink_context_by_rows(t)
+    if ctx is None:
+        return t
+    j, _, beta = ctx
+    return _permute_runs_of_cells(t, beta, j - 1, j, beta[j - 1] - 1)
+
+
+def slink_star_by_runs(t):
+    """Oracle for slink*: exchange the offending run with the lowest row
+    that can absorb it."""
+    ctx = _slink_context_by_rows(t)
+    if ctx is None:
+        return t
+    j, i, beta = ctx
+    return _permute_runs_of_cells(t, beta, i, j, beta[j - 1] + i - j)
+
+
+def misfiled_exchange(exchange):
+    """The library's run exchange with one donor position handed on to run
+    j, so that the image misses its prescribed run sizes."""
+
+    def misfiled(cells, runs, donor, j, take):
+        runs = exchange(cells, runs, donor, j, take)
+        runs[j - 1] = runs[j - 1] + runs[donor - 1][:1]
+        runs[donor - 1] = runs[donor - 1][1:]
+        return runs
+
+    return misfiled
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def test_criterion_3_slink_laws(capsys):
                 star = slink_star(t)
                 assert slink_star(star) == t
                 assert slink(star) == slink_star(slink(t))
-                ctx = slink_context(t)
+                ctx = slink_context(t.reading_word(), t.shape)
                 if ctx is None:
                     assert star == t and slink(t) == t
                     continue

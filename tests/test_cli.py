@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tabkit import cli
+from tabkit import cli, operators
 from tabkit.cli import SUITE_RUNNERS, main, suite_commutation, suite_mason
 from tabkit.core import (
     all_permutations,
@@ -45,7 +45,12 @@ from tabkit.rsk import (
 )
 from tabkit.tableaux import Tableau, superstandard
 
-from oracles import family_independence_report, insertion_tableau, refines
+from oracles import (
+    family_independence_report,
+    insertion_tableau,
+    misfiled_exchange,
+    refines,
+)
 
 
 def run(capsys, *argv):
@@ -467,6 +472,24 @@ def test_broken_dual_entry_fails_the_transport_tree(capsys, monkeypatch, image, 
     assert str(caught.value) == message
     code, out, err = run(capsys, "classes", "--relation", "shifted", "--n", "6")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_wrong_run_sizes_are_reported_not_raised(capsys, monkeypatch):
+    # a run exchange that misses its run sizes is one error line for classes
+    # (exit 2) and the failed backstop check for verify (exit 1)
+    monkeypatch.setattr(operators, "_exchange", misfiled_exchange(operators._exchange))
+    message = (
+        "run exchange on (2, 1, 3, 4, 5, 6) of shape (5, 1) gives run sizes"
+        " (3, 3), not (4, 2)"
+    )
+    code, out, err = run(capsys, "classes", "--relation", "equiv1", "--n", "6")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, err = run(capsys, "verify", "--suite", "involutions", "--n", "6")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        f"[FAIL] suite involutions runs to completion at n = 6  witness: {message!r}",
+        "suite involutions: 0 passed, 1 failed",
+    ]
 
 
 @pytest.mark.parametrize("suite, message", [

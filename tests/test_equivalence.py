@@ -25,7 +25,7 @@ from tabkit.equivalence import (
 from tabkit.rsk import dual_move_tableau, rsk, rsk_inverse
 from tabkit.tableaux import Tableau, enumerate_tableaux, superstandard
 
-from oracles import insertion_tableau, refines
+from oracles import insertion_tableau, refines, slink_by_runs, slink_star_by_runs
 
 
 # class counts over all SYT of size n, frozen from the closure engine and
@@ -127,7 +127,12 @@ def test_dual_and_restricted_images_of_syt_are_syt():
 
 
 def _tableau_moves(relation, n):
-    # the validated tableau moves, or the word moves read through insertion
+    # the run exchange on cells, the validated tableau moves, or the word
+    # moves read through insertion
+    if relation == "equiv0":
+        return [("slink*", 0, slink_star_by_runs)]
+    if relation == "equiv1":
+        return [("slink", 0, slink_by_runs)]
     moves = moves_for(relation, n)
     if relation in ("equiv2", "dual"):
         return moves
@@ -138,7 +143,7 @@ def _tableau_moves(relation, n):
 
 
 @pytest.mark.parametrize(
-    "relation", ["equiv2", "dual", "shifted", "equiv2rev", "equiv2flip"]
+    "relation", ["equiv0", "equiv1", "equiv2", "dual", "shifted", "equiv2rev", "equiv2flip"]
 )
 def test_syt_classes_match_tableau_moves(relation):
     # reference: close the tableaux themselves under tableau-level moves
@@ -149,6 +154,34 @@ def test_syt_classes_match_tableau_moves(relation):
         for lam in partitions(n):
             expected = all_classes(enumerate_tableaux(lam, "SYT"), moves, relation)
             assert syt_classes(lam, relation) == expected
+
+
+@pytest.mark.parametrize("relation", ["equiv0", "equiv1"])
+def test_slink_classes_move_no_tableau(monkeypatch, relation):
+    # the slink classes close reading words: with every tableau-level slink
+    # and Tableau.with_word broken, the classes come out the same
+    expected = syt_classes(7, relation)
+
+    def fail(*args):
+        raise AssertionError("a tableau was moved")
+
+    for target in (
+        "tabkit.equivalence.slink",
+        "tabkit.equivalence.slink_star",
+        "tabkit.operators.slink",
+        "tabkit.operators.slink_star",
+        "tabkit.tableaux.Tableau.with_word",
+    ):
+        monkeypatch.setattr(target, fail)
+    assert syt_classes(7, relation) == expected
+
+
+def test_slink_word_that_leaves_syt_is_named(monkeypatch):
+    # the carrier check of syt_classes is what proves each slink image an SYT
+    monkeypatch.setattr(equivalence, "slink_word", lambda w, lam: tuple(reversed(w)))
+    with pytest.raises(CarrierError) as caught:
+        syt_classes(6, "equiv1")
+    assert str(caught.value) == "move slink_0 left the carrier at (1, 2, 3, 4, 5, 6)"
 
 
 def test_perm_classes_transport_consistency():

@@ -2,11 +2,11 @@ from itertools import combinations
 
 import pytest
 
+from tabkit import operators
 from tabkit.core import all_permutations, compositions, flip, reverse_word, slinky
 from tabkit.equivalence import srct_classes, syt_universe
 from tabkit.operators import (
     CYCLIC_WINDOW_TABLE,
-    _from_runs,
     RESTRICTED_WINDOW_TABLE,
     SHIFTED_WINDOW_TABLE,
     cyclic_dual_move,
@@ -21,6 +21,8 @@ from tabkit.operators import (
     slink,
     slink_context,
     slink_star,
+    slink_star_word,
+    slink_word,
 )
 from tabkit.qsym import QsymElement, qsym_sum, quasi_schur
 from tabkit.rsk import DUAL_WINDOW_TABLE, dual_move, knuth_move
@@ -29,11 +31,17 @@ from tabkit.tableaux import (
     Tableau,
     enumerate_tableaux,
     reading_cells,
-    run_cells,
     superstandard,
 )
 
-from oracles import syt_from_word
+from oracles import (
+    from_runs,
+    misfiled_exchange,
+    run_cells,
+    slink_by_runs,
+    slink_star_by_runs,
+    syt_from_word,
+)
 
 
 def syt(word, shape):
@@ -105,7 +113,7 @@ def run_exchange_by_search(t, donor, j, take):
         new_runs = list(runs)
         new_runs[donor - 1] = list(subset)
         new_runs[j - 1] = kept + [c for c in pool if c not in subset]
-        cand = _from_runs(t.shape, new_runs)
+        cand = from_runs(t.shape, new_runs)
         if cand._validate() is None and list(cand.descent_composition()) == expected:
             return cand
     return None
@@ -116,7 +124,7 @@ def test_run_exchange_rule_matches_search():
     # included, on every SYT of size <= 9
     for n in range(1, 10):
         for t in syt_universe(n):
-            ctx = slink_context(t)
+            ctx = slink_context(t.reading_word(), t.shape)
             if ctx is None:
                 continue
             j, i, beta = ctx
@@ -124,12 +132,44 @@ def test_run_exchange_rule_matches_search():
             assert slink_star(t) == run_exchange_by_search(t, i, j, beta[j - 1] + i - j)
 
 
+def test_slink_words_match_the_run_cell_oracle():
+    # the moves on reading words, and the tableau moves through them, equal
+    # the run exchange on cells on every SYT of size <= 9
+    checked = 0
+    for n in range(1, 10):
+        for t in syt_universe(n):
+            word = t.reading_word()
+            for move, word_move, oracle in (
+                (slink, slink_word, slink_by_runs),
+                (slink_star, slink_star_word, slink_star_by_runs),
+            ):
+                expected = oracle(t)
+                assert word_move(word, t.shape) == expected.reading_word()
+                assert move(t) == expected
+            checked += 1
+    assert checked == 3735
+
+
+def test_run_exchange_checks_its_run_sizes(monkeypatch):
+    # an exchange that hands one donor position to run j misses the
+    # prescribed run sizes, and the move names the word and both sizes
+    monkeypatch.setattr(operators, "_exchange", misfiled_exchange(operators._exchange))
+    message = (
+        "run exchange on (2, 1, 3, 4, 5, 6) of shape (5, 1) gives run sizes"
+        " (3, 3), not (4, 2)"
+    )
+    for move in (slink_word, slink_star_word):
+        with pytest.raises(InvalidTableauError) as caught:
+            move((2, 1, 3, 4, 5, 6), (5, 1))
+        assert str(caught.value) == message
+
+
 def test_slink_fixes_superstandard():
     for lam in [(3,), (2, 1), (4, 4, 1), (3, 2, 1)]:
         u = superstandard(lam)
         assert slink(u) == u
         assert slink_star(u) == u
-        assert slink_context(u) is None
+        assert slink_context(u.reading_word(), u.shape) is None
 
 
 def test_slink_star_involution():
@@ -148,7 +188,7 @@ def test_slink_chain_identity():
     # slink^(j-i) equals slink^(j-i-1) after slink_star
     for n in range(1, 8):
         for t in syt_universe(n):
-            ctx = slink_context(t)
+            ctx = slink_context(t.reading_word(), t.shape)
             if ctx is None:
                 continue
             j, i, _ = ctx

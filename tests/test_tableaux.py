@@ -14,11 +14,10 @@ from tabkit.tableaux import (
     in_single_pistol,
     reading_cells,
     restrict_to,
-    run_cells,
     superstandard,
 )
 
-from oracles import brute_force_tableaux, conjugate, pistol, syt_from_word
+from oracles import brute_force_tableaux, conjugate, pistol, run_cells, syt_from_word
 
 # rows are listed bottom-to-top throughout
 

@@ -1,6 +1,7 @@
 """Quasisymmetric functions on the fundamental basis, symmetry detection,
 Schur expansions of class unions, quasisymmetric Schur functions, and the
-class generating-function families."""
+class generating-function families k = 0, 1, 2, each with one lead table
+that both decomposes targets and certifies the family as a basis."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -15,7 +16,7 @@ from .core import (
     sort_to_partition,
     subset_to_composition,
 )
-from .equivalence import all_classes, key_of, moves_for, syt_classes
+from .equivalence import key_of, syt_classes
 from .rsk import rsk
 from .tableaux import Tableau, enumerate_tableaux, superstandard
 
@@ -28,6 +29,19 @@ class NotSymmetricError(ValueError):
     def __init__(self, witness):
         self.witness = witness
         super().__init__(f"not symmetric: monomial coefficients differ on {witness}")
+
+
+class MarkerMismatchError(ValueError):
+    """Raised when the marker counts of a class union disagree with the
+    slinky straightening of its fundamental expansion; carries both
+    Schur expansions."""
+
+    def __init__(self, markers, straightened):
+        self.markers = markers
+        self.straightened = straightened
+        super().__init__(
+            f"marker counts {markers!r} disagree with slinky sum {straightened!r}"
+        )
 
 
 class DecompositionError(ValueError):
@@ -267,7 +281,8 @@ def schur_expand_class_union(classes):
     Coefficients are counted from the distinguished members (superstandard
     tableaux, or permutations whose insertion tableau is superstandard,
     flipped for the shifted relation) and cross-checked against the
-    slinky straightening of the fundamental expansion.
+    slinky straightening of the fundamental expansion; a disagreement
+    raises MarkerMismatchError.
     """
     relations = {cls.relation for cls in classes}
     if len(relations) != 1:
@@ -288,9 +303,7 @@ def schur_expand_class_union(classes):
 
     check = schur_expand_by_slinky(q)
     if check != expansion:
-        raise AssertionError(
-            f"marker counts {expansion!r} disagree with slinky sum {check!r}"
-        )
+        raise MarkerMismatchError(expansion, check)
     return expansion
 
 
@@ -400,29 +413,37 @@ def lead_table(entries):
     return MappingProxyType(table)
 
 
+def family_lead_table(classes):
+    """`lead_table` of the family's distinct class functions, each kept by
+    its first class in family order before any vector is made."""
+    first = {}
+    for cls in classes:
+        first.setdefault(class_union_qsym([cls]), cls)
+    return lead_table((cls, q.to_vector()) for q, cls in first.items())
+
+
 @lru_cache(maxsize=None)
-def f2_lead_table(n):
-    """The lead table of the degree-n k=2 family, built once per process."""
-    return lead_table(
-        (cls, class_union_qsym([cls]).to_vector())
-        for cls in syt_classes(n, "equiv2")
-    )
+def fk_lead_table(k, n):
+    """The lead table of the degree-n k-th family, built once per process."""
+    return family_lead_table(syt_classes(n, f"equiv{k}"))
 
 
 def decompose_in_fk(q, k, n):
-    """Express q over the k-th family as nonnegative-checkable coefficients.
+    """Express q over the k-th family (k = 0, 1 or 2) as integer coefficients.
 
-    The solve is forward elimination in integers against the k=2 family,
-    whose distinct functions are unitriangular (`f2_lead_table`); each
-    coefficient sits on the first class of its function.  For k < 2 each
-    coefficient is pushed down constructively onto the finer classes
-    contained in the coarser one.  Returns {class key: coefficient}.
+    The solve is forward elimination in integers against the family's
+    distinct functions, which lead unitriangularly (`fk_lead_table`); each
+    coefficient sits on the first class of its function.  Returns
+    {class key: coefficient}; a q outside the family's span raises
+    DecompositionError.
     """
+    if k not in (0, 1, 2):
+        raise ValueError(f"no k={k} family: k is 0, 1 or 2")
     if q.degree != n:
         raise ValueError("degree mismatch")
-    table = f2_lead_table(n)
+    table = fk_lead_table(k, n)
     residual = q.to_vector()
-    solution = []
+    solution = {}
     for lead in range(len(residual)):
         coeff = residual[lead]
         if not coeff:
@@ -432,13 +453,5 @@ def decompose_in_fk(q, k, n):
         cls, vector = table[lead]
         for i in range(lead, len(residual)):
             residual[i] -= coeff * vector[i]
-        solution.append((cls, coeff))
-    if k == 2:
-        return {cls.key: coeff for cls, coeff in solution}
-    relation = f"equiv{k}"
-    out = {}
-    for cls, coeff in solution:
-        fine = all_classes(cls.members, moves_for(relation, n), relation)
-        for sub in fine:
-            out[sub.key] = out.get(sub.key, 0) + coeff
-    return out
+        solution[cls.key] = coeff
+    return solution

@@ -1,9 +1,12 @@
 import json
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from tabkit import cli, operators
+from tabkit import cli, operators, qsym
 from tabkit.cli import SUITE_RUNNERS, main, suite_commutation, suite_mason
 from tabkit.core import (
     all_permutations,
@@ -33,7 +36,7 @@ from tabkit.qsym import (
     DecompositionError,
     QsymElement,
     class_union_qsym,
-    f2_lead_table,
+    fk_lead_table,
     qsym_sum,
     quasi_schur,
 )
@@ -274,6 +277,45 @@ def test_expand_class_of_at_the_degree_cap(capsys, relation):
         for term in data["fundamental"]["coeffs"]
     }
     assert got == expected
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_quick_start_commands_run(capsys, monkeypatch, tmp_path):
+    # every `tabkit` line of README's sh blocks exits 0 with nothing on
+    # stderr, run from a scratch directory so that --out stays out of the repo
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("tabkit ")
+    ]
+    assert {argv[0] for argv in commands} == {"classes", "expand", "verify"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_expand_marker_mismatch_is_reported_not_raised(capsys, monkeypatch, fmt):
+    # markers that disagree with the slinky straightening are one error line
+    # naming both expansions, exit 1, and nothing on stdout
+    monkeypatch.setattr(qsym, "_marker_shape", lambda member, relation: None)
+    with pytest.raises(qsym.MarkerMismatchError) as caught:
+        qsym.schur_expand_class_union([cli.perm_class((2, 1, 4, 3), "dual")])
+    assert caught.value.markers == qsym.SchurExpansion(4, {})
+    assert caught.value.straightened == qsym.SchurExpansion(4, {(2, 2): 1})
+    code, out, err = run(
+        capsys, "expand", "--class-of", "2143", "--relation", "dual", "--format", fmt
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: class of 2143 under dual: marker counts SchurExpansion(4, {})"
+        " disagree with slinky sum SchurExpansion(4, {(2, 2): 1})\n"
+    )
 
 
 def test_expand_quasischur_exact_coefficients(capsys, monkeypatch):
@@ -517,9 +559,10 @@ def test_suite_that_leaves_its_carrier_fails_with_exit_1(capsys, monkeypatch, su
 
 
 def test_conjecture_verdict_never_rests_on_a_cached_lead_table(capsys, monkeypatch):
-    # expand --quasischur caches f2_lead_table(n); the suite builds its own
-    # classes, so a broken move still fails it after the table is cached
-    assert len(f2_lead_table(6)) == 32
+    # decompose_in_fk caches fk_lead_table(k, n); the suite builds its own
+    # classes, so a broken move still fails it after every table is cached
+    for k in (0, 1, 2):
+        assert len(fk_lead_table(k, 6)) == 32
     monkeypatch.setitem(RESTRICTED_WINDOW_TABLE, (2, 1, 3, 4), (3, 1, 4, 2))
     message = "move dR_2 left the carrier at (2, 1, 3, 4, 5, 6)"
     code, out, err = run(capsys, "verify", "--suite", "conjecture", "--n", "6")
@@ -530,67 +573,56 @@ def test_conjecture_verdict_never_rests_on_a_cached_lead_table(capsys, monkeypat
 
 
 def test_conjecture_suite_matches_the_rank_oracle():
-    # the lead table and the refinement decide what the exact ranks decide
+    # each family's lead table decides what the exact ranks decide
     for n in range(1, 8):
         expected = []
-        for k in (2, 0, 1):
+        for k in (0, 1, 2):
             report = family_independence_report(k, n)
             dimension = report["dimension"]
-            if k == 2:
-                name = (f"k=2 family is a unitriangular basis of QSym_{n}: "
-                        f"{report['classes']} classes, {report['distinct']} leads of {dimension}")
-                ok = report["rank"] == report["distinct"] == dimension
-            else:
-                name = (f"k={k} family spans QSym_{n}: "
-                        f"{report['classes']} classes refine the k=2 classes")
-                ok = report["rank"] == dimension
+            name = (f"k={k} family is a unitriangular basis of QSym_{n}: "
+                    f"{report['classes']} classes, {report['distinct']} leads of {dimension}")
+            ok = report["rank"] == report["distinct"] == dimension
             expected.append((name, ok))
         assert [(name, ok) for name, ok, _ in cli.suite_conjecture(n)] == expected
 
 
 def _equiv2_shares_a_lead(monkeypatch):
-    # class (2, 5, 1, 3, 4) gets the function of (2, 4, 1, 3, 5) plus
+    # equiv2 class (2, 5, 1, 3, 4) gets the function of (2, 4, 1, 3, 5) plus
     # F(1,1,1,1,1): a different function with the same lead 2
-    real = cli.class_union_qsym
+    real = qsym.class_union_qsym
     donor = next(c for c in syt_classes(5, "equiv2") if c.key == (2, 4, 1, 3, 5))
 
     def shared(classes):
-        if classes[0].key == (2, 5, 1, 3, 4):
+        if classes[0].relation == "equiv2" and classes[0].key == (2, 5, 1, 3, 4):
             return real([donor]) + QsymElement.fundamental((1, 1, 1, 1, 1))
         return real(classes)
 
-    monkeypatch.setattr(cli, "class_union_qsym", shared)
+    monkeypatch.setattr(qsym, "class_union_qsym", shared)
 
 
-def _swap_classes(monkeypatch, relation):
+def _swap_classes(monkeypatch, *relations):
     real = cli.syt_classes
     monkeypatch.setattr(
-        cli, "syt_classes", lambda n, r: real(n, "dual" if r == relation else r)
+        cli, "syt_classes", lambda n, r: real(n, "dual" if r in relations else r)
     )
 
 
 @pytest.mark.parametrize("inject, failed", [
-    (lambda mp: _swap_classes(mp, "equiv2"), [
+    (lambda mp: _swap_classes(mp, "equiv0", "equiv2"), [
+        ("k=0 family is a unitriangular basis of QSym_5: 7 classes, 7 leads of 16",
+         {"least missing lead": 4}),
         ("k=2 family is a unitriangular basis of QSym_5: 7 classes, 7 leads of 16",
          {"least missing lead": 4}),
-        ("k=0 family spans QSym_5: 23 classes refine the k=2 classes",
-         "the k=2 family is not certified to span"),
-        ("k=1 family spans QSym_5: 22 classes refine the k=2 classes",
-         "the k=2 family is not certified to span"),
     ]),
     (_equiv2_shares_a_lead, [
         ("k=2 family is a unitriangular basis of QSym_5: 17 classes, not unitriangular",
          {"classes": ((2, 4, 1, 3, 5), (2, 5, 1, 3, 4)), "lead": 2}),
-        ("k=0 family spans QSym_5: 23 classes refine the k=2 classes",
-         "the k=2 family is not certified to span"),
-        ("k=1 family spans QSym_5: 22 classes refine the k=2 classes",
-         "the k=2 family is not certified to span"),
     ]),
     (lambda mp: _swap_classes(mp, "equiv1"), [
-        ("k=1 family spans QSym_5: 7 classes refine the k=2 classes",
-         {"straddling class": (2, 1, 3, 4, 5)}),
+        ("k=1 family is a unitriangular basis of QSym_5: 7 classes, 7 leads of 16",
+         {"least missing lead": 4}),
     ]),
-], ids=["missing-lead", "shared-lead", "straddling-class"])
+], ids=["missing-lead", "shared-lead", "k1-missing-lead"])
 def test_conjecture_failed_checks_name_a_witness(capsys, monkeypatch, inject, failed):
     inject(monkeypatch)
     code, out, err = run(capsys, "verify", "--suite", "conjecture", "--n", "5")

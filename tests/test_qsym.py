@@ -13,7 +13,7 @@ from tabkit.qsym import (
     SchurExpansion,
     class_union_qsym,
     decompose_in_fk,
-    f2_lead_table,
+    fk_lead_table,
     lead_table,
     qsym_sum,
     quasi_schur,
@@ -210,12 +210,14 @@ def test_family_independence_frozen():
 
 def test_f2_lead_table_certifies_the_basis_up_to_the_cap():
     # 2^(n-1) distinct leads, each with coefficient 1 and zeros before it:
-    # the distinct k=2 functions are unitriangular, hence a basis of QSym_n
-    for n in range(1, 10):
-        table = f2_lead_table(n)
-        assert len(table) == 2 ** (n - 1)
-        for lead, (_cls, vector) in table.items():
-            assert vector[lead] == 1 and not any(vector[:lead])
+    # the distinct functions of each family are unitriangular, hence a
+    # basis of QSym_n
+    for k in (0, 1, 2):
+        for n in range(1, 10):
+            table = fk_lead_table(k, n)
+            assert len(table) == 2 ** (n - 1)
+            for lead, (_cls, vector) in table.items():
+                assert vector[lead] == 1 and not any(vector[:lead])
 
 
 def test_lead_table_rejects_a_shared_lead():
@@ -277,53 +279,69 @@ def test_decompose_quasi_schur_nonnegative():
                 assert all(c == int(c) and c >= 0 for c in coeffs.values())
 
 
-def _f2_functions(n):
-    return {cls.key: class_union_qsym([cls]) for cls in syt_classes(n, "equiv2")}
+def _family_functions(k, n):
+    return {cls.key: class_union_qsym([cls]) for cls in syt_classes(n, f"equiv{k}")}
 
 
 def test_decompose_matches_solve_exact():
-    # the integer elimination agrees with the rational Gauss-Jordan oracle
-    for n in range(1, 7):
-        classes = syt_classes(n, "equiv2")
-        columns = [class_union_qsym([cls]).to_vector() for cls in classes]
-        targets = [quasi_schur(alpha) for alpha in compositions(n)]
-        targets += [schur_fundamental(lam) for lam in partitions(n)]
-        for q in targets:
-            if q.is_zero():
-                continue
-            solution, _unique = solve_exact(columns, q.to_vector())
-            expected = {cls.key: c for cls, c in zip(classes, solution) if c}
-            coeffs = decompose_in_fk(q, 2, n)
-            assert coeffs == expected
-            assert all(type(c) is int for c in coeffs.values())
+    # the integer elimination agrees with the rational Gauss-Jordan oracle,
+    # which leaves every later class of a function at zero
+    for k in (0, 1, 2):
+        for n in range(1, 7):
+            classes = syt_classes(n, f"equiv{k}")
+            columns = [class_union_qsym([cls]).to_vector() for cls in classes]
+            targets = [quasi_schur(alpha) for alpha in compositions(n)]
+            targets += [schur_fundamental(lam) for lam in partitions(n)]
+            for q in targets:
+                if q.is_zero():
+                    continue
+                solution, _unique = solve_exact(columns, q.to_vector())
+                expected = {cls.key: c for cls, c in zip(classes, solution) if c}
+                coeffs = decompose_in_fk(q, k, n)
+                assert coeffs == expected
+                assert all(type(c) is int for c in coeffs.values())
 
 
 def test_decompose_quasi_schur_degrees_7_and_8():
-    for n in (7, 8):
-        family = _f2_functions(n)
-        for alpha in compositions(n):
-            q = quasi_schur(alpha)
-            if q.is_zero():
-                continue
-            coeffs = decompose_in_fk(q, 2, n)
-            assert all(type(c) is int and c > 0 for c in coeffs.values())
-            rebuilt = qsym_sum((family[key].scale(c) for key, c in coeffs.items()), n)
-            assert rebuilt == q
+    for k in (0, 1, 2):
+        for n in (7, 8):
+            family = _family_functions(k, n)
+            for alpha in compositions(n):
+                q = quasi_schur(alpha)
+                if q.is_zero():
+                    continue
+                coeffs = decompose_in_fk(q, k, n)
+                assert all(type(c) is int and c > 0 for c in coeffs.values())
+                rebuilt = qsym_sum((family[key].scale(c) for key, c in coeffs.items()), n)
+                assert rebuilt == q
 
 
 def test_decompose_round_trip():
     # a random nonnegative combination of the distinct functions comes back
     # with its own coefficients, on the first class of each function
-    rng = random.Random(20151)
-    for n in range(5, 9):
-        first = {}
-        for key, q in _f2_functions(n).items():
-            first.setdefault(q, key)
-        for _ in range(5):
-            chosen = {q: rng.randrange(4) for q in first}
-            target = qsym_sum((q.scale(c) for q, c in chosen.items()), n)
-            expected = {first[q]: c for q, c in chosen.items() if c}
-            assert decompose_in_fk(target, 2, n) == expected
+    for k in (0, 1, 2):
+        rng = random.Random(20151)
+        for n in range(5, 9):
+            first = {}
+            for key, q in _family_functions(k, n).items():
+                first.setdefault(q, key)
+            for _ in range(5):
+                chosen = {q: rng.randrange(4) for q in first}
+                target = qsym_sum((q.scale(c) for q, c in chosen.items()), n)
+                expected = {first[q]: c for q, c in chosen.items() if c}
+                assert decompose_in_fk(target, k, n) == expected
+
+
+@pytest.mark.parametrize("k", [3, -1])
+def test_decompose_rejects_a_k_outside_0_to_2(monkeypatch, k):
+    # the k is checked before any table is read or built
+    def fail(*args):
+        raise AssertionError("decompose_in_fk read a lead table")
+
+    monkeypatch.setattr("tabkit.qsym.fk_lead_table", fail)
+    for target in (QsymElement.zero(4), quasi_schur((2, 2))):
+        with pytest.raises(ValueError, match=f"no k={k} family"):
+            decompose_in_fk(target, k, 4)
 
 
 def test_shifted_family_partitions_sn():

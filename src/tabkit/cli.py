@@ -46,7 +46,6 @@ from .operators import (
     quasi_dual_move_srct,
     quasi_dual_move_srt,
     restricted_dual_move,
-    restricted_dual_move_tableau,
     shifted_dual_move,
     shifted_dual_move_by_bridges,
     slink,
@@ -64,7 +63,7 @@ from .qsym import (
     schur_expand_class_union,
     schur_fundamental,
 )
-from .rsk import act_via_insertion, dual_move_tableau, knuth_move, rsk
+from .rsk import knuth_move, rsk, rsk_inverse
 from .tableaux import InvalidTableauError, enumerate_tableaux
 
 DEFAULT_MAX_DEGREE = 9
@@ -384,66 +383,36 @@ def suite_involutions(n):
 def suite_commutation(n):
     """K_j commutes with slink, slink* and every dR_i on S_n.
 
-    The law is certified through RSK (Haiman's dual equivalence) rather
-    than word by word.  Fact A: K_j fixes the insertion tableau P and acts
-    on the recording tableau Q as the dual move d_j.  Fact B: dR_i fixes Q
-    and acts on P as the tableau move.  slink and slink* act on P alone
-    through insertion, so they only have to keep the shape of each SYT(n).
-    Then K_j(op(w)) and op(K_j(w)) both have the tableaux (op P, d_j Q), so
-    each check holds whenever its facts do.  A check whose fact fails is
-    rerun word by word, which names its first failing word; a shape change
-    fails the operator's checks with the tableau as witness.
+    Each move is tabulated once, as the index in `all_permutations(n)` of
+    each word's image: K_j and dR_i by the word moves, slink and slink* by
+    one insertion per word, with the image `rsk_inverse(f(P), Q)` and f
+    applied once per P.  A check holds when K[O[k]] == O[K[k]] for every k;
+    otherwise it names the first word where the two sides differ.  An f(P)
+    of another shape than P raises InvalidTableauError in `rsk_inverse`,
+    which fails the suite.
     """
     words = all_permutations(n)
-    knuth_indices = range(2, n)
-    restricted_indices = range(2, n - 1)
-    # each tableau move runs once per (index, tableau), not once per word
-    dual_on_q = lru_cache(maxsize=None)(dual_move_tableau)
-    restricted_on_p = lru_cache(maxsize=None)(restricted_dual_move_tableau)
-    fact_a = dict.fromkeys(knuth_indices, True)
-    fact_b = {f"dR_{i}": True for i in restricted_indices}
+    index = {w: k for k, w in enumerate(words)}
+    tableau_maps = [
+        ("slink*", lru_cache(maxsize=None)(slink_star)),
+        ("slink", lru_cache(maxsize=None)(slink)),
+    ]
+    ops = {name: [] for name, _ in tableau_maps}
     for w in words:
         p, q = rsk(w)
-        for j in knuth_indices:
-            if fact_a[j]:
-                moved = knuth_move(j, w)
-                image = (p, q) if moved == w else rsk(moved)
-                fact_a[j] = image == (p, dual_on_q(j, q))
-        for i in restricted_indices:
-            if fact_b[f"dR_{i}"]:
-                moved = restricted_dual_move(i, w)
-                image = (p, q) if moved == w else rsk(moved)
-                fact_b[f"dR_{i}"] = image == (restricted_on_p(i, p), q)
-
-    syt = syt_universe(n)
-    reshaped = {
-        name: next((t for t in syt if f(t).shape != t.shape), None)
-        for name, f in (("slink*", slink_star), ("slink", slink))
-    }
-
-    ops = [
-        ("slink*", lambda w: act_via_insertion(slink_star, w)),
-        ("slink", lambda w: act_via_insertion(slink, w)),
-    ]
-    ops += [(f"dR_{i}", lambda w, i=i: restricted_dual_move(i, w)) for i in restricted_indices]
+        for name, f in tableau_maps:
+            ops[name].append(index[rsk_inverse(f(p), q)])
+    for i in range(2, n - 1):
+        ops[f"dR_{i}"] = [index[restricted_dual_move(i, w)] for w in words]
     results = []
-    for j in knuth_indices:
-        for name, op in ops:
-            check = f"K_{j} commutes with {name} on S_{n}"
-            if reshaped.get(name) is not None:
-                results.append((check, False, reshaped[name]))
-            elif fact_a[j] and fact_b.get(name, True):
-                results.append((check, True, None))
-            else:
-                results.append(_commutes_on_words(check, j, op, words))
+    for j in range(2, n):
+        knuth = [index[knuth_move(j, w)] for w in words]
+        for name, op in ops.items():
+            results.append(_first_failure(
+                f"K_{j} commutes with {name} on S_{n}",
+                (words[k] for k in range(len(words)) if knuth[op[k]] != op[knuth[k]]),
+            ))
     return results
-
-
-def _commutes_on_words(check, j, op, words):
-    """The check word by word: fails on the first w with K_j(op w) != op(K_j w)."""
-    return _first_failure(
-        check, (w for w in words if knuth_move(j, op(w)) != op(knuth_move(j, w)))
-    )
 
 
 def suite_mason(n):

@@ -303,10 +303,11 @@ def perm_classes(n, relation):
     Each relation's moves fix a word's recording tableau Q and move its
     insertion tableau P through P alone (Haiman's dual equivalence for the
     tableau relations), so a class is a class of SYT(shape) carried across
-    each Q of that shape.  The carrying rests on fact A: the Knuth move K_j
-    fixes P and acts on Q as the dual move d_j.  So one reverse bump per P,
-    against the root of a d_j spanning tree of SYT(shape), gives the word
-    with that root as Q, and K_j along each tree edge gives the others.
+    each Q of that shape.  The carrying rests on Haiman's theorem: the Knuth
+    move K_j fixes P and acts on Q as the dual move d_j.  So one reverse
+    bump per P, against the root of a d_j spanning tree of SYT(shape), gives
+    the word with that root as Q, and K_j along each tree edge gives the
+    others.
     """
     classes = []
     for lam in partitions(n):

@@ -12,6 +12,7 @@ from .core import (
     compositions,
     descent_composition,
     flip,
+    reverse_word,
     slinky,
     sort_to_partition,
     subset_to_composition,
@@ -280,8 +281,8 @@ def schur_expand_class_union(classes):
 
     Coefficients are counted from the distinguished members (superstandard
     tableaux, or permutations whose insertion tableau is superstandard,
-    flipped for the shifted relation) and cross-checked against the
-    slinky straightening of the fundamental expansion; a disagreement
+    after the relation's `MARKER_WORD` transform) and cross-checked against
+    the slinky straightening of the fundamental expansion; a disagreement
     raises MarkerMismatchError.
     """
     relations = {cls.relation for cls in classes}
@@ -307,13 +308,18 @@ def schur_expand_class_union(classes):
     return expansion
 
 
+# the word whose insertion tableau marks a permutation, per word relation;
+# the identity for the others
+MARKER_WORD = {"shifted": flip, "equiv2rev": reverse_word}
+
+
 def _marker_shape(member, relation):
     """The partition this member contributes a Schur coefficient to, if any."""
     if isinstance(member, Tableau):
         if member == superstandard(member.shape):
             return member.shape
         return None
-    word = flip(member) if relation == "shifted" else member
+    word = MARKER_WORD[relation](member) if relation in MARKER_WORD else member
     p = rsk(word)[0]
     if p == superstandard(p.shape):
         return p.shape

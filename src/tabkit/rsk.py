@@ -83,11 +83,6 @@ def dual_move(i, word):
     return apply_window(word, i - 1, i + 1, DUAL_WINDOW_TABLE)
 
 
-def dual_move_tableau(i, t):
-    """Dual move acting on an SYT via its row reading word."""
-    return t.with_word(dual_move(i, t.reading_word()))
-
-
 def knuth_move(i, word):
     """Knuth move: rearranges the entries in positions i-1, i, i+1.
 
@@ -107,12 +102,3 @@ def knuth_move(i, word):
     else:
         return word
     return word[:i - 2] + window + word[i + 1:]
-
-
-def act_via_insertion(f, word):
-    """Act on a word by applying f to its insertion tableau."""
-    p, q = rsk(word)
-    new_p = f(p)
-    if new_p.shape != p.shape:
-        raise InvalidTableauError("tableau map changed the shape")
-    return rsk_inverse(new_p, q)

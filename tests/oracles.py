@@ -7,19 +7,24 @@ pistols by their definition, slink and slink* by moving the cells of a
 tableau's runs (`slink_by_runs`, `slink_star_by_runs`) where the library
 moves positions of its reading word, and the basis conjecture by the exact
 rank of each family (`fk_family`, `exact_rank`,
-`family_independence_report`) where the library reads one lead table.
-`refines`, `syt_from_word` and `insertion_tableau` spell a test's verdict
-or input in library calls, and `misfiled_exchange` breaks the library's
-run exchange on purpose.  Test modules import them as
+`family_independence_report`) where the library reads one lead table, and
+the commutation suite word by word (`commutation_by_words`, acting on a
+word through its insertion tableau with `act_via_insertion`) where the
+library compares move tables.  `refines`, `syt_from_word`,
+`insertion_tableau` and `dual_move_tableau` spell a test's verdict or input
+in library calls, and `misfiled_exchange` breaks the library's run exchange
+on purpose.  Test modules import them as
 `from oracles import ...`.
 """
 
 from collections import Counter
 from itertools import permutations
 
+from tabkit import cli
+from tabkit.core import all_permutations
 from tabkit.equivalence import _straddling, syt_classes
 from tabkit.qsym import class_union_qsym
-from tabkit.rsk import dual_move, rsk
+from tabkit.rsk import dual_move, rsk, rsk_inverse
 from tabkit.tableaux import (
     FLAVORS,
     InvalidTableauError,
@@ -125,6 +130,20 @@ def syt_from_word(word, shape):
 def insertion_tableau(word):
     """The insertion tableau P of a word."""
     return rsk(word)[0]
+
+
+def dual_move_tableau(i, t):
+    """The dual move d_i on an SYT, through its row reading word."""
+    return t.with_word(dual_move(i, t.reading_word()))
+
+
+def act_via_insertion(f, word):
+    """Act on a word by applying f to its insertion tableau."""
+    p, q = rsk(word)
+    new_p = f(p)
+    if new_p.shape != p.shape:
+        raise InvalidTableauError("tableau map changed the shape")
+    return rsk_inverse(new_p, q)
 
 
 def pistol(shape, cell):
@@ -259,6 +278,31 @@ def misfiled_exchange(exchange):
         return runs
 
     return misfiled
+
+
+# ---------------------------------------------------------------------------
+# the commutation suite
+
+def commutation_by_words(n):
+    """The commutation suite compared word by word, K_j(op w) against
+    op(K_j w) on every w; names are looked up in `cli`, so patches there
+    reach it."""
+    words = all_permutations(n)
+    ops = [
+        ("slink*", lambda w: act_via_insertion(cli.slink_star, w)),
+        ("slink", lambda w: act_via_insertion(cli.slink, w)),
+    ]
+    ops += [(f"dR_{i}", lambda w, i=i: cli.restricted_dual_move(i, w)) for i in range(2, n - 1)]
+    results = []
+    for j in range(2, n):
+        for name, op in ops:
+            for w in words:
+                if cli.knuth_move(j, op(w)) != op(cli.knuth_move(j, w)):
+                    results.append((f"K_{j} commutes with {name} on S_{n}", False, w))
+                    break
+            else:
+                results.append((f"K_{j} commutes with {name} on S_{n}", True, None))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -40,15 +40,11 @@ from tabkit.qsym import (
     qsym_sum,
     quasi_schur,
 )
-from tabkit.rsk import (
-    DUAL_WINDOW_TABLE,
-    act_via_insertion,
-    knuth_move,
-    rsk,
-)
-from tabkit.tableaux import Tableau, superstandard
+from tabkit.rsk import DUAL_WINDOW_TABLE, knuth_move, rsk
+from tabkit.tableaux import superstandard
 
 from oracles import (
+    commutation_by_words,
     family_independence_report,
     insertion_tableau,
     misfiled_exchange,
@@ -379,28 +375,6 @@ def test_verify_suites_pass(capsys, suite):
     assert "FAIL" not in out
 
 
-def _commutation_by_words(n):
-    """Oracle: the commutation suite compared word by word, K_j(op w) against
-    op(K_j w) on every w; names are looked up in `cli`, so patches there
-    reach it."""
-    words = all_permutations(n)
-    ops = [
-        ("slink*", lambda w: act_via_insertion(cli.slink_star, w)),
-        ("slink", lambda w: act_via_insertion(cli.slink, w)),
-    ]
-    ops += [(f"dR_{i}", lambda w, i=i: cli.restricted_dual_move(i, w)) for i in range(2, n - 1)]
-    results = []
-    for j in range(2, n):
-        for name, op in ops:
-            for w in words:
-                if cli.knuth_move(j, op(w)) != op(cli.knuth_move(j, w)):
-                    results.append((f"K_{j} commutes with {name} on S_{n}", False, w))
-                    break
-            else:
-                results.append((f"K_{j} commutes with {name} on S_{n}", True, None))
-    return results
-
-
 def test_involutions_checks_every_composition_of_n(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "involutions", "--n", "7", "--format", "json")
     assert code == 0
@@ -537,7 +511,6 @@ def test_wrong_run_sizes_are_reported_not_raised(capsys, monkeypatch):
 @pytest.mark.parametrize("suite, message", [
     ("poset", "move dR_2 left the carrier at (2, 1, 3, 4, 5, 6)"),
     ("conjecture", "move dR_2 left the carrier at (2, 1, 3, 4, 5, 6)"),
-    ("commutation", "row not increasing"),
 ])
 def test_suite_that_leaves_its_carrier_fails_with_exit_1(capsys, monkeypatch, suite, message):
     # a move image outside the carrier fails the suite with the error text as
@@ -641,19 +614,37 @@ def test_conjecture_failed_checks_name_a_witness(capsys, monkeypatch, inject, fa
 
 def test_commutation_matches_word_oracle():
     for n in range(1, 7):
-        assert suite_commutation(n) == _commutation_by_words(n)
+        assert suite_commutation(n) == commutation_by_words(n)
 
 
-def test_commutation_certifies_without_word_round_trips(monkeypatch):
-    # on correct moves the two RSK facts decide every check: no check falls
-    # back to the word-by-word comparison and no word goes through slink
-    def fail(*args):
-        raise AssertionError("a check fell back to the words")
+def test_commutation_inserts_each_word_once(monkeypatch):
+    # slink and slink* are tabulated from one insertion per word of S_n;
+    # every other move acts on the words directly
+    calls = []
 
-    monkeypatch.setattr(cli, "_commutes_on_words", fail)
-    monkeypatch.setattr(cli, "act_via_insertion", fail)
+    def counted(word):
+        calls.append(word)
+        return rsk(word)
+
+    monkeypatch.setattr(cli, "rsk", counted)
     for n in range(1, 7):
+        calls.clear()
         assert all(ok for _, ok, _ in suite_commutation(n))
+        assert sorted(calls) == all_permutations(n)
+
+
+def test_commutation_misdirected_restricted_entry_fails_its_checks(capsys, monkeypatch):
+    # a misdirected dR_i window keeps every word in S_n, so the suite runs to
+    # completion and the checks it breaks name the oracle's witnesses
+    monkeypatch.setitem(RESTRICTED_WINDOW_TABLE, (2, 1, 3, 4), (3, 1, 4, 2))
+    results = suite_commutation(6)
+    assert results == commutation_by_words(6)
+    failed = [(name, witness) for name, ok, witness in results if not ok]
+    assert len(results) == 20 and len(failed) == 12
+    assert failed[0] == ("K_2 commutes with dR_2 on S_6", (2, 1, 3, 4, 5, 6))
+    code, out, err = run(capsys, "verify", "--suite", "commutation", "--n", "6")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == "suite commutation: 8 passed, 12 failed"
 
 
 def _wrong_on(move, target, index):
@@ -670,7 +661,7 @@ def _wrong_on(move, target, index):
     [
         ("knuth_move", knuth_move, 3, (2, 1, 4, 3, 5), 2),
         ("knuth_move", knuth_move, 2, (2, 4, 3, 5, 1), 2),
-        # fact A fails, yet every commutation check still holds word by word
+        # K_2 no longer acts on Q as d_2 there, yet every check still holds
         ("knuth_move", knuth_move, 2, (3, 5, 4, 2, 1), 0),
         ("restricted_dual_move", restricted_dual_move, 2, (2, 1, 4, 3, 5), 3),
         ("restricted_dual_move", restricted_dual_move, 3, (2, 4, 3, 5, 1), 3),
@@ -679,33 +670,35 @@ def _wrong_on(move, target, index):
 def test_commutation_mutant_reports_the_oracle_witnesses(
     monkeypatch, name, move, index, target, failures
 ):
-    # the mutant leaves a word unmoved that the move moves, so a fact fails
-    # and the affected checks fall back to the word-by-word witnesses
+    # the mutant leaves a word unmoved that the move moves; the suite names
+    # the same failing checks and first failing words as the word oracle
     assert move(index, target) != target
     monkeypatch.setattr(cli, name, _wrong_on(move, target, index))
     results = suite_commutation(5)
     assert sum(not ok for _, ok, _ in results) == failures
-    assert results == _commutation_by_words(5)
+    assert results == commutation_by_words(5)
 
 
 def test_commutation_shape_change_is_a_failed_check(capsys, monkeypatch):
-    # a slink that changes the shape fails its checks with the tableau as
-    # witness and exit 1, not a traceback
+    # a slink that changes the shape has no inverse insertion, so the suite
+    # fails its backstop check and exits 1, not with a traceback
     monkeypatch.setattr(cli, "slink", lambda t: superstandard((t.size,)))
-    first = Tableau(((1, 3, 4), (2,)), "SYT")
+    name = "suite commutation runs to completion at n = 4"
+    message = "insertion and recording shapes differ"
     code, out, err = run(capsys, "verify", "--suite", "commutation", "--n", "4")
-    assert code == 1 and err == ""
-    lines = out.splitlines()
-    for j in (2, 3):
-        assert f"[FAIL] K_{j} commutes with slink on S_4  witness: {first!r}" in lines
-        assert f"[PASS] K_{j} commutes with slink* on S_4" in lines
-    assert lines[-1] == "suite commutation: 4 passed, 2 failed"
-    code, out, _ = run(
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        f"[FAIL] {name}  witness: {message!r}",
+        "suite commutation: 0 passed, 1 failed",
+    ]
+    code, out, err = run(
         capsys, "verify", "--suite", "commutation", "--n", "4", "--format", "json"
     )
-    assert code == 1
-    failed = [c for c in json.loads(out)["checks"] if not c["ok"]]
-    assert [c["witness"] for c in failed] == [repr(first)] * 2
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "suite": "commutation", "n": 4, "passed": 0, "failed": 1,
+        "checks": [{"name": name, "ok": False, "witness": repr(message)}],
+    }
 
 
 def test_poset_failed_refinement_names_a_witness(capsys, monkeypatch):

@@ -22,10 +22,16 @@ from tabkit.equivalence import (
     syt_universe,
     word_moves,
 )
-from tabkit.rsk import dual_move_tableau, rsk, rsk_inverse
+from tabkit.rsk import rsk, rsk_inverse
 from tabkit.tableaux import Tableau, enumerate_tableaux, superstandard
 
-from oracles import insertion_tableau, refines, slink_by_runs, slink_star_by_runs
+from oracles import (
+    dual_move_tableau,
+    insertion_tableau,
+    refines,
+    slink_by_runs,
+    slink_star_by_runs,
+)
 
 
 # class counts over all SYT of size n, frozen from the closure engine and

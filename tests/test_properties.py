@@ -18,16 +18,10 @@ from tabkit.operators import (
     shifted_dual_move,
 )
 from tabkit.qsym import QsymElement
-from tabkit.rsk import (
-    dual_move,
-    dual_move_tableau,
-    knuth_move,
-    rsk,
-    rsk_inverse,
-)
+from tabkit.rsk import dual_move, knuth_move, rsk, rsk_inverse
 from tabkit.tableaux import enumerate_tableaux
 
-from oracles import insertion_tableau
+from oracles import dual_move_tableau, insertion_tableau
 
 permutations = st.integers(min_value=1, max_value=9).flatmap(
     lambda n: st.permutations(range(1, n + 1))
@@ -65,7 +59,8 @@ def test_rsk_round_trip(w):
 @deterministic
 @given(permutations)
 def test_knuth_move_fixes_p_and_dual_moves_q(w):
-    # fact A of the commutation suite
+    # Haiman's theorem, on which perm_classes carries each class across Q:
+    # K_j fixes the insertion tableau and acts on the recording one as d_j
     p, q = rsk(w)
     for j in range(2, len(w)):
         assert rsk(knuth_move(j, w)) == (p, dual_move_tableau(j, q))
@@ -74,7 +69,8 @@ def test_knuth_move_fixes_p_and_dual_moves_q(w):
 @deterministic
 @given(permutations)
 def test_restricted_dual_move_fixes_q_and_moves_p(w):
-    # fact B of the commutation suite
+    # dR_i fixes the recording tableau and acts on the insertion one as the
+    # tableau move, so each equiv2 word class is an SYT class carried across Q
     p, q = rsk(w)
     for i in range(2, len(w) - 1):
         assert rsk(restricted_dual_move(i, w)) == (restricted_dual_move_tableau(i, p), q)

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from tabkit.core import compositions, partitions
+from tabkit import qsym
+from tabkit.core import compositions, partitions, word_from_str
 from tabkit.equivalence import EquivClass, perm_classes, syt_classes
 from tabkit.qsym import (
     DecompositionError,
@@ -152,6 +154,37 @@ def test_shifted_union_expansion():
         assert expansion == SchurExpansion(
             n, {lam: len(enumerate_tableaux(lam, "SYT")) for lam in partitions(n)}
         )
+
+
+def _class_of(classes, word):
+    return next(cls for cls in classes if word_from_str(word) in cls)
+
+
+def test_equiv2rev_union_with_a_class_taken_twice_keeps_its_markers():
+    # 132546's and 315264's classes share one function.  Read from each
+    # member's own word, the markers put one s_(3,3) in the second class and
+    # none in the first, so this union counted 6 against the straightened 5;
+    # read from the reversed words, neither class holds a marker
+    classes = perm_classes(6, "equiv2rev")
+    first, second = _class_of(classes, "132546"), _class_of(classes, "315264")
+    assert class_union_qsym([first]) == class_union_qsym([second])
+    swapped = [second if cls is first else cls for cls in classes]
+    expansion = schur_expand_class_union(swapped)
+    assert expansion == schur_expand_class_union(classes)
+    assert expansion.coeffs[(3, 3)] == 5
+
+
+@pytest.mark.parametrize("relation", ["shifted", "equiv2rev", "equiv2flip"])
+def test_classes_with_one_function_have_equal_markers(relation):
+    # otherwise the all-ones union with one of them taken twice and the
+    # other dropped is symmetric, and its markers miscount its Schur
+    # coefficients
+    for n in range(1, 8):
+        markers = {}
+        for cls in perm_classes(n, relation):
+            counts = Counter(qsym._marker_shape(m, relation) for m in cls.members)
+            counts.pop(None, None)
+            assert markers.setdefault(class_union_qsym([cls]), counts) == counts, cls.key
 
 
 def test_exact_rank_oracle():

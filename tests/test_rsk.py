@@ -1,15 +1,13 @@
 from tabkit.core import all_permutations, inverse_descent_set, partitions
-from tabkit.rsk import (
-    act_via_insertion,
-    dual_move,
-    dual_move_tableau,
-    knuth_move,
-    rsk,
-    rsk_inverse,
-)
+from tabkit.rsk import dual_move, knuth_move, rsk, rsk_inverse
 from tabkit.tableaux import enumerate_tableaux, superstandard
 
-from oracles import insertion_tableau, knuth_move_by_inverse
+from oracles import (
+    act_via_insertion,
+    dual_move_tableau,
+    insertion_tableau,
+    knuth_move_by_inverse,
+)
 
 
 def test_rsk_round_trip():

@@ -34,6 +34,7 @@ from .equivalence import (
     key_of,
     moves_for,
     perm_class,
+    srct_classes,
     srt_image_classes,
     syt_classes,
     syt_universe,
@@ -109,21 +110,14 @@ def parse_parts(text, flag):
 # ---------------------------------------------------------------------------
 # expansion formatting
 
-def format_qsym(q):
-    if not q.coeffs:
+def format_expansion(coeffs, letter):
+    """A sum of basis elements, such as 2*F(1,2) + s(3), in sorted order;
+    letter names the basis (F or s)."""
+    if not coeffs:
         return "0"
     return " + ".join(
-        (f"{c}*" if c != 1 else "") + f"F({parts_to_str(alpha)})"
-        for alpha, c in sorted(q.coeffs.items())
-    )
-
-
-def format_schur(expansion):
-    if not expansion.coeffs:
-        return "0"
-    return " + ".join(
-        (f"{c}*" if c != 1 else "") + f"s({parts_to_str(lam)})"
-        for lam, c in sorted(expansion.coeffs.items())
+        (f"{c}*" if c != 1 else "") + f"{letter}({parts_to_str(parts)})"
+        for parts, c in sorted(coeffs.items())
     )
 
 
@@ -200,7 +194,7 @@ def cmd_expand(args):
             "schur": schur_expand_by_slinky(q).to_json(),
         }
         text = (
-            f"s({parts_to_str(lam)}) = {format_qsym(q)}\n"
+            f"s({parts_to_str(lam)}) = {format_expansion(q.coeffs, 'F')}\n"
             f"terms (with multiplicity): {sum(q.coeffs.values())}\n"
         )
 
@@ -232,7 +226,7 @@ def cmd_expand(args):
         lines = [
             f"class of {word_to_str(word)} under {args.relation}: "
             + " ".join(word_to_str(m) for m in cls.members),
-            f"F-sum = {format_qsym(q)}",
+            f"F-sum = {format_expansion(q.coeffs, 'F')}",
         ]
         if witness is None:
             try:
@@ -242,7 +236,8 @@ def cmd_expand(args):
                       file=sys.stderr)
                 return 1
             payload["schur"] = expansion.to_json()
-            lines.append(f"symmetric: yes; Schur expansion = {format_schur(expansion)}")
+            lines.append("symmetric: yes; Schur expansion = "
+                         + format_expansion(expansion.coeffs, "s"))
         else:
             payload["witness"] = [list(witness[0]), list(witness[1])]
             lines.append(
@@ -269,7 +264,8 @@ def cmd_expand(args):
                 for key, c in sorted(decomposition.items())
             ],
         }
-        lines = [f"S({parts_to_str(alpha)}) = {format_qsym(q)}", "decomposition over the k=2 family:"]
+        lines = [f"S({parts_to_str(alpha)}) = {format_expansion(q.coeffs, 'F')}",
+                 "decomposition over the k=2 family:"]
         for key, c in sorted(decomposition.items()):
             lines.append(f"  {c} * f[{word_to_str(key)}]")
         text = "\n".join(lines) + "\n"
@@ -416,15 +412,13 @@ def suite_commutation(n):
 
 
 def suite_mason(n):
-    # each SRCT(alpha) is enumerated once; its classes sum to S_alpha
-    moves = moves_for("quasiDualSRCT", n)
-    srcts = {alpha: enumerate_tableaux(alpha, "SRCT") for alpha in compositions(n)}
-    classes_of = {
-        alpha: all_classes(srct, moves, "quasiDualSRCT") for alpha, srct in srcts.items()
-    }
+    # each SRCT(alpha) is enumerated once, by srct_classes; its classes sum
+    # to S_alpha, and their members in reading order are SRCT(alpha)
+    classes_of = {alpha: srct_classes(alpha) for alpha in compositions(n)}
     quasi_schurs = {class_union_qsym(classes) for classes in classes_of.values()}
     results = []
-    for alpha, srct in srcts.items():
+    for alpha, classes in classes_of.items():
+        srct = sorted((t for cls in classes for t in cls), key=key_of)
         # bijectivity: the certified round trip also fails on a collision
         results.append(_first_failure(
             f"column sort bijective on SRCT({alpha})",
@@ -444,7 +438,6 @@ def suite_mason(n):
         ))
 
         # transitivity of the quasi-dual action
-        classes = classes_of[alpha]
         results.append(_transitive(f"quasi-dual action transitive on SRCT({alpha})", classes))
 
         # each class alone sums to a quasisymmetric Schur function

@@ -5,24 +5,23 @@ canonical key of a tableau is its reading word; of a word, itself.
 Classes are always listed with members sorted by key and classes sorted
 by least member.
 
-All seven SYT relations close plain reading words, one shape at a time
-(`syt_classes`): the slink relations by the run exchange on the word, the
-others by their value-window moves.  A move checks its own rules (the slink
-run sizes, a window's values); carrier membership checks that each image is
-an SYT word.  Tableau moves (`moves_for`) remain for dot output, `closure`
-and the suites, and each returns a validated tableau.
+`MOVES` gives each of the ten relations its carrier and one move on reading
+words.  The classes of SYT, SRCT and the SRT image close plain reading
+words, one shape at a time (`_tableau_classes`).  A move checks its own
+rules (the slink run sizes, a window's values); carrier membership checks
+that each image is a carrier element.  Tableau moves (`moves_for`) lift the
+same moves through the validated `Tableau.with_word`; they remain for dot
+output, `closure` and the suites.
 """
 
 from .core import flip, partitions, reverse_word, word_to_str
 from .rsk import dual_move, knuth_move, row_sequence, rsk, unbump
 from .operators import (
     mason_rho,
-    quasi_dual_move_srct,
-    quasi_dual_move_srt,
+    quasi_dual_word_srct,
+    quasi_dual_word_srt,
     restricted_dual_move,
     shifted_dual_move,
-    slink,
-    slink_star,
     slink_star_word,
     slink_word,
 )
@@ -74,85 +73,78 @@ class EquivClass:
 # ---------------------------------------------------------------------------
 # move families
 
-# The word-move relations: (generator name, low, top, move on words), with
-# one move for each index i = low .. n - top.  Every nontrivial action of each
-# move is a dual move d_k, so each fixes a word's recording tableau Q, and it
-# sends the reading word of an SYT to the reading word of an SYT of the same
-# shape.  Each move looks its operator up by name when called, so an operator
-# patched in this module is the one that runs.
-WORD_MOVES = {
-    "equiv2": ("dR", 2, 2, lambda i, w: restricted_dual_move(i, w)),
-    "dual": ("d", 2, 1, lambda i, w: dual_move(i, w)),
-    "shifted": ("h", 1, 3, lambda i, w: shifted_dual_move(i, w)),
+def _indices(span, n):
+    """low .. n - top for the span (low, top) of a window move on words of
+    length n; the one index 0 of a slink move, whose span is None."""
+    return (0,) if span is None else range(span[0], n - span[1] + 1)
+
+
+# Each relation, in the order the CLI lists them: its carrier (SYT(n), S_n,
+# SRCT(alpha) or the SRT image of SRCT(alpha)), generator name, index span
+# and move(i, word, shape) on the reading word of a carrier element; only
+# the slink and quasi-dual moves read the shape.  Each nontrivial action of a
+# move on SYT or S_n is a dual move d_k, which fixes a word's recording
+# tableau Q and keeps SYT reading words of a shape among themselves.  A move
+# looks its operator up by name when called, so a patched one runs.
+MOVES = {
+    "equiv0": ("SYT", "slink*", None, lambda i, w, s: slink_star_word(w, s)),
+    "equiv1": ("SYT", "slink", None, lambda i, w, s: slink_word(w, s)),
+    "equiv2": ("SYT", "dR", (2, 2), lambda i, w, s: restricted_dual_move(i, w)),
+    "dual": ("SYT", "d", (2, 1), lambda i, w, s: dual_move(i, w)),
+    "quasiDualSRCT": ("SRCT", "DQ", (2, 1), lambda i, w, s: quasi_dual_word_srct(i, w, s)),
+    "quasiDualSRT": ("SRT", "dQ", (2, 1), lambda i, w, s: quasi_dual_word_srt(i, w, s)),
+    "quasiDualSRT-restricted": ("SRT", "dR", (2, 2), lambda i, w, s: restricted_dual_move(i, w)),
+    "shifted": ("S_n", "h", (1, 3), lambda i, w, s: shifted_dual_move(i, w)),
     "equiv2rev": (
-        "dR.rev", 2, 2,
-        lambda i, w: reverse_word(restricted_dual_move(i, reverse_word(w))),
+        "S_n", "dR.rev", (2, 2),
+        lambda i, w, s: reverse_word(restricted_dual_move(i, reverse_word(w))),
     ),
     "equiv2flip": (
-        "dR.flip", 2, 2, lambda i, w: flip(restricted_dual_move(i, flip(w))),
+        "S_n", "dR.flip", (2, 2), lambda i, w, s: flip(restricted_dual_move(i, flip(w))),
     ),
 }
+CARRIERS = {relation: entry[0] for relation, entry in MOVES.items()}
+RELATIONS = tuple(MOVES)
+# the relations on S_n and those on SYT(n), whose word classes are tableau
+# classes carried across a fixed recording tableau; the shape-free ones
+# among them close a single word under involutions
+WORD_RELATIONS = tuple(r for r in RELATIONS if CARRIERS[r] in ("SYT", "S_n"))
+SHAPE_FREE = tuple(r for r in WORD_RELATIONS if MOVES[r][2] is not None)
 
 
-# The slink relations on SYT: (generator name, move on the reading word of an
-# SYT of a given shape).  slink* is an involution off the superstandard
-# tableau and slink is not; either way all_classes' union-find gives the
-# connected components.
-SLINK_MOVES = {
-    "equiv0": ("slink*", lambda w, lam: slink_star_word(w, lam)),
-    "equiv1": ("slink", lambda w, lam: slink_word(w, lam)),
-}
+def _entry(relation):
+    if relation not in MOVES:
+        raise ValueError(f"unknown relation {relation!r}")
+    return MOVES[relation]
+
+
+def shape_moves(relation, shape):
+    """The indexed moves of a relation on the reading words of its carrier
+    elements of the shape, each move bound to its index and the shape."""
+    _carrier, name, span, move = _entry(relation)
+    return [(name, i, lambda w, i=i: move(i, w, shape)) for i in _indices(span, sum(shape))]
 
 
 def word_moves(relation, n):
-    """The indexed word moves of a word-move relation on words of length n."""
-    if relation not in WORD_MOVES:
-        raise ValueError(f"unknown relation {relation!r}")
-    name, low, top, move = WORD_MOVES[relation]
-    return [(name, i, _bind(move, i)) for i in range(low, n - top + 1)]
+    """The indexed moves of a shape-free relation on words of length n: its
+    `shape_moves` on the one-row shape (n,), which they do not read."""
+    if relation not in SHAPE_FREE:
+        raise ValueError(f"relation {relation!r} has no shape-free word moves")
+    return shape_moves(relation, (n,))
 
 
 def moves_for(relation, n):
-    """Indexed involutions (or the slink generator) for a carrier of size n.
-
-    Each tableau move acts on the tableau's reading word and refills it
-    through `Tableau.with_word`, which validates the image: `slink` and
-    `slink_star` by the slink word moves, `equiv2`, its restriction to SRT
-    and `dual` by the word moves of `equiv2` and `dual`.  The quasi-dual
-    moves choose their word move from the cells of the window.
-    """
-    if relation == "equiv0":
-        return [("slink*", 0, slink_star)]
-    if relation == "equiv1":
-        return [("slink", 0, slink)]
-    if relation == "quasiDualSRCT":
-        return [("DQ", i, _bind(quasi_dual_move_srct, i)) for i in range(2, n)]
-    if relation == "quasiDualSRT":
-        return [("dQ", i, _bind(quasi_dual_move_srt, i)) for i in range(2, n)]
-    if relation in ("equiv2", "quasiDualSRT-restricted", "dual"):
-        return [
-            (name, i, lambda t, m=move: t.with_word(m(t.reading_word())))
-            for name, i, move in word_moves("dual" if relation == "dual" else "equiv2", n)
-        ]
-    return word_moves(relation, n)
-
-
-# the carrier of each relation, in the order the CLI lists them: SYT(n), S_n,
-# SRCT(alpha) or the SRT image of SRCT(alpha).  The word relations are those
-# on S_n and those on SYT(n), whose word classes are tableau classes carried
-# across a fixed recording tableau.
-CARRIERS = {
-    **dict.fromkeys(("equiv0", "equiv1", "equiv2", "dual"), "SYT"),
-    "quasiDualSRCT": "SRCT",
-    **dict.fromkeys(("quasiDualSRT", "quasiDualSRT-restricted"), "SRT"),
-    **dict.fromkeys(("shifted", "equiv2rev", "equiv2flip"), "S_n"),
-}
-RELATIONS = tuple(CARRIERS)
-WORD_RELATIONS = tuple(r for r in RELATIONS if CARRIERS[r] in ("SYT", "S_n"))
-
-
-def _bind(fn, i):
-    return lambda x: fn(i, x)
+    """Indexed moves for a carrier of size n: the word moves on S_n, or each
+    move lifted to tableaux.  A lifted move acts on the tableau's reading
+    word and refills it through `Tableau.with_word`, which validates the
+    image."""
+    carrier, name, span, move = _entry(relation)
+    if carrier == "S_n":
+        return word_moves(relation, n)
+    return [
+        (name, i, lambda t, i=i: t.with_word(move(i, t.reading_word(), t.shape)))
+        for i in _indices(span, n)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -241,33 +233,32 @@ def syt_universe(n):
     return out
 
 
-def shape_moves(relation, lam):
-    """The moves of an SYT relation on the reading words of SYT(lam): the
-    slink move bound to lam (`SLINK_MOVES`), or the relation's indexed
-    word moves (`word_moves`)."""
-    if relation in SLINK_MOVES:
-        name, move = SLINK_MOVES[relation]
-        return [(name, 0, lambda w: move(w, lam))]
-    return word_moves(relation, sum(lam))
+def _tableau_classes(tableaux, shape, relation):
+    """Classes of tableaux of one shape under a relation.
+
+    The reading words of the tableaux are closed under the relation's moves
+    on words (`shape_moves`), and each word is mapped back to its tableau;
+    no Tableau is built per image.  A reading word fixes the filling of its
+    shape, so the carrier check of `all_classes` (CarrierError) is the check
+    that an image is a carrier element; the slink moves check their run
+    sizes themselves (InvalidTableauError).
+    """
+    by_word = {t.reading_word(): t for t in tableaux}
+    return [
+        EquivClass(relation, [by_word[w] for w in cls.members])
+        for cls in all_classes(by_word, shape_moves(relation, shape), relation)
+    ]
 
 
 def syt_classes(shape_or_n, relation):
-    """Classes of SYT under one of the seven SYT relations.
-
-    Every relation closes the reading words of each SYT(shape) under its
-    moves on words (`shape_moves`); no Tableau is built per image.  A
-    reading word fixes the filling of its shape, so the carrier check of
-    `all_classes` (CarrierError) is the check that an image is an SYT; the
-    slink moves check their run sizes themselves (InvalidTableauError).
-    """
+    """Classes of SYT under one of the seven SYT relations, one SYT(shape)
+    at a time."""
     shapes = partitions(shape_or_n) if isinstance(shape_or_n, int) else [tuple(shape_or_n)]
-    classes = []
-    for lam in shapes:
-        by_word = {t.reading_word(): t for t in enumerate_tableaux(lam, "SYT")}
-        classes.extend(
-            EquivClass(relation, [by_word[w] for w in cls.members])
-            for cls in all_classes(by_word, shape_moves(relation, lam), relation)
-        )
+    classes = [
+        cls
+        for lam in shapes
+        for cls in _tableau_classes(enumerate_tableaux(lam, "SYT"), lam, relation)
+    ]
     return sorted(classes, key=lambda cls: cls.key)
 
 
@@ -338,7 +329,7 @@ def perm_class(word, relation):
     partitions S_n.
     """
     word = tuple(word)
-    if relation in WORD_MOVES:
+    if relation in SHAPE_FREE:
         return closure(word, word_moves(relation, len(word)), relation)
     p, q = rsk(word)
     cls = next(c for c in syt_classes(p.shape, relation) if p in c)
@@ -348,15 +339,13 @@ def perm_class(word, relation):
 
 def srct_classes(alpha):
     """Classes of SRCT(alpha) under the quasi-dual move."""
-    universe = enumerate_tableaux(alpha, "SRCT")
-    return all_classes(universe, moves_for("quasiDualSRCT", sum(alpha)), "quasiDualSRCT")
+    return _tableau_classes(enumerate_tableaux(alpha, "SRCT"), alpha, "quasiDualSRCT")
 
 
 def srt_image_classes(alpha, relation):
-    """Classes of the SRT image of SRCT(alpha) under a tableau relation."""
-    srct = enumerate_tableaux(alpha, "SRCT")
-    universe = sorted((mason_rho(t) for t in srct), key=key_of)
-    return all_classes(universe, moves_for(relation, sum(alpha)), relation)
+    """Classes of the SRT image of SRCT(alpha) under an SRT relation."""
+    image = [mason_rho(t) for t in enumerate_tableaux(alpha, "SRCT")]
+    return _tableau_classes(image, tuple(sorted(alpha, reverse=True)), relation)
 
 
 def classes_for_cli(relation, n=None, alpha=None):

@@ -216,33 +216,48 @@ def cyclic_dual_move(i, word):
     return apply_window(word, i - 1, i + 1, CYCLIC_WINDOW_TABLE)
 
 
-def _first_column_guard(t, i):
+def _first_column_guard(cells):
     """True when two of the cells of i-1, i, i+1 lie in the first column and
     the third lies in the second column."""
-    cols = sorted(t.position_of(v)[1] for v in (i - 1, i, i + 1))
-    return cols == [0, 0, 1]
+    return sorted(c for _, c in cells) == [0, 0, 1]
+
+
+def _window_cells(flavor, i, word, shape):
+    """The cells of i-1, i, i+1 in the flavor's reading word of the shape."""
+    cells = reading_cells(flavor, tuple(shape))
+    return [cells[word.index(v)] for v in (i - 1, i, i + 1)]
+
+
+def quasi_dual_word_srct(i, word, shape):
+    """Quasi-dual move on the reading word of an SRCT of the shape: cyclic
+    when the cells of i-1, i, i+1 lie in one pistol, else the dual move."""
+    cells = _window_cells("SRCT", i, word, shape)
+    if _first_column_guard(cells):
+        return tuple(word)
+    if in_single_pistol(shape, cells):
+        return cyclic_dual_move(i, word)
+    return dual_move(i, word)
+
+
+def quasi_dual_word_srt(i, word, shape):
+    """Quasi-dual move on the reading word of an SRT of the shape."""
+    if _first_column_guard(_window_cells("SRT", i, word, shape)):
+        return tuple(word)
+    return dual_move(i, word)
 
 
 def quasi_dual_move_srct(i, t):
     """Quasi-dual move on a standard reverse composition tableau."""
     if t.flavor != "SRCT":
         raise InvalidTableauError("expected an SRCT")
-    cells = [t.position_of(v) for v in (i - 1, i, i + 1)]
-    if _first_column_guard(t, i):
-        return t
-    word = t.reading_word()
-    if in_single_pistol(t.shape, cells):
-        return t.with_word(cyclic_dual_move(i, word))
-    return t.with_word(dual_move(i, word))
+    return t.with_word(quasi_dual_word_srct(i, t.reading_word(), t.shape))
 
 
 def quasi_dual_move_srt(i, t):
     """Quasi-dual move on a standard reverse tableau."""
     if t.flavor != "SRT":
         raise InvalidTableauError("expected an SRT")
-    if _first_column_guard(t, i):
-        return t
-    return t.with_word(dual_move(i, t.reading_word()))
+    return t.with_word(quasi_dual_word_srt(i, t.reading_word(), t.shape))
 
 
 # ---------------------------------------------------------------------------

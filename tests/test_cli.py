@@ -83,6 +83,42 @@ def test_classes_dot(capsys):
     assert '--' in out
 
 
+# DOT output pinned byte for byte: vertex order, edge order and edge labels
+DOT_GOLDENS = {
+    ("quasiDualSRT", "--alpha", "2,2,2"): (
+        'graph classes {\n'
+        '  "321654";\n  "421653";\n  "431652";\n  "521643";\n  "531642";\n'
+        '  "321654" -- "421653" [label="dQ_3"];\n'
+        '  "421653" -- "431652" [label="dQ_2"];\n'
+        '  "431652" -- "531642" [label="dQ_4"];\n'
+        '  "521643" -- "531642" [label="dQ_2"];\n'
+        '}\n'
+    ),
+    ("equiv0", "--n", "4"): (
+        'graph classes {\n'
+        '  "1234";\n  "2134";\n  "3124";\n  "2413";\n  "3214";\n'
+        '  "3412";\n  "4123";\n  "4213";\n  "4312";\n  "4321";\n'
+        '  "2134" -- "3124" [label="slink*_0"];\n'
+        '}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("relation, flag, value", list(DOT_GOLDENS))
+def test_classes_dot_golden(capsys, relation, flag, value):
+    expected = DOT_GOLDENS[relation, flag, value]
+    assert run(
+        capsys, "classes", "--relation", relation, flag, value, "--format", "dot"
+    ) == (0, expected, "")
+
+
+def test_format_expansion():
+    assert cli.format_expansion({}, "F") == "0"
+    coeffs = {(2, 1): 2, (1, 2): 1, (1, 1, 1): Fraction(1, 2)}
+    assert cli.format_expansion(coeffs, "s") == "1/2*s(1,1,1) + s(1,2) + 2*s(2,1)"
+    assert cli.format_expansion({(3,): 1}, "F") == "F(3)"
+
+
 def test_classes_srct(capsys):
     code, out, _ = run(
         capsys, "classes", "--relation", "quasiDualSRCT", "--alpha", "2,3,2",

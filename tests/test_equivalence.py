@@ -1,12 +1,13 @@
 import pytest
 
 from tabkit import equivalence
-from tabkit.core import all_permutations, partitions, word_from_str
+from tabkit.core import all_permutations, compositions, partitions, word_from_str
 from tabkit.equivalence import (
+    CARRIERS,
     CarrierError,
     EquivClass,
     RELATIONS,
-    WORD_MOVES,
+    SHAPE_FREE,
     WORD_RELATIONS,
     all_classes,
     classes_to_dot,
@@ -22,6 +23,7 @@ from tabkit.equivalence import (
     syt_universe,
     word_moves,
 )
+from tabkit.operators import mason_rho
 from tabkit.rsk import rsk, rsk_inverse
 from tabkit.tableaux import Tableau, enumerate_tableaux, superstandard
 
@@ -125,7 +127,7 @@ def test_dual_and_restricted_images_of_syt_are_syt():
     for n in range(1, 9):
         for t in syt_universe(n):
             w = t.reading_word()
-            for relation in WORD_MOVES:
+            for relation in SHAPE_FREE:
                 for name, i, move in word_moves(relation, n):
                     image = move(w)
                     assert Tableau(t.with_word(image).rows, "SYT").shape == t.shape
@@ -172,8 +174,6 @@ def test_slink_classes_move_no_tableau(monkeypatch, relation):
         raise AssertionError("a tableau was moved")
 
     for target in (
-        "tabkit.equivalence.slink",
-        "tabkit.equivalence.slink_star",
         "tabkit.operators.slink",
         "tabkit.operators.slink_star",
         "tabkit.tableaux.Tableau.with_word",
@@ -188,6 +188,66 @@ def test_slink_word_that_leaves_syt_is_named(monkeypatch):
     with pytest.raises(CarrierError) as caught:
         syt_classes(6, "equiv1")
     assert str(caught.value) == "move slink_0 left the carrier at (1, 2, 3, 4, 5, 6)"
+
+
+# srct_classes and srt_image_classes, by way of the CLI's carrier selection
+QUASI_DUAL = [r for r in RELATIONS if CARRIERS[r] in ("SRCT", "SRT")]
+
+
+def _quasi_dual_classes(relation, alpha):
+    return equivalence.classes_for_cli(relation, alpha=alpha)
+
+
+@pytest.mark.parametrize("relation", QUASI_DUAL)
+def test_quasi_dual_classes_match_tableau_moves(relation):
+    # reference: close the tableaux themselves under the validated tableau
+    # moves of moves_for
+    for n in range(1, 8):
+        moves = moves_for(relation, n)
+        for alpha in compositions(n):
+            universe = enumerate_tableaux(alpha, "SRCT")
+            if CARRIERS[relation] == "SRT":
+                universe = [mason_rho(t) for t in universe]
+            expected = all_classes(universe, moves, relation)
+            assert _quasi_dual_classes(relation, alpha) == expected
+
+
+@pytest.mark.parametrize("relation", QUASI_DUAL)
+def test_quasi_dual_classes_move_no_tableau(monkeypatch, relation):
+    # the SRCT and SRT classes close reading words: with the tableau-level
+    # quasi-dual moves and Tableau.with_word broken, the classes come out the
+    # same
+    alphas = compositions(7)
+    expected = [_quasi_dual_classes(relation, alpha) for alpha in alphas]
+
+    def fail(*args):
+        raise AssertionError("a tableau was moved")
+
+    for target in (
+        "tabkit.operators.quasi_dual_move_srct",
+        "tabkit.operators.quasi_dual_move_srt",
+        "tabkit.tableaux.Tableau.with_word",
+    ):
+        monkeypatch.setattr(target, fail)
+    assert [_quasi_dual_classes(relation, alpha) for alpha in alphas] == expected
+
+
+@pytest.mark.parametrize(
+    "relation, alpha, message",
+    [
+        ("quasiDualSRCT", (2, 1, 2), "move DQ_2 left the carrier at (1, 4, 5, 3, 2)"),
+        ("quasiDualSRT", (2, 2, 2), "move dQ_2 left the carrier at (5, 3, 1, 6, 4, 2)"),
+    ],
+    ids=["SRCT", "SRT"],
+)
+def test_quasi_dual_word_that_leaves_the_carrier_is_named(monkeypatch, relation, alpha, message):
+    # the carrier check of the class engine is what proves each image an
+    # SRCT, or an SRT in the image of the column sort
+    for name in ("quasi_dual_word_srct", "quasi_dual_word_srt"):
+        monkeypatch.setattr(equivalence, name, lambda i, w, shape: tuple(reversed(w)))
+    with pytest.raises(CarrierError) as caught:
+        _quasi_dual_classes(relation, alpha)
+    assert str(caught.value) == message
 
 
 def test_perm_classes_transport_consistency():
@@ -279,7 +339,7 @@ def test_perm_class_matches_perm_classes(relation):
         for cls in perm_classes(n, relation):
             if n <= 5:
                 queries = cls.members
-            elif relation in WORD_MOVES:
+            elif relation in SHAPE_FREE:
                 queries = (cls.members[0], cls.members[-1])
             else:
                 q = rsk(cls.members[0])[1]
@@ -288,7 +348,7 @@ def test_perm_class_matches_perm_classes(relation):
                 assert perm_class(w, relation) == cls
 
 
-@pytest.mark.parametrize("relation", list(WORD_MOVES))
+@pytest.mark.parametrize("relation", list(SHAPE_FREE))
 def test_word_relations_fix_q_and_act_on_p(relation):
     # each move keeps the recording tableau Q and sends the insertion
     # tableau P to a tableau that depends on P alone; perm_classes relies on

@@ -19,6 +19,7 @@ from .core import (
     parts_to_str,
     partitions,
     reverse_word,
+    sort_to_partition,
     strict_partitions,
     word_from_str,
     word_to_str,
@@ -29,13 +30,14 @@ from .equivalence import (
     WORD_RELATIONS,
     all_classes,
     classes_for_cli,
+    classes_json_text,
     classes_to_dot,
-    classes_to_json,
     key_of,
+    member_strings,
     moves_for,
     perm_class,
+    shape_moves,
     srct_classes,
-    srt_image_classes,
     syt_classes,
     syt_universe,
     word_moves,
@@ -157,14 +159,13 @@ def cmd_classes(args):
         raise UsageError(str(exc))
 
     if args.format == "json":
-        emit(json.dumps(classes_to_json(classes), indent=2) + "\n", args.out)
+        emit(classes_json_text(classes) + "\n", args.out)
     elif args.format == "dot":
         emit(classes_to_dot(classes, moves_for(relation, n)), args.out)
     else:
         lines = [f"{len(classes)} classes under {relation}"]
         for cls in classes:
-            members = " ".join(word_to_str(key_of(m)) for m in cls.members)
-            lines.append(f"  [{len(cls.members)}] {members}")
+            lines.append(f"  [{len(cls.members)}] {' '.join(member_strings(cls))}")
         emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -325,10 +326,16 @@ def suite_poset(n):
             _straddling(universe_classes[fine], universe_classes[coarse]),
         ))
 
-    # quasi-dual classes on the composition image are unions of equiv2 classes
+    # quasi-dual classes on the composition image are unions of equiv2
+    # classes; each image is enumerated and column sorted once, and its
+    # reading words are closed under both relations
     for alpha in compositions(n):
-        fine = srt_image_classes(alpha, "quasiDualSRT-restricted")
-        coarse = srt_image_classes(alpha, "quasiDualSRT")
+        shape = sort_to_partition(alpha)
+        image = [mason_rho(t).reading_word() for t in enumerate_tableaux(alpha, "SRCT")]
+        fine, coarse = (
+            all_classes(image, shape_moves(relation, shape), relation)
+            for relation in ("quasiDualSRT-restricted", "quasiDualSRT")
+        )
         results.append(_first_failure(
             f"restricted refines quasi-dual on image of {alpha}",
             _straddling(fine, coarse),

@@ -175,9 +175,24 @@ def slinky(alpha):
 # ---------------------------------------------------------------------------
 # serialization
 
+# maps each byte v of a word to the digit of v for v in 0..9, else to NUL
+_DIGIT_TABLE = bytes(range(48, 58)) + bytes(246)
+
+
 def word_to_str(word):
-    """Digit string for n <= 9, comma-separated otherwise."""
+    """Digit string for n <= 9, comma-separated otherwise.
+
+    A word of at most nine values in 0..9 is translated as bytes in one
+    step; any other short word (a value above 9 or below 0, or the empty
+    word) joins its values' decimal strings.
+    """
     if len(word) <= 9:
+        try:
+            digits = bytes(word).translate(_DIGIT_TABLE)
+        except ValueError:  # a value outside 0..255
+            digits = b""
+        if digits.isdigit():
+            return digits.decode()
         return "".join(map(str, word))
     return ",".join(map(str, word))
 

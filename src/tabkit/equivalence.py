@@ -14,6 +14,8 @@ same moves through the validated `Tableau.with_word`; they remain for dot
 output, `closure` and the suites.
 """
 
+import json
+
 from .core import flip, partitions, reverse_word, word_to_str
 from .rsk import dual_move, knuth_move, row_sequence, rsk, unbump
 from .operators import (
@@ -366,15 +368,31 @@ def classes_for_cli(relation, n=None, alpha=None):
 # ---------------------------------------------------------------------------
 # export
 
-def classes_to_json(classes):
-    return [
-        {
-            "relation": cls.relation,
-            "size": len(cls.members),
-            "members": [word_to_str(key_of(m)) for m in cls.members],
-        }
-        for cls in classes
-    ]
+def member_strings(cls):
+    """The digit string of each member's key, in member order."""
+    return [word_to_str(key_of(m)) for m in cls.members]
+
+
+def classes_json_text(classes):
+    """The classes as a JSON list, one object per class with the keys
+    relation, size and members (the member strings), indented by two spaces
+    and with no trailing newline: the text of `json.dumps(..., indent=2)`
+    on that list, built by joining strings.  Each class has a member, and a
+    member string holds only digits and commas, so it is quoted as it is."""
+    if not classes:
+        return "[]"
+    relation_json = {}
+    objects = []
+    for cls in classes:
+        if cls.relation not in relation_json:
+            relation_json[cls.relation] = json.dumps(cls.relation)
+        members = '",\n      "'.join(member_strings(cls))
+        objects.append(
+            f'  {{\n    "relation": {relation_json[cls.relation]},\n'
+            f'    "size": {len(cls.members)},\n'
+            f'    "members": [\n      "{members}"\n    ]\n  }}'
+        )
+    return "[\n" + ",\n".join(objects) + "\n]"
 
 
 def classes_to_dot(classes, moves):

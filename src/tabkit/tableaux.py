@@ -71,13 +71,6 @@ class Tableau:
     def values(self):
         return [v for row in self.rows for v in row]
 
-    def position_of(self, value):
-        try:
-            index = self.reading_word().index(value)
-        except ValueError:
-            raise KeyError(value) from None
-        return reading_cells(self.flavor, self.shape)[index]
-
     def __eq__(self, other):
         return (
             isinstance(other, Tableau)

@@ -10,10 +10,11 @@ rank of each family (`fk_family`, `exact_rank`,
 `family_independence_report`) where the library reads one lead table, and
 the commutation suite word by word (`commutation_by_words`, acting on a
 word through its insertion tableau with `act_via_insertion`) where the
-library compares move tables.  `refines`, `syt_from_word`,
-`insertion_tableau` and `dual_move_tableau` spell a test's verdict or input
-in library calls, and `misfiled_exchange` breaks the library's run exchange
-on purpose.  Test modules import them as
+library compares move tables.  `classes_to_json` gives the JSON value of a
+class list, which the library writes as text in one pass.  `refines`,
+`syt_from_word`, `insertion_tableau`, `position_of` and `dual_move_tableau`
+spell a test's verdict or input in library calls, and `misfiled_exchange`
+breaks the library's run exchange on purpose.  Test modules import them as
 `from oracles import ...`.
 """
 
@@ -21,8 +22,8 @@ from collections import Counter
 from itertools import permutations
 
 from tabkit import cli
-from tabkit.core import all_permutations
-from tabkit.equivalence import _straddling, syt_classes
+from tabkit.core import all_permutations, word_to_str
+from tabkit.equivalence import _straddling, key_of, syt_classes
 from tabkit.qsym import class_union_qsym
 from tabkit.rsk import dual_move, rsk, rsk_inverse
 from tabkit.tableaux import (
@@ -132,6 +133,16 @@ def insertion_tableau(word):
     return rsk(word)[0]
 
 
+def position_of(t, value):
+    """The cell (row, column) of a value in a tableau; KeyError when the
+    tableau does not hold it."""
+    try:
+        index = t.reading_word().index(value)
+    except ValueError:
+        raise KeyError(value) from None
+    return reading_cells(t.flavor, t.shape)[index]
+
+
 def dual_move_tableau(i, t):
     """The dual move d_i on an SYT, through its row reading word."""
     return t.with_word(dual_move(i, t.reading_word()))
@@ -190,7 +201,7 @@ def run_cells(t):
     """Cells of each run of an SYT, in order of increasing value."""
     runs, low = [], 0
     for part in t.descent_composition():
-        runs.append([t.position_of(v) for v in range(low + 1, low + part + 1)])
+        runs.append([position_of(t, v) for v in range(low + 1, low + part + 1)])
         low += part
     return runs
 
@@ -278,6 +289,22 @@ def misfiled_exchange(exchange):
         return runs
 
     return misfiled
+
+
+# ---------------------------------------------------------------------------
+# class lists
+
+def classes_to_json(classes):
+    """The JSON value of a class list, one object per class; `json.dumps`
+    of it with indent=2 is the reference text of the class-list writer."""
+    return [
+        {
+            "relation": cls.relation,
+            "size": len(cls.members),
+            "members": [word_to_str(key_of(m)) for m in cls.members],
+        }
+        for cls in classes
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shlex
@@ -102,6 +103,24 @@ DOT_GOLDENS = {
         '}\n'
     ),
 }
+
+
+# sha256 and length of `classes --relation shifted --n 7` output, taken before
+# the class-list writer built its text by joining strings
+CLASSES_GOLDENS = {
+    "json": ("e8880c24b2034dbca4a37a56ee68325b7ed0ffe5fb25ed37384e5c6cce28fbc3", 142915),
+    "text": ("271c10943617b4feab848a95ba773f0c264abfe3a97edfef5f1f080a8245c448", 45050),
+}
+
+
+@pytest.mark.parametrize("fmt", list(CLASSES_GOLDENS))
+def test_classes_output_golden(capsys, fmt):
+    code, out, err = run(
+        capsys, "classes", "--relation", "shifted", "--n", "7", "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == CLASSES_GOLDENS[fmt]
 
 
 @pytest.mark.parametrize("relation, flag, value", list(DOT_GOLDENS))

@@ -148,5 +148,30 @@ def test_word_serialization():
     assert word_from_str(word_to_str(long)) == long
 
 
+def test_word_to_str_digit_words():
+    # words of values 0..9 and length at most 9 take the byte translation
+    for n in range(8):
+        for word in all_permutations(n):
+            assert word_to_str(word) == "".join(map(str, word))
+    assert word_to_str((0, 9, 0)) == "090"
+    assert word_to_str(tuple(range(9, 0, -1))) == "987654321"
+
+
+def test_word_to_str_other_words():
+    # the strings of words outside the digit path, as the joins spell them
+    assert word_to_str(()) == ""
+    assert word_to_str((10,)) == "10"
+    assert word_to_str((1, 10, 2)) == "1102"
+    assert word_to_str((48, 57)) == "4857"  # the byte values of "0" and "9"
+    assert word_to_str((255, 256)) == "255256"
+    assert word_to_str((-1, 2)) == "-12"
+    assert word_to_str((3, -300)) == "3-300"
+    assert word_to_str(tuple(range(10))) == "0,1,2,3,4,5,6,7,8,9"
+    assert word_to_str(tuple(range(1, 11))) == "1,2,3,4,5,6,7,8,9,10"
+    assert word_to_str((5,) * 12) == "5,5,5,5,5,5,5,5,5,5,5,5"
+    for word in [(10,), (1, 10, 2), (48, 57), (255, 256), (-1, 2), (1, 2, 3, 4, 5, 6, 7, 8, 100)]:
+        assert word_to_str(word) == "".join(map(str, word))
+
+
 def test_sort_to_partition():
     assert sort_to_partition((1, 3, 2)) == (3, 2, 1)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from tabkit import equivalence
@@ -10,8 +12,9 @@ from tabkit.equivalence import (
     SHAPE_FREE,
     WORD_RELATIONS,
     all_classes,
+    classes_for_cli,
+    classes_json_text,
     classes_to_dot,
-    classes_to_json,
     closure,
     key_of,
     moves_for,
@@ -28,6 +31,7 @@ from tabkit.rsk import rsk, rsk_inverse
 from tabkit.tableaux import Tableau, enumerate_tableaux, superstandard
 
 from oracles import (
+    classes_to_json,
     dual_move_tableau,
     insertion_tableau,
     refines,
@@ -419,3 +423,25 @@ def test_json_and_dot_export():
     dot = classes_to_dot(classes, moves_for("equiv2", 4))
     assert dot.startswith("graph")
     assert dot.rstrip().endswith("}")
+
+
+def _reference_json(classes):
+    return json.dumps(classes_to_json(classes), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("relation", WORD_RELATIONS)
+def test_classes_json_text_matches_reference(relation):
+    for n in range(1, 7):
+        classes = classes_for_cli(relation, n=n)
+        assert classes_json_text(classes) + "\n" == _reference_json(classes)
+
+
+@pytest.mark.parametrize("relation", ["quasiDualSRCT", "quasiDualSRT", "quasiDualSRT-restricted"])
+def test_classes_json_text_matches_reference_on_compositions(relation):
+    for alpha in compositions(5):
+        classes = classes_for_cli(relation, alpha=alpha)
+        assert classes_json_text(classes) + "\n" == _reference_json(classes)
+
+
+def test_classes_json_text_of_no_classes():
+    assert classes_json_text([]) + "\n" == _reference_json([]) == "[]\n"

@@ -57,6 +57,7 @@ from .operators import (
 from .qsym import (
     DecompositionError,
     MarkerMismatchError,
+    NotSymmetricError,
     NotUnitriangularError,
     class_union_qsym,
     decompose_in_fk,
@@ -214,7 +215,15 @@ def cmd_expand(args):
             raise UsageError(f"--class-of works with word relations, not {args.relation}")
         cls = perm_class(word, args.relation)
         q = class_union_qsym([cls])
-        witness = q.symmetry_witness()
+        witness = None
+        try:
+            expansion = schur_expand_class_union([cls])
+        except NotSymmetricError as exc:
+            witness = exc.witness
+        except MarkerMismatchError as exc:
+            print(f"error: class of {word_to_str(word)} under {args.relation}: {exc}",
+                  file=sys.stderr)
+            return 1
         payload = {
             "input": {"word": word_to_str(word), "relation": args.relation},
             "class": {
@@ -230,12 +239,6 @@ def cmd_expand(args):
             f"F-sum = {format_expansion(q.coeffs, 'F')}",
         ]
         if witness is None:
-            try:
-                expansion = schur_expand_class_union([cls])
-            except MarkerMismatchError as exc:
-                print(f"error: class of {word_to_str(word)} under {args.relation}: {exc}",
-                      file=sys.stderr)
-                return 1
             payload["schur"] = expansion.to_json()
             lines.append("symmetric: yes; Schur expansion = "
                          + format_expansion(expansion.coeffs, "s"))

@@ -130,25 +130,42 @@ class QsymElement:
     def to_monomial(self):
         """Coefficients on the monomial basis: F_a = sum of M_b over
         refinements b of a."""
-        out = {}
-        for alpha, c in self.coeffs.items():
-            for beta in refinements(alpha):
-                out[beta] = out.get(beta, 0) + c
-        return {beta: c for beta, c in out.items() if c != 0}
+        mono = self._monomial_vector()
+        return {
+            beta: mono[mask]
+            for beta, mask in _descent_masks(self.degree).items()
+            if mono[mask]
+        }
 
     def symmetry_witness(self):
         """None when symmetric; else a pair of rearranged compositions with
-        different monomial coefficients."""
-        mono = self.to_monomial()
-        by_multiset = {}
-        for beta in compositions(self.degree):
-            by_multiset.setdefault(sort_to_partition(beta), []).append(beta)
-        for group in by_multiset.values():
-            ref = mono.get(group[0], 0)
-            for beta in group[1:]:
-                if mono.get(beta, 0) != ref:
-                    return (group[0], beta)
+        different monomial coefficients: the first composition of the first
+        rearrangement class, in the order of `compositions`, whose members
+        disagree, and its first member that differs from it."""
+        mono = self._monomial_vector()
+        for (first, first_mask), *rest in _rearrangement_classes(self.degree):
+            ref = mono[first_mask]
+            for beta, mask in rest:
+                if mono[mask] != ref:
+                    return (first, beta)
         return None
+
+    def _monomial_vector(self):
+        """Monomial coefficients, indexed like `to_vector`.
+
+        M_b collects the coefficient of every F_a whose descent set lies
+        inside b's, so this is the subset-sum (zeta) transform of the
+        F-vector: (n-1) * 2^(n-2) additions in place.
+        """
+        vec = self.to_vector()
+        size = len(vec)
+        bit = 1
+        while bit < size:
+            for start in range(bit, size, 2 * bit):
+                for mask in range(start, start + bit):
+                    vec[mask] += vec[mask - bit]
+            bit <<= 1
+        return vec
 
     def is_symmetric(self):
         return self.symmetry_witness() is None
@@ -167,13 +184,10 @@ class QsymElement:
 
     def to_vector(self):
         """Dense integer vector indexed by subsets of [n-1] as bitmasks."""
-        n = self.degree
-        vec = [0] * (1 << max(n - 1, 0))
+        masks = _descent_masks(self.degree)
+        vec = [0] * len(masks)
         for alpha, c in self.coeffs.items():
-            idx = 0
-            for s in composition_to_subset(alpha):
-                idx |= 1 << (s - 1)
-            vec[idx] += c
+            vec[masks[alpha]] += c
         return vec
 
     def to_json(self):
@@ -187,22 +201,36 @@ class QsymElement:
         }
 
 
-def refinements(alpha):
-    """All compositions refining alpha (splitting parts into blocks)."""
-    if not alpha:
-        return [()]
-    out = []
-    for head in compositions(alpha[0]):
-        for rest in refinements(alpha[1:]):
-            out.append(head + rest)
-    return out
+@lru_cache(maxsize=None)
+def _descent_masks(n):
+    """Each composition of n mapped to its descent set as a bitmask, bit
+    s-1 for descent s, in the order of `compositions(n)`."""
+    return MappingProxyType({
+        alpha: sum(1 << (s - 1) for s in composition_to_subset(alpha))
+        for alpha in compositions(n)
+    })
+
+
+@lru_cache(maxsize=None)
+def _rearrangement_classes(n):
+    """The compositions of n grouped by their sorted parts, as tuples of
+    (composition, bitmask); classes and members in the order of
+    `compositions(n)`."""
+    classes = {}
+    for alpha, mask in _descent_masks(n).items():
+        classes.setdefault(sort_to_partition(alpha), []).append((alpha, mask))
+    return tuple(tuple(members) for members in classes.values())
 
 
 def qsym_sum(elements, degree):
-    total = QsymElement.zero(degree)
+    """Sum of degree-n elements, accumulated into one coefficient dict."""
+    total = {}
     for element in elements:
-        total = total + element
-    return total
+        if element.degree != degree:
+            raise ValueError("degree mismatch")
+        for alpha, c in element.coeffs.items():
+            total[alpha] = total.get(alpha, 0) + c
+    return QsymElement(degree, total)
 
 
 class SchurExpansion:

@@ -196,7 +196,13 @@ class Tableau:
 # construction helpers
 
 def superstandard(lam):
-    """Rows filled 1..n in order, bottom row first."""
+    """Rows filled 1..n in order, bottom row first; one tableau per shape,
+    built once (a Tableau is immutable)."""
+    return _superstandard(tuple(lam))
+
+
+@lru_cache(maxsize=None)
+def _superstandard(lam):
     rows = []
     nxt = 1
     for part in lam:

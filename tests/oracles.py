@@ -11,7 +11,10 @@ rank of each family (`fk_family`, `exact_rank`,
 the commutation suite word by word (`commutation_by_words`, acting on a
 word through its insertion tableau with `act_via_insertion`) where the
 library compares move tables.  `classes_to_json` gives the JSON value of a
-class list, which the library writes as text in one pass.  `refines`,
+class list, which the library writes as text in one pass.  `refinements`
+expands each fundamental into monomials term by term
+(`refinement_monomials`, `symmetry_witness_by_refinements`), where the
+library takes one subset-sum transform of the F-vector.  `refines`,
 `syt_from_word`, `insertion_tableau`, `position_of` and `dual_move_tableau`
 spell a test's verdict or input in library calls, and `misfiled_exchange`
 breaks the library's run exchange on purpose.  Test modules import them as
@@ -22,7 +25,12 @@ from collections import Counter
 from itertools import permutations
 
 from tabkit import cli
-from tabkit.core import all_permutations, word_to_str
+from tabkit.core import (
+    all_permutations,
+    compositions,
+    sort_to_partition,
+    word_to_str,
+)
 from tabkit.equivalence import _straddling, key_of, syt_classes
 from tabkit.qsym import class_union_qsym
 from tabkit.rsk import dual_move, rsk, rsk_inverse
@@ -305,6 +313,45 @@ def classes_to_json(classes):
         }
         for cls in classes
     ]
+
+
+# ---------------------------------------------------------------------------
+# monomial expansions
+
+def refinements(alpha):
+    """All compositions refining alpha (splitting parts into blocks)."""
+    if not alpha:
+        return [()]
+    out = []
+    for head in compositions(alpha[0]):
+        for rest in refinements(alpha[1:]):
+            out.append(head + rest)
+    return out
+
+
+def refinement_monomials(q):
+    """Coefficients on the monomial basis: F_a = sum of M_b over
+    refinements b of a."""
+    out = {}
+    for alpha, c in q.coeffs.items():
+        for beta in refinements(alpha):
+            out[beta] = out.get(beta, 0) + c
+    return {beta: c for beta, c in out.items() if c != 0}
+
+
+def symmetry_witness_by_refinements(q):
+    """None when symmetric; else a pair of rearranged compositions with
+    different monomial coefficients."""
+    mono = refinement_monomials(q)
+    by_multiset = {}
+    for beta in compositions(q.degree):
+        by_multiset.setdefault(sort_to_partition(beta), []).append(beta)
+    for group in by_multiset.values():
+        ref = mono.get(group[0], 0)
+        for beta in group[1:]:
+            if mono.get(beta, 0) != ref:
+                return (group[0], beta)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -213,14 +213,76 @@ def test_expand_class_of_symmetric(capsys):
 
 
 def test_expand_class_of_not_symmetric(capsys):
-    code, out, _ = run(
+    # the equiv0 class of 2134 is {2134, 3124}, F(1,3) + F(2,2): M(1,1,2)
+    # has coefficient 2 there and its rearrangement M(1,2,1) has 1
+    code, out, err = run(
         capsys, "expand", "--class-of", "2134", "--relation", "equiv0",
         "--format", "json",
     )
-    assert code == 0
+    assert (code, err) == (0, "")
     data = json.loads(out)
-    if not data["symmetric"]:
-        assert "witness" in data
+    assert data["class"]["members"] == ["2134", "3124"]
+    assert data["symmetric"] is False
+    assert data["witness"] == [[1, 1, 2], [1, 2, 1]]
+    assert "schur" not in data
+    code, out, err = run(capsys, "expand", "--class-of", "2134", "--relation", "equiv0")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "class of 2134 under equiv0: 2134 3124",
+        "F-sum = F(1,3) + F(2,2)",
+        "symmetric: no; monomial coefficients differ on (1,1,2) vs (1,2,1)",
+    ]
+
+
+# sha256 of `expand --class-of WORD --relation R --format FMT` under each of
+# the seven word relations in WORD_RELATIONS order, each run adding
+# stdout, NUL, stderr, NUL, exit code and a newline; taken before the
+# monomial expansion became one subset-sum transform
+EXPAND_CLASS_GOLDENS = {
+    ("2134", "text"): "28267bad3b18f592351356dd5de21f534b83f1f131f6dd6520c590c75a5cbcd2",
+    ("2134", "json"): "3811dd14b06057f0feee4a7ca0ffa3fc3d61bb1274bf14d5a10bd072ea33ce21",
+    ("2143", "text"): "c6d7cf01b5db7035daea928432d413bbf904365b255530dc5408ab9b69a3dc14",
+    ("2143", "json"): "d676f6b82996ad738ea7baa67adb6e78dfd17988d567355b258c77e16a9ea52a",
+    ("31524", "text"): "8fc6361414303278d399055aa8cb4784136a9980e1519f64a2c7e2083254fc0f",
+    ("31524", "json"): "4b32744c147a5ad039a72f40653ee38bd4c5bd0f60baf5fd2eb75c39f2c044fd",
+    ("241635", "text"): "11c149bdea13abb47fa233392d5732f8bd9e47c14877b2402645b5a5c2425584",
+    ("241635", "json"): "165e2a6cacaf15b34e6c4a9bc90ae3c9897522735de573e4bd438cce8bb99812",
+    ("27184635", "text"): "2c2dc670f589b01557bd7334206876b29a4d53984fa1d422f6dd67fb6439b7c7",
+    ("27184635", "json"): "e018131b8f336d333b7b4d4203077fd0e65cc543600b6b44f926cdf221f1f2ba",
+    ("318496275", "text"): "2727b4b96e57f25c01cf6fc3baa66b7f046ab91507867c93dcc5b8aebda8038c",
+    ("318496275", "json"): "92a091d80e6f1ea8a41a975f6851afd2c3b19a486728c69e606f4e16ddafffe3",
+}
+
+
+@pytest.mark.parametrize("word, fmt", list(EXPAND_CLASS_GOLDENS))
+def test_expand_class_of_golden(capsys, word, fmt):
+    digest = hashlib.sha256()
+    for relation in WORD_RELATIONS:
+        code, out, err = run(
+            capsys, "expand", "--class-of", word, "--relation", relation, "--format", fmt
+        )
+        digest.update(f"{out}\0{err}\0{code}\n".encode())
+    assert digest.hexdigest() == EXPAND_CLASS_GOLDENS[word, fmt]
+
+
+@pytest.mark.parametrize("word, relation, symmetric", [
+    ("2143", "dual", True),
+    ("2134", "equiv0", False),
+])
+def test_expand_class_of_reads_monomials_once(capsys, monkeypatch, word, relation, symmetric):
+    # one query, symmetric or not, takes one monomial transform of its F-sum
+    reads = []
+    for name in ("to_monomial", "symmetry_witness"):
+        original = getattr(QsymElement, name)
+        monkeypatch.setattr(
+            QsymElement, name,
+            lambda self, original=original, name=name: reads.append(name) or original(self),
+        )
+    code, out, _ = run(
+        capsys, "expand", "--class-of", word, "--relation", relation, "--format", "json"
+    )
+    assert code == 0 and json.loads(out)["symmetric"] is symmetric
+    assert reads == ["symmetry_witness"]
 
 
 def test_expand_quasischur(capsys):

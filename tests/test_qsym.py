@@ -6,7 +6,7 @@ import pytest
 
 from tabkit import qsym
 from tabkit.core import compositions, partitions, word_from_str
-from tabkit.equivalence import EquivClass, perm_classes, syt_classes
+from tabkit.equivalence import WORD_RELATIONS, EquivClass, perm_classes, syt_classes
 from tabkit.qsym import (
     DecompositionError,
     NotSymmetricError,
@@ -19,14 +19,21 @@ from tabkit.qsym import (
     lead_table,
     qsym_sum,
     quasi_schur,
-    refinements,
     schur_expand_by_slinky,
     schur_expand_class_union,
     schur_fundamental,
     solve_exact,
 )
 
-from oracles import conjugate, exact_rank, family_independence_report, fk_family
+from oracles import (
+    conjugate,
+    exact_rank,
+    family_independence_report,
+    fk_family,
+    refinement_monomials,
+    refinements,
+    symmetry_witness_by_refinements,
+)
 
 
 def F(*alpha):
@@ -54,6 +61,50 @@ def test_monomial_expansion():
     # F_(2) = M_(2) + M_(1,1); F_(1,1) = M_(1,1)
     assert F(2).to_monomial() == {(2,): 1, (1, 1): 1}
     assert F(1, 1).to_monomial() == {(1, 1): 1}
+
+
+def _transform_inputs():
+    """Class functions of every class of the seven word relations at n <= 6,
+    the Schur functions of degree <= 9, and seeded random signed
+    F-combinations at every degree 0..9."""
+    for relation in WORD_RELATIONS:
+        for n in range(1, 7):
+            for cls in perm_classes(n, relation):
+                yield f"{relation} class of {cls.key}", class_union_qsym([cls])
+    for n in range(10):
+        for lam in partitions(n):
+            yield f"s{lam}", schur_fundamental(lam)
+    rng = random.Random(25)
+    for n in range(10):
+        comps = compositions(n)
+        for trial in range(12):
+            support = rng.sample(comps, rng.randint(0, min(len(comps), 40)))
+            yield f"random {n}/{trial}", QsymElement(
+                n, {alpha: rng.choice((-3, -2, -1, 1, 2, 3)) for alpha in support}
+            )
+
+
+def test_monomial_transform_matches_refinements():
+    # the subset-sum transform gives the term-by-term refinement expansion,
+    # and the same witness pair, not only the same verdict
+    seen = Counter()
+    for label, q in _transform_inputs():
+        assert q.to_monomial() == refinement_monomials(q), label
+        witness = q.symmetry_witness()
+        assert witness == symmetry_witness_by_refinements(q), label
+        seen[witness is None] += 1
+    assert seen[True] and seen[False]
+
+
+def test_qsym_sum_checks_degree_and_drops_zeros():
+    with pytest.raises(ValueError, match="degree mismatch"):
+        qsym_sum([F(2, 1), F(1, 1)], 3)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        qsym_sum([F(1, 1)], 3)
+    total = qsym_sum([F(2, 1), F(1, 2).scale(2), F(2, 1).scale(-1), F(3)], 3)
+    assert total.coeffs == {(1, 2): 2, (3,): 1}
+    assert qsym_sum([F(1, 2), -F(1, 2)], 3).coeffs == {}
+    assert qsym_sum([], 4) == QsymElement.zero(4)
 
 
 def test_symmetry_witness():

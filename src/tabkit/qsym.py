@@ -89,12 +89,7 @@ class QsymElement:
         return not self.coeffs
 
     def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        out = dict(self.coeffs)
-        for alpha, c in other.coeffs.items():
-            out[alpha] = out.get(alpha, 0) + c
-        return QsymElement(self.degree, out)
+        return qsym_sum((self, other), self.degree)
 
     def __neg__(self):
         return self.scale(-1)

@@ -64,7 +64,7 @@ from .qsym import (
     family_lead_table,
     quasi_schur,
     schur_expand_by_slinky,
-    schur_expand_class_union,
+    schur_expand_fsum,
     schur_fundamental,
 )
 from .rsk import knuth_move, rsk, rsk_inverse
@@ -217,7 +217,7 @@ def cmd_expand(args):
         q = class_union_qsym([cls])
         witness = None
         try:
-            expansion = schur_expand_class_union([cls])
+            expansion = schur_expand_fsum(q, [cls])
         except NotSymmetricError as exc:
             witness = exc.witness
         except MarkerMismatchError as exc:
@@ -614,9 +614,15 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser, built on the first call of `main` and kept for the
+    process; each `parse_args` still returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -45,6 +45,11 @@ def sort_to_partition(alpha):
     return tuple(sorted(alpha, reverse=True))
 
 
+def conjugate(lam):
+    """The conjugate partition: the column lengths of lam."""
+    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0))
+
+
 def all_permutations(n):
     """S_n in lexicographic order, as tuples."""
     return [tuple(p) for p in _itertools_permutations(range(1, n + 1))]
@@ -132,18 +137,26 @@ def window_table(templates):
 def apply_window(word, low, high, table):
     """Apply a pattern table to the values low..high of a word.
 
-    Raises ValueError when one of those values is missing.
+    One scan of the word reads the window (those values in place order,
+    renumbered) and their positions; an image window is written back at
+    the same positions.  Raises ValueError when one of those values is
+    missing.
     """
-    try:
-        positions = sorted(word.index(v) for v in range(low, high + 1))
-    except ValueError:
-        raise ValueError(f"values [{low}, {high}] not all present") from None
-    new_window = table.get(tuple(word[p] - low + 1 for p in positions))
+    shift = low - 1
+    positions = []
+    window = []
+    for p, v in enumerate(word):
+        if low <= v <= high:
+            positions.append(p)
+            window.append(v - shift)
+    new_window = table.get(tuple(window))
     if new_window is None:
+        if len(set(window)) != high - shift:
+            raise ValueError(f"values [{low}, {high}] not all present")
         return tuple(word)
     out = list(word)
     for p, v in zip(positions, new_window):
-        out[p] = v + low - 1
+        out[p] = v + shift
     return tuple(out)
 
 

@@ -33,6 +33,8 @@ from .tableaux import Tableau, enumerate_tableaux
 def key_of(element):
     if isinstance(element, Tableau):
         return element.reading_word()
+    if isinstance(element, tuple):
+        return element
     return tuple(element)
 
 
@@ -264,16 +266,16 @@ def syt_classes(shape_or_n, relation):
     return sorted(classes, key=lambda cls: cls.key)
 
 
-def _dual_move_tree(lam):
+def _dual_move_tree(tableaux):
     """Breadth-first spanning tree of SYT(lam) under the dual moves d_j.
 
-    Returns the tableaux of SYT(lam), the root first, and the edges
-    (child, parent, j) as indices into them, with child = d_j(parent) and
-    each parent the root or an earlier child.  A d_j image that is not the
-    reading word of an SYT(lam), or a tableau the tree does not reach,
-    raises CarrierError.
+    Takes the tableaux of SYT(lam) as `enumerate_tableaux` lists them, the
+    root first, and returns the edges (child, parent, j) as indices into
+    them, with child = d_j(parent) and each parent the root or an earlier
+    child.  A d_j image that is not the reading word of an SYT(lam), or a
+    tableau the tree does not reach, raises CarrierError.
     """
-    tableaux = enumerate_tableaux(lam, "SYT")
+    lam = tableaux[0].shape
     index = {t.reading_word(): k for k, t in enumerate(tableaux)}
     reached = _search(tableaux[0].reading_word(), word_moves("dual", sum(lam)))
     edges = []
@@ -287,7 +289,7 @@ def _dual_move_tree(lam):
             f"moves d_2..d_{sum(lam) - 1} on SYT{lam} do not reach {missed}"
             f" from {tableaux[0].reading_word()}"
         )
-    return tableaux, edges
+    return edges
 
 
 def perm_classes(n, relation):
@@ -300,13 +302,15 @@ def perm_classes(n, relation):
     move K_j fixes P and acts on Q as the dual move d_j.  So one reverse
     bump per P, against the root of a d_j spanning tree of SYT(shape), gives
     the word with that root as Q, and K_j along each tree edge gives the
-    others.
+    others.  Each SYT(shape) is enumerated once, for the tree and the
+    classes.
     """
     classes = []
     for lam in partitions(n):
-        tableaux, edges = _dual_move_tree(lam)
+        tableaux = enumerate_tableaux(lam, "SYT")
+        edges = _dual_move_tree(tableaux)
         root_steps = row_sequence(tableaux[0])
-        for cls in syt_classes(lam, relation):
+        for cls in _tableau_classes(tableaux, lam, relation):
             carried = []
             for p in cls.members:
                 words = [None] * len(tableaux)

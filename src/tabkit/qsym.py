@@ -10,6 +10,7 @@ from types import MappingProxyType
 from .core import (
     composition_to_subset,
     compositions,
+    conjugate,
     descent_composition,
     flip,
     reverse_word,
@@ -207,6 +208,42 @@ def _descent_masks(n):
 
 
 @lru_cache(maxsize=None)
+def _mask_compositions(n):
+    """The inverse of `_descent_masks`: the composition of n with each
+    descent bitmask, as a tuple indexed by the bitmask."""
+    out = [None] * len(_descent_masks(n))
+    for alpha, mask in _descent_masks(n).items():
+        out[mask] = alpha
+    return tuple(out)
+
+
+def _fundamental_sum(words, n):
+    """The F-sum of words that are permutations of 1..n.
+
+    Each word is counted at its inverse-descent bitmask, read in one scan:
+    bit i-1 is set when i+1 comes before i.  One element is then built from
+    the counts, each bitmask named by its composition.  A word that is not
+    a permutation of 1..n raises ValueError.
+    """
+    full = (2 << n) - 2  # bits 1..n: every value seen
+    counts = {}
+    for word in words:
+        seen = mask = 0
+        for v in word:
+            if not 0 < v <= n:
+                raise ValueError(f"{word} is not a permutation of 1..{n}")
+            if seen >> v & 2:  # v + 1 came before v
+                mask |= 1 << v
+            seen |= 1 << v
+        if seen != full or len(word) != n:
+            raise ValueError(f"{word} is not a permutation of 1..{n}")
+        mask >>= 1
+        counts[mask] = counts.get(mask, 0) + 1
+    composition_of = _mask_compositions(n)
+    return QsymElement(n, {composition_of[mask]: c for mask, c in counts.items()})
+
+
+@lru_cache(maxsize=None)
 def _rearrangement_classes(n):
     """The compositions of n grouped by their sorted parts, as tuples of
     (composition, bitmask); classes and members in the order of
@@ -269,9 +306,8 @@ class SchurExpansion:
 def schur_fundamental(lam):
     """The Schur function of shape lam as a fundamental expansion, summed
     over standard Young tableaux."""
-    n = sum(lam)
-    return qsym_sum(
-        (QsymElement.of_tableau(t) for t in enumerate_tableaux(lam, "SYT")), n
+    return _fundamental_sum(
+        (t.reading_word() for t in enumerate_tableaux(lam, "SYT")), sum(lam)
     )
 
 
@@ -290,30 +326,31 @@ def schur_expand_by_slinky(q):
 def class_union_qsym(classes):
     """Fundamental generating function of a union of classes: each member
     adds F of the descent composition of its key (a tableau's key is its
-    reading word)."""
-    members = [m for cls in classes for m in cls.members]
-    if not members:
+    reading word), counted at the key's inverse-descent bitmask.  Keys of
+    different lengths, or a key that is not a permutation, raise
+    ValueError."""
+    keys = [key_of(m) for cls in classes for m in cls.members]
+    if not keys:
         raise ValueError("empty class union")
-    return qsym_sum(
-        (QsymElement.of_word(key_of(m)) for m in members), len(key_of(members[0]))
-    )
+    return _fundamental_sum(keys, len(keys[0]))
 
 
-def schur_expand_class_union(classes):
-    """Schur expansion of a symmetric class-union generating function.
+def schur_expand_fsum(q, classes):
+    """Schur expansion of a symmetric class-union generating function, from
+    q = class_union_qsym(classes), which the caller has already built.
 
     Coefficients are counted from the distinguished members (superstandard
     tableaux, or permutations whose insertion tableau is superstandard,
     after the relation's `MARKER_WORD` transform) and cross-checked against
-    the slinky straightening of the fundamental expansion; a disagreement
-    raises MarkerMismatchError.
+    the slinky straightening of q; a disagreement raises
+    MarkerMismatchError, and a q that is not symmetric raises
+    NotSymmetricError with its witness.
     """
     relations = {cls.relation for cls in classes}
     if len(relations) != 1:
         raise ValueError(f"classes under mixed relations: {relations}")
     relation = relations.pop()
     members = [m for cls in classes for m in cls.members]
-    q = class_union_qsym(classes)
     witness = q.symmetry_witness()
     if witness is not None:
         raise NotSymmetricError(witness)
@@ -337,16 +374,20 @@ MARKER_WORD = {"shifted": flip, "equiv2rev": reverse_word}
 
 
 def _marker_shape(member, relation):
-    """The partition this member contributes a Schur coefficient to, if any."""
+    """The partition this member contributes a Schur coefficient to, if any.
+
+    Reversal transposes the insertion tableau, P(rev w) = P(w)^T, so an
+    `equiv2rev` marker is filed under the conjugate of its shape.
+    """
     if isinstance(member, Tableau):
         if member == superstandard(member.shape):
             return member.shape
         return None
     word = MARKER_WORD[relation](member) if relation in MARKER_WORD else member
     p = rsk(word)[0]
-    if p == superstandard(p.shape):
-        return p.shape
-    return None
+    if p != superstandard(p.shape):
+        return None
+    return conjugate(p.shape) if relation == "equiv2rev" else p.shape
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +396,8 @@ def _marker_shape(member, relation):
 def quasi_schur(alpha):
     """Sum of fundamentals over the standard reverse composition tableaux
     of shape alpha, with descents read off the bent reading word."""
-    n = sum(alpha)
-    return qsym_sum(
-        (QsymElement.of_tableau(t) for t in enumerate_tableaux(alpha, "SRCT")),
-        n,
+    return _fundamental_sum(
+        (t.reading_word() for t in enumerate_tableaux(alpha, "SRCT")), sum(alpha)
     )
 
 

@@ -14,9 +14,14 @@ library compares move tables.  `classes_to_json` gives the JSON value of a
 class list, which the library writes as text in one pass.  `refinements`
 expands each fundamental into monomials term by term
 (`refinement_monomials`, `symmetry_witness_by_refinements`), where the
-library takes one subset-sum transform of the F-vector.  `refines`,
-`syt_from_word`, `insertion_tableau`, `position_of` and `dual_move_tableau`
-spell a test's verdict or input in library calls, and `misfiled_exchange`
+library takes one subset-sum transform of the F-vector.
+`apply_window_by_index` finds a move's window by one `index` per value and
+a sort, where the library reads it in one scan, and
+`class_union_qsym_by_members` sums one F per class member, where the library
+counts members at inverse-descent bitmasks.  `refines`, `syt_from_word`,
+`insertion_tableau`, `position_of`, `dual_move_tableau` and
+`schur_expand_class_union` spell a test's verdict or input in library
+calls, and `misfiled_exchange`
 breaks the library's run exchange on purpose.  Test modules import them as
 `from oracles import ...`.
 """
@@ -32,7 +37,7 @@ from tabkit.core import (
     word_to_str,
 )
 from tabkit.equivalence import _straddling, key_of, syt_classes
-from tabkit.qsym import class_union_qsym
+from tabkit.qsym import QsymElement, class_union_qsym, qsym_sum, schur_expand_fsum
 from tabkit.rsk import dual_move, rsk, rsk_inverse
 from tabkit.tableaux import (
     FLAVORS,
@@ -313,6 +318,44 @@ def classes_to_json(classes):
         }
         for cls in classes
     ]
+
+
+# ---------------------------------------------------------------------------
+# window moves and class F-sums
+
+def apply_window_by_index(word, low, high, table):
+    """Apply a pattern table to the values low..high of a word.
+
+    Raises ValueError when one of those values is missing.
+    """
+    try:
+        positions = sorted(word.index(v) for v in range(low, high + 1))
+    except ValueError:
+        raise ValueError(f"values [{low}, {high}] not all present") from None
+    new_window = table.get(tuple(word[p] - low + 1 for p in positions))
+    if new_window is None:
+        return tuple(word)
+    out = list(word)
+    for p, v in zip(positions, new_window):
+        out[p] = v + low - 1
+    return tuple(out)
+
+
+def class_union_qsym_by_members(classes):
+    """Fundamental generating function of a union of classes: each member
+    adds F of the descent composition of its key (a tableau's key is its
+    reading word)."""
+    members = [m for cls in classes for m in cls.members]
+    if not members:
+        raise ValueError("empty class union")
+    return qsym_sum(
+        (QsymElement.of_word(key_of(m)) for m in members), len(key_of(members[0]))
+    )
+
+
+def schur_expand_class_union(classes):
+    """The Schur expansion of a class union, from its own F-sum."""
+    return schur_expand_fsum(class_union_qsym(classes), classes)
 
 
 # ---------------------------------------------------------------------------

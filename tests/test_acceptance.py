@@ -45,7 +45,6 @@ from tabkit.qsym import (
     qsym_sum,
     quasi_schur,
     schur_expand_by_slinky,
-    schur_expand_class_union,
     schur_fundamental,
 )
 from tabkit.rsk import dual_move, rsk, rsk_inverse
@@ -57,6 +56,7 @@ from oracles import (
     family_independence_report,
     insertion_tableau,
     refines,
+    schur_expand_class_union,
     standardized_yamanouchi,
     syt_from_word,
 )

@@ -50,6 +50,7 @@ from oracles import (
     insertion_tableau,
     misfiled_exchange,
     refines,
+    schur_expand_class_union,
 )
 
 
@@ -285,6 +286,50 @@ def test_expand_class_of_reads_monomials_once(capsys, monkeypatch, word, relatio
     assert reads == ["symmetry_witness"]
 
 
+def test_expand_class_of_sums_its_class_once(capsys, monkeypatch):
+    # the F-sum that is printed is the one the Schur expansion reads
+    calls = []
+    real = qsym._fundamental_sum
+    monkeypatch.setattr(
+        qsym, "_fundamental_sum", lambda words, n: calls.append(n) or real(words, n)
+    )
+    for word, relation in (("2143", "dual"), ("2134", "equiv0"), ("21543", "equiv2rev")):
+        calls.clear()
+        code, _, _ = run(capsys, "expand", "--class-of", word, "--relation", relation)
+        assert (code, calls) == (0, [len(word)])
+
+
+def test_expand_class_of_equiv2rev_files_markers_under_the_conjugate(capsys):
+    # reversal transposes P: the identity word's marker is a column-shaped
+    # P(12345 reversed), filed under s(5)
+    assert run(capsys, "expand", "--class-of", "12345", "--relation", "equiv2rev") == (
+        0,
+        "class of 12345 under equiv2rev: 12345\n"
+        "F-sum = F(5)\n"
+        "symmetric: yes; Schur expansion = s(5)\n",
+        "",
+    )
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # built on the first call, not at import; each call parses afresh
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "expand", "--shape", "2,1")[0] == 0
+        assert run(capsys, "classes", "--relation", "dual", "--n", "3")[0] == 0
+        assert run(capsys, "expand")[0] == 2
+        assert built == [1]
+        first = cli._parser().parse_args(["verify", "--suite", "poset"])
+        second = cli._parser().parse_args(["classes", "--relation", "dual", "--n", "3"])
+        assert first is not second and not hasattr(second, "suite")
+        assert (first.n, first.format, second.format) == (None, "text", "text")
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_expand_quasischur(capsys):
     code, out, _ = run(capsys, "expand", "--quasischur", "2,3")
     assert code == 0
@@ -418,7 +463,7 @@ def test_expand_marker_mismatch_is_reported_not_raised(capsys, monkeypatch, fmt)
     # naming both expansions, exit 1, and nothing on stdout
     monkeypatch.setattr(qsym, "_marker_shape", lambda member, relation: None)
     with pytest.raises(qsym.MarkerMismatchError) as caught:
-        qsym.schur_expand_class_union([cli.perm_class((2, 1, 4, 3), "dual")])
+        schur_expand_class_union([cli.perm_class((2, 1, 4, 3), "dual")])
     assert caught.value.markers == qsym.SchurExpansion(4, {})
     assert caught.value.straightened == qsym.SchurExpansion(4, {(2, 2): 1})
     code, out, err = run(

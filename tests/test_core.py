@@ -1,3 +1,5 @@
+import pytest
+
 from tabkit.core import (
     all_permutations,
     apply_window,
@@ -16,8 +18,15 @@ from tabkit.core import (
     word_from_str,
     word_to_str,
 )
+from tabkit.operators import (
+    CYCLIC_WINDOW_TABLE,
+    RESTRICTED_WINDOW_TABLE,
+    SHIFTED_WINDOW_TABLE,
+)
+from tabkit.rsk import DUAL_WINDOW_TABLE
 
 from oracles import (
+    apply_window_by_index,
     conjugate,
     invert,
     slinky_by_swaps,
@@ -97,6 +106,45 @@ def test_window_table_and_apply_window():
     w = (5, 3, 1, 4, 2)
     assert apply_window(w, 3, 5, table) == (4, 3, 1, 5, 2)
     assert apply_window(w, 2, 4, table) == w
+
+
+def _window_tables():
+    """Every window table of the library, and the restricted one with an
+    entry that is no swap."""
+    broken = dict(RESTRICTED_WINDOW_TABLE)
+    broken[(2, 1, 3, 4)] = (3, 1, 4, 2)
+    return [DUAL_WINDOW_TABLE, RESTRICTED_WINDOW_TABLE, SHIFTED_WINDOW_TABLE,
+            CYCLIC_WINDOW_TABLE, broken]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_apply_window_matches_index_oracle_on_s_n():
+    # every window of every table on every word of S_n, n <= 7, with the
+    # windows that run past n (a value missing) raising the same error
+    for table in _window_tables():
+        k = len(next(iter(table)))
+        for n in range(1, 8):
+            for w in all_permutations(n):
+                for low in range(0, n + 1):
+                    high = low + k - 1
+                    assert _outcome(apply_window, w, low, high, table) == _outcome(
+                        apply_window_by_index, w, low, high, table
+                    ), (w, low, table)
+
+
+def test_apply_window_missing_value_raises():
+    table = window_table(("x1y",))
+    for word in [(1, 3, 4), (1, 2), (5, 3, 1, 4), (2, 2, 3), ()]:
+        with pytest.raises(ValueError, match=r"values \[1, 3\] not all present"):
+            apply_window(word, 1, 3, table)
+        with pytest.raises(ValueError):
+            apply_window_by_index(word, 1, 3, table)
 
 
 def test_flip_and_invert():

@@ -306,14 +306,35 @@ def test_dual_move_tree_spans_syt():
     # and the edges reach every SYT(lam) from the root
     for n in range(1, 9):
         for lam in partitions(n):
-            tableaux, edges = equivalence._dual_move_tree(lam)
-            assert tableaux == enumerate_tableaux(lam, "SYT")
+            tableaux = enumerate_tableaux(lam, "SYT")
+            edges = equivalence._dual_move_tree(tableaux)
             reached = {0}
             for child, parent, j in edges:
                 assert parent in reached and child not in reached
                 assert dual_move_tableau(j, tableaux[parent]) == tableaux[child]
                 reached.add(child)
             assert reached == set(range(len(tableaux)))
+
+
+@pytest.mark.parametrize("relation", WORD_RELATIONS)
+def test_perm_classes_enumerates_each_shape_once(monkeypatch, relation):
+    # one SYT(lam) list serves the transport tree and the classes of lam
+    calls = []
+    real = equivalence.enumerate_tableaux
+    monkeypatch.setattr(
+        equivalence, "enumerate_tableaux",
+        lambda shape, flavor: calls.append((tuple(shape), flavor)) or real(shape, flavor),
+    )
+    perm_classes(6, relation)
+    assert calls == [(lam, "SYT") for lam in partitions(6)]
+
+
+def test_key_of_returns_a_tuple_word_itself():
+    word = (3, 1, 2)
+    assert key_of(word) is word
+    assert key_of([3, 1, 2]) == word
+    t = enumerate_tableaux((2, 1), "SYT")[0]
+    assert key_of(t) is t.reading_word()
 
 
 @pytest.mark.parametrize("relation", ["shifted", "equiv2rev", "equiv2flip"])

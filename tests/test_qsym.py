@@ -6,7 +6,13 @@ import pytest
 
 from tabkit import qsym
 from tabkit.core import compositions, partitions, word_from_str
-from tabkit.equivalence import WORD_RELATIONS, EquivClass, perm_classes, syt_classes
+from tabkit.equivalence import (
+    WORD_RELATIONS,
+    EquivClass,
+    perm_classes,
+    srct_classes,
+    syt_classes,
+)
 from tabkit.qsym import (
     DecompositionError,
     NotSymmetricError,
@@ -20,18 +26,21 @@ from tabkit.qsym import (
     qsym_sum,
     quasi_schur,
     schur_expand_by_slinky,
-    schur_expand_class_union,
+    schur_expand_fsum,
     schur_fundamental,
     solve_exact,
 )
+from tabkit.tableaux import enumerate_tableaux
 
 from oracles import (
+    class_union_qsym_by_members,
     conjugate,
     exact_rank,
     family_independence_report,
     fk_family,
     refinement_monomials,
     refinements,
+    schur_expand_class_union,
     symmetry_witness_by_refinements,
 )
 
@@ -236,6 +245,94 @@ def test_classes_with_one_function_have_equal_markers(relation):
             counts = Counter(qsym._marker_shape(m, relation) for m in cls.members)
             counts.pop(None, None)
             assert markers.setdefault(class_union_qsym([cls]), counts) == counts, cls.key
+
+
+def test_every_symmetric_single_class_expands_by_its_markers():
+    # every symmetric class of each word relation, n = 2..7, expands with
+    # markers that agree with the slinky straightening (MarkerMismatchError
+    # otherwise); the conjugate filing of equiv2rev markers is what the
+    # self-conjugate witnesses above cannot see
+    expanded = Counter()
+    for relation in WORD_RELATIONS:
+        for n in range(2, 8):
+            for cls in perm_classes(n, relation):
+                q = class_union_qsym([cls])
+                if q.is_symmetric():
+                    expansion = schur_expand_fsum(q, [cls])
+                    assert expansion.is_positive() and expansion == schur_expand_by_slinky(q)
+                    expanded[relation] += 1
+    assert set(expanded) == set(WORD_RELATIONS)
+    assert expanded["equiv2rev"] == 19
+
+
+def test_equiv2rev_markers_file_under_the_conjugate_shape():
+    # the identity word reverses to a column-shaped P, so its marker counts
+    # toward s(5), the straightening of its F(5)
+    cls = perm_classes(5, "equiv2rev")
+    single = next(c for c in cls if c.key == (1, 2, 3, 4, 5))
+    assert schur_expand_class_union([single]) == SchurExpansion(5, {(5,): 1})
+
+
+def _fsum_cases(n):
+    """Every class of each word relation, SYT relation and SRCT(alpha) of
+    degree n, one at a time, then each relation's classes as one union."""
+    families = [perm_classes(n, relation) for relation in WORD_RELATIONS]
+    families += [syt_classes(n, relation) for relation in ("equiv0", "equiv1", "equiv2", "dual")]
+    families += [srct_classes(alpha) for alpha in compositions(n)]
+    for classes in families:
+        yield from ([cls] for cls in classes)
+        yield classes
+
+
+def test_class_union_qsym_matches_per_member_oracle():
+    for n in range(1, 7):
+        for classes in _fsum_cases(n):
+            assert class_union_qsym(classes) == class_union_qsym_by_members(classes)
+
+
+def test_class_union_qsym_keeps_the_member_order_of_its_terms():
+    # the terms come in the order their compositions first occur among the
+    # members, as the per-member sum adds them
+    for classes in _fsum_cases(5):
+        assert list(class_union_qsym(classes).coeffs) == list(
+            class_union_qsym_by_members(classes).coeffs
+        )
+
+
+def test_schur_and_quasi_schur_match_per_tableau_sums():
+    for n in range(0, 7):
+        for lam in partitions(n):
+            assert schur_fundamental(lam) == qsym_sum(
+                (QsymElement.of_tableau(t) for t in enumerate_tableaux(lam, "SYT")), n
+            )
+        for alpha in compositions(n):
+            assert quasi_schur(alpha) == qsym_sum(
+                (QsymElement.of_tableau(t) for t in enumerate_tableaux(alpha, "SRCT")), n
+            )
+
+
+@pytest.mark.parametrize("members", [
+    [(1, 2), (1, 2, 3)],
+    [(2, 1, 3), (1, 2)],
+    [(1, 3)],
+    [(0, 1)],
+    [(1, 1)],
+    [(2, 2, 1), (1, 2, 3)],
+    [(1, 2, 3, 3)],
+    [(1, 2, 3), (3, 1, 2, 3)],
+    [(-1, 1)],
+    [(1, 10 ** 12)],
+])
+def test_class_union_qsym_rejects_keys_that_are_not_permutations(members):
+    with pytest.raises(ValueError):
+        class_union_qsym([EquivClass("dual", members)])
+
+
+def test_class_union_qsym_rejects_classes_of_two_degrees():
+    with pytest.raises(ValueError):
+        class_union_qsym([syt_classes(3, "dual")[0], syt_classes(4, "dual")[0]])
+    with pytest.raises(ValueError, match="empty class union"):
+        class_union_qsym([])
 
 
 def test_exact_rank_oracle():

@@ -36,11 +36,9 @@ from .equivalence import (
     member_strings,
     moves_for,
     perm_class,
-    shape_moves,
     srct_classes,
     syt_classes,
     syt_universe,
-    word_moves,
     _straddling,
 )
 from .operators import (
@@ -124,13 +122,6 @@ def format_expansion(coeffs, letter):
     )
 
 
-def exact_json(c):
-    """A rational coefficient for JSON: an int, or an "a/b" string."""
-    if c.denominator == 1:
-        return c.numerator
-    return f"{c.numerator}/{c.denominator}"
-
-
 def emit(text, out_path):
     if not out_path:
         sys.stdout.write(text)
@@ -162,7 +153,7 @@ def cmd_classes(args):
     if args.format == "json":
         emit(classes_json_text(classes) + "\n", args.out)
     elif args.format == "dot":
-        emit(classes_to_dot(classes, moves_for(relation, n)), args.out)
+        emit(classes_to_dot(classes, relation), args.out)
     else:
         lines = [f"{len(classes)} classes under {relation}"]
         for cls in classes:
@@ -264,7 +255,7 @@ def cmd_expand(args):
             "input": {"quasischur": list(alpha)},
             "fundamental": q.to_json(),
             "f2_decomposition": [
-                {"class": word_to_str(key), "coeff": exact_json(c)}
+                {"class": word_to_str(key), "coeff": c}
                 for key, c in sorted(decomposition.items())
             ],
         }
@@ -336,7 +327,7 @@ def suite_poset(n):
         shape = sort_to_partition(alpha)
         image = [mason_rho(t).reading_word() for t in enumerate_tableaux(alpha, "SRCT")]
         fine, coarse = (
-            all_classes(image, shape_moves(relation, shape), relation)
+            all_classes(image, moves_for(relation, shape), relation)
             for relation in ("quasiDualSRT-restricted", "quasiDualSRT")
         )
         results.append(_first_failure(
@@ -371,7 +362,7 @@ def suite_involutions(n):
     def involutive(name, fn, domain):
         return _first_failure(name, (x for x in domain if fn(fn(x)) != x))
 
-    for name, i, move in word_moves("equiv2", n) + word_moves("shifted", n):
+    for name, i, move in moves_for("equiv2", (n,)) + moves_for("shifted", (n,)):
         results.append(involutive(f"{name}_{i} on S_{n}", move, words))
 
     # slink_star is an involution on non-superstandard tableaux; on a
@@ -493,7 +484,7 @@ def suite_shifted(n):
         name = f"flip-conjugated moves transitive on SST({lam})"
         universe = [t.reading_word() for t in enumerate_tableaux(lam, "SST")]
         try:
-            classes = all_classes(universe, moves_for("equiv2flip", n), "equiv2flip")
+            classes = all_classes(universe, moves_for("equiv2flip", (n,)), "equiv2flip")
         except CarrierError as exc:
             results.append((name, False, str(exc)))
         else:

@@ -6,12 +6,12 @@ Classes are always listed with members sorted by key and classes sorted
 by least member.
 
 `MOVES` gives each of the ten relations its carrier and one move on reading
-words.  The classes of SYT, SRCT and the SRT image close plain reading
-words, one shape at a time (`_tableau_classes`).  A move checks its own
-rules (the slink run sizes, a window's values); carrier membership checks
-that each image is a carrier element.  Tableau moves (`moves_for`) lift the
-same moves through the validated `Tableau.with_word`; they remain for dot
-output, `closure` and the suites.
+words, and `moves_for(relation, shape)` binds that move to each index and a
+shape; it is the one builder of indexed moves.  The classes of SYT, SRCT
+and the SRT image close plain reading words, one shape at a time
+(`_tableau_classes`); the classes of S_n and the DOT export use the same
+word moves.  A move checks its own rules (the slink run sizes, a window's
+values); carrier membership checks that each image is a carrier element.
 """
 
 import json
@@ -116,39 +116,15 @@ WORD_RELATIONS = tuple(r for r in RELATIONS if CARRIERS[r] in ("SYT", "S_n"))
 SHAPE_FREE = tuple(r for r in WORD_RELATIONS if MOVES[r][2] is not None)
 
 
-def _entry(relation):
+def moves_for(relation, shape):
+    """The indexed moves of a relation on the reading words of its carrier
+    elements of the shape, each move bound to its index and the shape; a
+    shape-free relation's moves on words of length n take the shape (n,),
+    which they do not read."""
     if relation not in MOVES:
         raise ValueError(f"unknown relation {relation!r}")
-    return MOVES[relation]
-
-
-def shape_moves(relation, shape):
-    """The indexed moves of a relation on the reading words of its carrier
-    elements of the shape, each move bound to its index and the shape."""
-    _carrier, name, span, move = _entry(relation)
+    _carrier, name, span, move = MOVES[relation]
     return [(name, i, lambda w, i=i: move(i, w, shape)) for i in _indices(span, sum(shape))]
-
-
-def word_moves(relation, n):
-    """The indexed moves of a shape-free relation on words of length n: its
-    `shape_moves` on the one-row shape (n,), which they do not read."""
-    if relation not in SHAPE_FREE:
-        raise ValueError(f"relation {relation!r} has no shape-free word moves")
-    return shape_moves(relation, (n,))
-
-
-def moves_for(relation, n):
-    """Indexed moves for a carrier of size n: the word moves on S_n, or each
-    move lifted to tableaux.  A lifted move acts on the tableau's reading
-    word and refills it through `Tableau.with_word`, which validates the
-    image."""
-    carrier, name, span, move = _entry(relation)
-    if carrier == "S_n":
-        return word_moves(relation, n)
-    return [
-        (name, i, lambda t, i=i: t.with_word(move(i, t.reading_word(), t.shape)))
-        for i in _indices(span, n)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +217,7 @@ def _tableau_classes(tableaux, shape, relation):
     """Classes of tableaux of one shape under a relation.
 
     The reading words of the tableaux are closed under the relation's moves
-    on words (`shape_moves`), and each word is mapped back to its tableau;
+    on words (`moves_for`), and each word is mapped back to its tableau;
     no Tableau is built per image.  A reading word fixes the filling of its
     shape, so the carrier check of `all_classes` (CarrierError) is the check
     that an image is a carrier element; the slink moves check their run
@@ -250,7 +226,7 @@ def _tableau_classes(tableaux, shape, relation):
     by_word = {t.reading_word(): t for t in tableaux}
     return [
         EquivClass(relation, [by_word[w] for w in cls.members])
-        for cls in all_classes(by_word, shape_moves(relation, shape), relation)
+        for cls in all_classes(by_word, moves_for(relation, shape), relation)
     ]
 
 
@@ -277,7 +253,7 @@ def _dual_move_tree(tableaux):
     """
     lam = tableaux[0].shape
     index = {t.reading_word(): k for k, t in enumerate(tableaux)}
-    reached = _search(tableaux[0].reading_word(), word_moves("dual", sum(lam)))
+    reached = _search(tableaux[0].reading_word(), moves_for("dual", lam))
     edges = []
     for word, (parent, _name, j) in list(reached.items())[1:]:
         if word not in index:
@@ -336,7 +312,7 @@ def perm_class(word, relation):
     """
     word = tuple(word)
     if relation in SHAPE_FREE:
-        return closure(word, word_moves(relation, len(word)), relation)
+        return closure(word, moves_for(relation, (len(word),)), relation)
     p, q = rsk(word)
     cls = next(c for c in syt_classes(p.shape, relation) if p in c)
     steps = row_sequence(q)
@@ -399,18 +375,25 @@ def classes_json_text(classes):
     return "[\n" + ",\n".join(objects) + "\n]"
 
 
-def classes_to_dot(classes, moves):
-    """DOT graph: vertices labeled by reading word, edges by generator."""
+def classes_to_dot(classes, relation):
+    """DOT graph: vertices labeled by reading word, edges by generator.
+
+    The relation's moves act on each member's key, bound to its class's
+    shape: a tableau's own, (n,) for a word of length n.  The classes are
+    closed already, under the carrier check, so each image is a member."""
     lines = ["graph classes {"]
     for cls in classes:
         for member in cls.members:
             lines.append(f'  "{word_to_str(key_of(member))}";')
     emitted = set()
     for cls in classes:
+        first = cls.members[0]
+        shape = first.shape if isinstance(first, Tableau) else (len(first),)
+        moves = moves_for(relation, shape)
         for member in cls.members:
+            a = key_of(member)
             for gen_name, idx, move in moves:
-                image = move(member)
-                a, b = key_of(member), key_of(image)
+                b = move(a)
                 if a == b:
                     continue
                 edge = (min(a, b), max(a, b), gen_name, idx)

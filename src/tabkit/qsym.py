@@ -11,7 +11,6 @@ from .core import (
     composition_to_subset,
     compositions,
     conjugate,
-    descent_composition,
     flip,
     reverse_word,
     slinky,
@@ -73,14 +72,6 @@ class QsymElement:
     @classmethod
     def fundamental(cls, alpha):
         return cls(sum(alpha), {tuple(alpha): 1})
-
-    @classmethod
-    def of_word(cls, word):
-        return cls.fundamental(descent_composition(word))
-
-    @classmethod
-    def of_tableau(cls, t):
-        return cls.fundamental(t.descent_composition())
 
     @classmethod
     def zero(cls, degree):

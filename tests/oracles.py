@@ -19,9 +19,12 @@ library takes one subset-sum transform of the F-vector.
 a sort, where the library reads it in one scan, and
 `class_union_qsym_by_members` sums one F per class member, where the library
 counts members at inverse-descent bitmasks.  `refines`, `syt_from_word`,
-`insertion_tableau`, `position_of`, `dual_move_tableau` and
+`insertion_tableau`, `position_of`, `dual_move_tableau`,
+`fundamental_of_word`, `fundamental_of_tableau` and
 `schur_expand_class_union` spell a test's verdict or input in library
-calls, and `misfiled_exchange`
+calls.  `tableau_moves` lifts each word move to tableaux through the
+validated `Tableau.with_word`, where the library moves reading words
+only, and `misfiled_exchange`
 breaks the library's run exchange on purpose.  Test modules import them as
 `from oracles import ...`.
 """
@@ -33,10 +36,11 @@ from tabkit import cli
 from tabkit.core import (
     all_permutations,
     compositions,
+    descent_composition,
     sort_to_partition,
     word_to_str,
 )
-from tabkit.equivalence import _straddling, key_of, syt_classes
+from tabkit.equivalence import MOVES, _indices, _straddling, key_of, moves_for, syt_classes
 from tabkit.qsym import QsymElement, class_union_qsym, qsym_sum, schur_expand_fsum
 from tabkit.rsk import dual_move, rsk, rsk_inverse
 from tabkit.tableaux import (
@@ -159,6 +163,20 @@ def position_of(t, value):
 def dual_move_tableau(i, t):
     """The dual move d_i on an SYT, through its row reading word."""
     return t.with_word(dual_move(i, t.reading_word()))
+
+
+def tableau_moves(relation, n):
+    """Indexed moves for a carrier of size n: the word moves on S_n, or each
+    move lifted to tableaux.  A lifted move acts on the tableau's reading
+    word, bound to the tableau's shape, and refills it through
+    `Tableau.with_word`, which validates the image."""
+    carrier, name, span, move = MOVES[relation]
+    if carrier == "S_n":
+        return moves_for(relation, (n,))
+    return [
+        (name, i, lambda t, i=i: t.with_word(move(i, t.reading_word(), t.shape)))
+        for i in _indices(span, n)
+    ]
 
 
 def act_via_insertion(f, word):
@@ -341,6 +359,16 @@ def apply_window_by_index(word, low, high, table):
     return tuple(out)
 
 
+def fundamental_of_word(word):
+    """F of the descent composition of a word."""
+    return QsymElement.fundamental(descent_composition(word))
+
+
+def fundamental_of_tableau(t):
+    """F of the descent composition of a tableau's reading word."""
+    return QsymElement.fundamental(t.descent_composition())
+
+
 def class_union_qsym_by_members(classes):
     """Fundamental generating function of a union of classes: each member
     adds F of the descent composition of its key (a tableau's key is its
@@ -349,7 +377,7 @@ def class_union_qsym_by_members(classes):
     if not members:
         raise ValueError("empty class union")
     return qsym_sum(
-        (QsymElement.of_word(key_of(m)) for m in members), len(key_of(members[0]))
+        (fundamental_of_word(key_of(m)) for m in members), len(key_of(members[0]))
     )
 
 

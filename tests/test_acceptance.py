@@ -343,7 +343,7 @@ def test_criterion_7_shifted_suite(capsys):
         for n in range(1, 9):
             for lam in strict_partitions(n):
                 words = [t.reading_word() for t in enumerate_tableaux(lam, "SST")]
-                classes = all_classes(words, moves_for("equiv2flip", n), "equiv2flip")
+                classes = all_classes(words, moves_for("equiv2flip", (n,)), "equiv2flip")
                 assert len(classes) == 1
 
         # symmetric shifted class unions: both marker routes agree

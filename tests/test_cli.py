@@ -7,12 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from tabkit import cli, operators, qsym
+from tabkit import cli, equivalence, operators, qsym
 from tabkit.cli import SUITE_RUNNERS, main, suite_commutation, suite_mason
 from tabkit.core import (
     all_permutations,
+    compositions,
     descent_composition,
     flip,
+    parts_to_str,
     reverse_word,
     word_from_str,
     word_to_str,
@@ -37,6 +39,7 @@ from tabkit.qsym import (
     DecompositionError,
     QsymElement,
     class_union_qsym,
+    decompose_in_fk,
     fk_lead_table,
     qsym_sum,
     quasi_schur,
@@ -51,6 +54,7 @@ from oracles import (
     misfiled_exchange,
     refines,
     schur_expand_class_union,
+    tableau_moves,
 )
 
 
@@ -130,6 +134,44 @@ def test_classes_dot_golden(capsys, relation, flag, value):
     assert run(
         capsys, "classes", "--relation", relation, flag, value, "--format", "dot"
     ) == (0, expected, "")
+
+
+def test_every_move_is_built_by_moves_for(capsys, monkeypatch):
+    # a counting wrapper over moves_for where the library binds it, as a
+    # tracer installs one: each class builder, suite and the DOT export
+    # must call it, so a count of move calls sees every move
+    calls = {"equivalence": 0, "cli": 0}
+
+    def counting(module, builder):
+        def wrapped(relation, shape):
+            calls[module] += 1
+            return builder(relation, shape)
+        return wrapped
+
+    monkeypatch.setattr(equivalence, "moves_for", counting("equivalence", equivalence.moves_for))
+    monkeypatch.setattr(cli, "moves_for", counting("cli", cli.moves_for))
+
+    def count(module, fn, *args):
+        before = calls[module]
+        fn(*args)
+        return calls[module] - before
+
+    assert count("equivalence", equivalence.syt_classes, 5, "equiv2")
+    assert count("equivalence", equivalence.perm_classes, 5, "dual")
+    assert count("equivalence", equivalence.perm_class, (2, 5, 1, 4, 3), "shifted")
+    assert count("equivalence", equivalence.perm_class, (2, 5, 1, 4, 3), "equiv1")
+    assert count("equivalence", equivalence.srct_classes, (2, 1, 2))
+    assert count("equivalence", equivalence.srt_image_classes, (2, 2, 2), "quasiDualSRT")
+    for suite in ("poset", "involutions", "shifted"):
+        assert count("cli", SUITE_RUNNERS[suite], 5), suite
+
+    def classes(fmt):
+        return count(
+            "equivalence", run, capsys, "classes", "--relation", "equiv2", "--n", "5",
+            "--format", fmt,
+        )
+
+    assert classes("dot") > classes("text")
 
 
 def test_format_expansion():
@@ -414,7 +456,7 @@ def test_expand_class_of_at_the_degree_cap(capsys, relation):
 
     # move-closed: word moves act on the members themselves; tableau moves
     # act on the insertion tableaux, with the seed's recording tableau fixed
-    moves = moves_for(relation, 9)
+    moves = tableau_moves(relation, 9)
     if CARRIERS[relation] == "SYT":
         seed_q = rsk(word_from_str(seed))[1]
         pairs = [rsk(w) for w in members]
@@ -476,18 +518,24 @@ def test_expand_marker_mismatch_is_reported_not_raised(capsys, monkeypatch, fmt)
     )
 
 
-def test_expand_quasischur_exact_coefficients(capsys, monkeypatch):
-    decomposition = {(1, 2, 3): Fraction(3), (2, 1, 3): Fraction(-1, 2)}
-    monkeypatch.setattr("tabkit.cli.decompose_in_fk", lambda q, k, n: decomposition)
-    code, out, _ = run(capsys, "expand", "--quasischur", "2,1", "--format", "json")
-    assert code == 0
-    terms = json.loads(out)["f2_decomposition"]
-    assert terms == [
-        {"class": "123", "coeff": 3},
-        {"class": "213", "coeff": "-1/2"},
-    ]
-    code, out, _ = run(capsys, "expand", "--quasischur", "2,1")
-    assert code == 0 and "  -1/2 * f[213]" in out
+def test_expand_quasischur_exact_coefficients(capsys):
+    # the lead-table solve is in integers, so each coefficient is written as
+    # it is: a JSON integer, and an integer in the text
+    for n in range(1, 7):
+        for alpha in compositions(n):
+            decomposition = decompose_in_fk(quasi_schur(alpha), 2, n)
+            assert all(type(c) is int for c in decomposition.values()), alpha
+            terms = sorted(decomposition.items())
+            code, out, _ = run(
+                capsys, "expand", "--quasischur", parts_to_str(alpha), "--format", "json"
+            )
+            assert code == 0
+            assert json.loads(out)["f2_decomposition"] == [
+                {"class": word_to_str(key), "coeff": c} for key, c in terms
+            ]
+            code, out, _ = run(capsys, "expand", "--quasischur", parts_to_str(alpha))
+            assert code == 0
+            assert out.splitlines()[2:] == [f"  {c} * f[{word_to_str(key)}]" for key, c in terms]
 
 
 def test_expand_quasischur_outside_the_span(capsys, monkeypatch):
@@ -901,7 +949,7 @@ def _swept_classes(n):
         if relation == "equiv2":
             moves = [("dR", i, lambda w, i=i: restricted_dual_move(i, w)) for i in range(2, n - 1)]
         else:
-            moves = moves_for(relation, n)
+            moves = moves_for(relation, (n,))
         return all_classes(all_permutations(n), moves, relation)
     return classes_of
 

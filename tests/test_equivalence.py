@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from tabkit.equivalence import (
     classes_to_dot,
     closure,
     key_of,
+    member_strings,
     moves_for,
     perm_class,
     perm_classes,
@@ -24,7 +26,6 @@ from tabkit.equivalence import (
     srt_image_classes,
     syt_classes,
     syt_universe,
-    word_moves,
 )
 from tabkit.operators import mason_rho
 from tabkit.rsk import rsk, rsk_inverse
@@ -37,6 +38,7 @@ from oracles import (
     refines,
     slink_by_runs,
     slink_star_by_runs,
+    tableau_moves,
 )
 
 
@@ -110,7 +112,7 @@ def test_duplicate_generating_functions_are_distinct_classes():
 
 
 def test_closure_matches_all_classes():
-    moves = moves_for("equiv2", 5)
+    moves = tableau_moves("equiv2", 5)
     classes = syt_classes(5, "equiv2")
     for cls in classes:
         assert closure(cls.members[0], moves, "equiv2") == cls
@@ -121,7 +123,7 @@ def test_carrier_error():
     universe = enumerate_tableaux((3, 1), "SYT")
     bad = [t for t in universe if t.reading_word() != (4, 1, 2, 3)]
     with pytest.raises(CarrierError):
-        all_classes(bad, moves_for("dual", 4))
+        all_classes(bad, tableau_moves("dual", 4))
 
 
 def test_dual_and_restricted_images_of_syt_are_syt():
@@ -132,7 +134,7 @@ def test_dual_and_restricted_images_of_syt_are_syt():
         for t in syt_universe(n):
             w = t.reading_word()
             for relation in SHAPE_FREE:
-                for name, i, move in word_moves(relation, n):
+                for name, i, move in moves_for(relation, (n,)):
                     image = move(w)
                     assert Tableau(t.with_word(image).rows, "SYT").shape == t.shape
                     assert insertion_tableau(image).reading_word() == image, (name, i, w)
@@ -145,7 +147,7 @@ def _tableau_moves(relation, n):
         return [("slink*", 0, slink_star_by_runs)]
     if relation == "equiv1":
         return [("slink", 0, slink_by_runs)]
-    moves = moves_for(relation, n)
+    moves = tableau_moves(relation, n)
     if relation in ("equiv2", "dual"):
         return moves
     return [
@@ -205,9 +207,9 @@ def _quasi_dual_classes(relation, alpha):
 @pytest.mark.parametrize("relation", QUASI_DUAL)
 def test_quasi_dual_classes_match_tableau_moves(relation):
     # reference: close the tableaux themselves under the validated tableau
-    # moves of moves_for
+    # moves of tableau_moves
     for n in range(1, 8):
-        moves = moves_for(relation, n)
+        moves = tableau_moves(relation, n)
         for alpha in compositions(n):
             universe = enumerate_tableaux(alpha, "SRCT")
             if CARRIERS[relation] == "SRT":
@@ -274,7 +276,7 @@ def test_perm_classes_transport_consistency():
 def test_perm_classes_transport_matches_word_sweep(relation):
     # reference: close S_n under the word-level moves directly
     for n in range(1, 8):
-        expected = all_classes(all_permutations(n), word_moves(relation, n), relation)
+        expected = all_classes(all_permutations(n), moves_for(relation, (n,)), relation)
         assert perm_classes(n, relation) == expected
 
 
@@ -341,7 +343,7 @@ def test_key_of_returns_a_tuple_word_itself():
 def test_perm_classes_sweeps_no_permutations(monkeypatch, relation):
     # the word relations' classes come from SYT(shape) carried across Q;
     # the sweep of S_n is only this test's reference
-    expected = all_classes(all_permutations(6), moves_for(relation, 6), relation)
+    expected = all_classes(all_permutations(6), moves_for(relation, (6,)), relation)
 
     def fail(*args):
         raise AssertionError("perm_classes swept S_n")
@@ -380,7 +382,7 @@ def test_word_relations_fix_q_and_act_on_p(relation):
     # this to carry the word classes across Q, and perm_class to close one
     # word under the moves
     for n in range(1, 8):
-        moves = word_moves(relation, n)
+        moves = moves_for(relation, (n,))
         on_p = {}
         for w in all_permutations(n):
             p, q = rsk(w)
@@ -423,10 +425,10 @@ def test_srt_image_restricted_not_transitive_on_222():
 
 def test_relation_registry():
     for relation in RELATIONS:
-        moves = moves_for(relation, 6)
+        moves = moves_for(relation, (6,))
         assert all(callable(move) for _name, _idx, move in moves)
     with pytest.raises(ValueError):
-        moves_for("nope", 4)
+        moves_for("nope", (4,))
 
 
 def test_equivclass_api():
@@ -441,9 +443,58 @@ def test_json_and_dot_export():
     classes = syt_classes(4, "equiv2")
     data = classes_to_json(classes)
     assert sum(entry["size"] for entry in data) == len(syt_universe(4))
-    dot = classes_to_dot(classes, moves_for("equiv2", 4))
+    dot = classes_to_dot(classes, "equiv2")
     assert dot.startswith("graph")
     assert dot.rstrip().endswith("}")
+
+
+_DOT_EDGE = re.compile(r'  "([\d,]+)" -- "([\d,]+)" \[label="(.+)_(\d+)"\];')
+
+
+def _reference_dot_edges(classes, relation, n):
+    """Each edge a member's tableau move takes to another member, as
+    (lesser key, greater key, generator, index)."""
+    moves = tableau_moves(relation, n)
+    edges = set()
+    for cls in classes:
+        for member in cls.members:
+            for name, idx, move in moves:
+                a, b = key_of(member), key_of(move(member))
+                if a != b:
+                    edges.add((min(a, b), max(a, b), name, idx))
+    return edges
+
+
+def _dot_edges(text):
+    edges = [_DOT_EDGE.fullmatch(line) for line in text.splitlines() if " -- " in line]
+    assert all(edges)
+    return [
+        (word_from_str(a), word_from_str(b), name, int(idx))
+        for a, b, name, idx in (m.groups() for m in edges)
+    ]
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_dot_edges_match_tableau_moves(relation):
+    # reference: the validated tableau moves applied to each member; the
+    # export moves each member's key with its class's word moves
+    if CARRIERS[relation] in ("SYT", "S_n"):
+        cases = [(n, classes_for_cli(relation, n=n)) for n in range(1, 7)]
+    else:
+        cases = [
+            (n, classes_for_cli(relation, alpha=alpha))
+            for n in (5, 6)
+            for alpha in compositions(n)
+        ]
+    for n, classes in cases:
+        dot = classes_to_dot(classes, relation)
+        lines = dot.splitlines()
+        assert lines[0] == "graph classes {" and lines[-1] == "}"
+        vertices = [line for line in lines[1:-1] if " -- " not in line]
+        assert vertices == [f'  "{m}";' for cls in classes for m in member_strings(cls)]
+        edges = _dot_edges(dot)
+        assert len(edges) == len(set(edges))
+        assert set(edges) == _reference_dot_edges(classes, relation, n)
 
 
 def _reference_json(classes):

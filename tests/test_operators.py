@@ -24,7 +24,7 @@ from tabkit.operators import (
     slink_star_word,
     slink_word,
 )
-from tabkit.qsym import QsymElement, qsym_sum, quasi_schur
+from tabkit.qsym import qsym_sum, quasi_schur
 from tabkit.rsk import DUAL_WINDOW_TABLE, dual_move, knuth_move
 from tabkit.tableaux import (
     InvalidTableauError,
@@ -36,6 +36,7 @@ from tabkit.tableaux import (
 
 from oracles import (
     from_runs,
+    fundamental_of_tableau,
     misfiled_exchange,
     run_cells,
     slink_by_runs,
@@ -413,7 +414,7 @@ def test_split_shape_has_no_cover_by_quasi_schur_blocks():
     beta_of = {quasi_schur(beta): beta for beta in compositions(8)}
     blocks = {}
     for mask in range(1, 1 << len(members)):
-        part = (QsymElement.of_tableau(t) for k, t in enumerate(members) if mask >> k & 1)
+        part = (fundamental_of_tableau(t) for k, t in enumerate(members) if mask >> k & 1)
         beta = beta_of.get(qsym_sum(part, 8))
         if beta is not None:
             blocks[mask] = beta

@@ -83,7 +83,7 @@ def test_word_relations_move_p_through_insertion_and_fix_q(w):
     # across Q, here up to the degree cap
     p, q = rsk(w)
     for relation in ("shifted", "equiv2rev", "equiv2flip"):
-        for _name, _i, move in moves_for(relation, len(w)):
+        for _name, _i, move in moves_for(relation, (len(w),)):
             assert rsk(move(w)) == (insertion_tableau(move(p.reading_word())), q)
 
 

@@ -38,6 +38,8 @@ from oracles import (
     exact_rank,
     family_independence_report,
     fk_family,
+    fundamental_of_tableau,
+    fundamental_of_word,
     refinement_monomials,
     refinements,
     schur_expand_class_union,
@@ -303,11 +305,11 @@ def test_schur_and_quasi_schur_match_per_tableau_sums():
     for n in range(0, 7):
         for lam in partitions(n):
             assert schur_fundamental(lam) == qsym_sum(
-                (QsymElement.of_tableau(t) for t in enumerate_tableaux(lam, "SYT")), n
+                (fundamental_of_tableau(t) for t in enumerate_tableaux(lam, "SYT")), n
             )
         for alpha in compositions(n):
             assert quasi_schur(alpha) == qsym_sum(
-                (QsymElement.of_tableau(t) for t in enumerate_tableaux(alpha, "SRCT")), n
+                (fundamental_of_tableau(t) for t in enumerate_tableaux(alpha, "SRCT")), n
             )
 
 
@@ -532,7 +534,7 @@ def test_shifted_family_partitions_sn():
     for n in range(1, 6):
         total = class_union_qsym(perm_classes(n, "shifted"))
         direct = qsym_sum(
-            (QsymElement.of_word(w) for w in all_permutations(n)), n
+            (fundamental_of_word(w) for w in all_permutations(n)), n
         )
         assert total == direct
 

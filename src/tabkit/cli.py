@@ -38,19 +38,14 @@ from .equivalence import (
     perm_class,
     srct_classes,
     syt_classes,
-    syt_universe,
     _straddling,
 )
 from .operators import (
     mason_rho,
     mason_rho_inverse,
-    quasi_dual_move_srct,
-    quasi_dual_move_srt,
     restricted_dual_move,
     shifted_dual_move,
     shifted_dual_move_by_bridges,
-    slink,
-    slink_star,
 )
 from .qsym import (
     DecompositionError,
@@ -65,7 +60,7 @@ from .qsym import (
     schur_expand_fsum,
     schur_fundamental,
 )
-from .rsk import knuth_move, rsk, rsk_inverse
+from .rsk import knuth_move, row_sequence, unbump
 from .tableaux import InvalidTableauError, enumerate_tableaux
 
 DEFAULT_MAX_DEGREE = 9
@@ -127,11 +122,10 @@ def emit(text, out_path):
         sys.stdout.write(text)
         return
     try:
-        fh = open(out_path, "w")
+        with open(out_path, "w") as fh:
+            fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write --out: {exc}")
-    with fh:
-        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +237,10 @@ def cmd_expand(args):
 
     else:
         alpha = parse_parts(args.quasischur, "--quasischur")
-        n = sum(alpha)
-        check_degree(n)
+        check_degree(sum(alpha))
         q = quasi_schur(alpha)
         try:
-            decomposition = decompose_in_fk(q, 2, n)
+            decomposition = decompose_in_fk(q, 2)
         except DecompositionError as exc:
             print(f"error: S({parts_to_str(alpha)}): {exc}", file=sys.stderr)
             return 1
@@ -355,25 +348,42 @@ def suite_poset(n):
     return results
 
 
+def _move_table(words, name, i, move):
+    """The position in `words` of each word's image under an indexed move;
+    an image outside the words raises CarrierError, as in `all_classes`."""
+    index = {w: k for k, w in enumerate(words)}
+    table = [index.get(move(w)) for w in words]
+    if None in table:
+        raise CarrierError(f"move {name}_{i} left the carrier at {words[table.index(None)]}")
+    return table
+
+
 def suite_involutions(n):
-    results = []
     words = _window_words(n)
+    results = [
+        _first_failure(f"{name}_{i} on S_{n}", (w for w in words if move(move(w)) != w))
+        for name, i, move in moves_for("equiv2", (n,)) + moves_for("shifted", (n,))
+    ]
 
-    def involutive(name, fn, domain):
-        return _first_failure(name, (x for x in domain if fn(fn(x)) != x))
+    def unfixed(tableaux, move):
+        # the tableaux whose reading words two steps of the move do not fix
+        table = _move_table([t.reading_word() for t in tableaux], *move)
+        return (t for k, t in enumerate(tableaux) if table[table[k]] != k)
 
-    for name, i, move in moves_for("equiv2", (n,)) + moves_for("shifted", (n,)):
-        results.append(involutive(f"{name}_{i} on S_{n}", move, words))
-
-    # slink_star is an involution on non-superstandard tableaux; on a
-    # superstandard tableau both maps fix it
-    results.append(involutive(f"slink* on SYT({n})", slink_star, syt_universe(n)))
+    # slink* is an involution off the superstandard tableau, which both maps fix
+    results.append(_first_failure(f"slink* on SYT({n})", (
+        t
+        for lam in partitions(n)
+        for move in moves_for("equiv0", lam)
+        for t in unfixed(enumerate_tableaux(lam, "SYT"), move)
+    )))
 
     for alpha in compositions(n):
         srct = enumerate_tableaux(alpha, "SRCT")
-        for i in range(2, sum(alpha)):
-            name = f"DQ_{i} on SRCT({alpha})"
-            results.append(involutive(name, lambda t, i=i: quasi_dual_move_srct(i, t), srct))
+        for name, i, move in moves_for("quasiDualSRCT", alpha):
+            results.append(_first_failure(
+                f"{name}_{i} on SRCT({alpha})", unfixed(srct, (name, i, move))
+            ))
     return results
 
 
@@ -381,24 +391,33 @@ def suite_commutation(n):
     """K_j commutes with slink, slink* and every dR_i on S_n.
 
     Each move is tabulated once, as the index in `all_permutations(n)` of
-    each word's image: K_j and dR_i by the word moves, slink and slink* by
-    one insertion per word, with the image `rsk_inverse(f(P), Q)` and f
-    applied once per P.  A check holds when K[O[k]] == O[K[k]] for every k;
-    otherwise it names the first word where the two sides differ.  An f(P)
-    of another shape than P raises InvalidTableauError in `rsk_inverse`,
-    which fails the suite.
+    each word's image; K_j and dR_i act on the words.  slink and slink* take
+    the word of (P, Q), `unbump(P, row_sequence(Q))` on the pairs of each
+    SYT(lam), to the word of (f(P), Q), with f tabulated on the reading words
+    of SYT(lam); an f(P) outside them, or pairs that do not give each word
+    of S_n once, raise CarrierError.  A check holds when K[O[k]] == O[K[k]]
+    for every k; otherwise it names the first word where the two differ.
     """
     words = all_permutations(n)
     index = {w: k for k, w in enumerate(words)}
-    tableau_maps = [
-        ("slink*", lru_cache(maxsize=None)(slink_star)),
-        ("slink", lru_cache(maxsize=None)(slink)),
-    ]
-    ops = {name: [] for name, _ in tableau_maps}
-    for w in words:
-        p, q = rsk(w)
-        for name, f in tableau_maps:
-            ops[name].append(index[rsk_inverse(f(p), q)])
+    ops = {"slink*": [None] * len(words), "slink": [None] * len(words)}
+    pairs = 0
+    for lam in partitions(n):
+        tableaux = enumerate_tableaux(lam, "SYT")
+        tables = [
+            (ops[name], _move_table([t.reading_word() for t in tableaux], name, i, move))
+            for relation in ("equiv0", "equiv1")
+            for name, i, move in moves_for(relation, lam)
+        ]
+        for steps in map(row_sequence, tableaux):
+            # the words of (P, Q) for this Q and every P, in tableau order
+            row = [index[unbump(p.rows, steps)] for p in tableaux]
+            for op, table in tables:
+                for k, image in zip(row, table):
+                    op[k] = row[image]
+        pairs += len(tableaux) ** 2
+    if pairs != len(words) or None in ops["slink"]:
+        raise CarrierError(f"the RSK pairs of size {n} do not give each word of S_{n} once")
     for i in range(2, n - 1):
         ops[f"dR_{i}"] = [index[restricted_dual_move(i, w)] for w in words]
     results = []
@@ -420,21 +439,24 @@ def suite_mason(n):
     results = []
     for alpha, classes in classes_of.items():
         srct = sorted((t for cls in classes for t in cls), key=key_of)
+        images = [mason_rho(t) for t in srct]
         # bijectivity: the certified round trip also fails on a collision
         results.append(_first_failure(
             f"column sort bijective on SRCT({alpha})",
-            (t for t in srct if mason_rho_inverse(mason_rho(t), alpha) != t),
+            (t for t, image in zip(srct, images) if mason_rho_inverse(image, alpha) != t),
         ))
 
-        # the commuting square with the quasi-dual moves
+        # the commuting square with the quasi-dual moves, on reading words
+        words = [t.reading_word() for t in srct]
+        tables = [_move_table(words, *move) for move in moves_for("quasiDualSRCT", alpha)]
+        srt_moves = moves_for("quasiDualSRT", sort_to_partition(alpha))
         results.append(_first_failure(
             f"column sort commutes with quasi-dual moves on SRCT({alpha})",
             (
                 (i, t)
-                for t in srct
-                for i in range(2, sum(alpha))
-                if mason_rho(quasi_dual_move_srct(i, t))
-                != quasi_dual_move_srt(i, mason_rho(t))
+                for k, t in enumerate(srct)
+                for table, (_, i, srt_move) in zip(tables, srt_moves)
+                if images[table[k]].reading_word() != srt_move(images[k].reading_word())
             ),
         ))
 
@@ -528,7 +550,6 @@ SUITE_RUNNERS = {
     "shifted": suite_shifted,
     "conjecture": suite_conjecture,
 }
-SUITES = tuple(SUITE_RUNNERS)
 
 
 def cmd_verify(args):
@@ -539,7 +560,8 @@ def cmd_verify(args):
     try:
         results = SUITE_RUNNERS[args.suite](n)
     except (CarrierError, InvalidTableauError) as exc:
-        # a move that leaves its carrier fails the suite with its message
+        # a move that leaves its carrier, or a run exchange that misses its
+        # run sizes, fails the suite with its message
         results = [(f"suite {args.suite} runs to completion at n = {n}", False, str(exc))]
     failures = [r for r in results if not r[1]]
     if args.format == "json":
@@ -598,7 +620,7 @@ def build_parser():
     p_expand.set_defaults(fn=cmd_expand)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument("--suite", required=True, choices=SUITES)
+    p_verify.add_argument("--suite", required=True, choices=SUITE_RUNNERS)
     p_verify.add_argument("--n", type=int)
     common(p_verify)
     p_verify.set_defaults(fn=cmd_verify)

@@ -159,7 +159,7 @@ def closure(seed, moves, relation):
     return EquivClass(relation, list(_search(seed, moves)))
 
 
-def all_classes(universe, moves, relation=None):
+def all_classes(universe, moves, relation):
     """Partition of the universe into move-connected components."""
     elements = list(universe)
     index = {e: i for i, e in enumerate(elements)}
@@ -204,14 +204,6 @@ def _straddling(fine, coarse):
 
 # ---------------------------------------------------------------------------
 # standard carriers
-
-def syt_universe(n):
-    """All standard Young tableaux of size n, every shape."""
-    out = []
-    for lam in partitions(n):
-        out.extend(enumerate_tableaux(lam, "SYT"))
-    return out
-
 
 def _tableau_classes(tableaux, shape, relation):
     """Classes of tableaux of one shape under a relation.

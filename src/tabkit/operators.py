@@ -246,20 +246,6 @@ def quasi_dual_word_srt(i, word, shape):
     return dual_move(i, word)
 
 
-def quasi_dual_move_srct(i, t):
-    """Quasi-dual move on a standard reverse composition tableau."""
-    if t.flavor != "SRCT":
-        raise InvalidTableauError("expected an SRCT")
-    return t.with_word(quasi_dual_word_srct(i, t.reading_word(), t.shape))
-
-
-def quasi_dual_move_srt(i, t):
-    """Quasi-dual move on a standard reverse tableau."""
-    if t.flavor != "SRT":
-        raise InvalidTableauError("expected an SRT")
-    return t.with_word(quasi_dual_word_srt(i, t.reading_word(), t.shape))
-
-
 # ---------------------------------------------------------------------------
 # column sorting bijection between SRCT and SRT
 

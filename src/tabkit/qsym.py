@@ -487,7 +487,7 @@ def fk_lead_table(k, n):
     return family_lead_table(syt_classes(n, f"equiv{k}"))
 
 
-def decompose_in_fk(q, k, n):
+def decompose_in_fk(q, k):
     """Express q over the k-th family (k = 0, 1 or 2) as integer coefficients.
 
     The solve is forward elimination in integers against the family's
@@ -498,9 +498,7 @@ def decompose_in_fk(q, k, n):
     """
     if k not in (0, 1, 2):
         raise ValueError(f"no k={k} family: k is 0, 1 or 2")
-    if q.degree != n:
-        raise ValueError("degree mismatch")
-    table = fk_lead_table(k, n)
+    table = fk_lead_table(k, q.degree)
     residual = q.to_vector()
     solution = {}
     for lead in range(len(residual)):

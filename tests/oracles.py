@@ -10,7 +10,7 @@ rank of each family (`fk_family`, `exact_rank`,
 `family_independence_report`) where the library reads one lead table, and
 the commutation suite word by word (`commutation_by_words`, acting on a
 word through its insertion tableau with `act_via_insertion`) where the
-library compares move tables.  `classes_to_json` gives the JSON value of a
+library compares move tables on the RSK pair grid.  `classes_to_json` gives the JSON value of a
 class list, which the library writes as text in one pass.  `refinements`
 expands each fundamental into monomials term by term
 (`refinement_monomials`, `symmetry_witness_by_refinements`), where the
@@ -22,31 +22,36 @@ counts members at inverse-descent bitmasks.  `refines`, `syt_from_word`,
 `insertion_tableau`, `position_of`, `dual_move_tableau`,
 `fundamental_of_word`, `fundamental_of_tableau` and
 `schur_expand_class_union` spell a test's verdict or input in library
-calls.  `tableau_moves` lifts each word move to tableaux through the
-validated `Tableau.with_word`, where the library moves reading words
-only, and `misfiled_exchange`
-breaks the library's run exchange on purpose.  Test modules import them as
+calls, and `syt_universe` lists every SYT of size n.  `tableau_moves`,
+`quasi_dual_move_srct` and `quasi_dual_move_srt` lift word moves to
+tableaux through the validated `Tableau.with_word`, where the library
+moves reading words only, and `misfiled_exchange` breaks the library's
+run exchange on purpose.  Test modules import them as
 `from oracles import ...`.
 """
 
 from collections import Counter
+from functools import lru_cache
 from itertools import permutations
 
-from tabkit import cli
+from tabkit import cli, operators
 from tabkit.core import (
     all_permutations,
     compositions,
     descent_composition,
+    partitions,
     sort_to_partition,
     word_to_str,
 )
 from tabkit.equivalence import MOVES, _indices, _straddling, key_of, moves_for, syt_classes
+from tabkit.operators import quasi_dual_word_srct, quasi_dual_word_srt
 from tabkit.qsym import QsymElement, class_union_qsym, qsym_sum, schur_expand_fsum
 from tabkit.rsk import dual_move, rsk, rsk_inverse
 from tabkit.tableaux import (
     FLAVORS,
     InvalidTableauError,
     Tableau,
+    enumerate_tableaux,
     reading_cells,
     superstandard,
 )
@@ -160,9 +165,31 @@ def position_of(t, value):
     return reading_cells(t.flavor, t.shape)[index]
 
 
+def syt_universe(n):
+    """All standard Young tableaux of size n, every shape."""
+    out = []
+    for lam in partitions(n):
+        out.extend(enumerate_tableaux(lam, "SYT"))
+    return out
+
+
 def dual_move_tableau(i, t):
     """The dual move d_i on an SYT, through its row reading word."""
     return t.with_word(dual_move(i, t.reading_word()))
+
+
+def quasi_dual_move_srct(i, t):
+    """Quasi-dual move on a standard reverse composition tableau."""
+    if t.flavor != "SRCT":
+        raise InvalidTableauError("expected an SRCT")
+    return t.with_word(quasi_dual_word_srct(i, t.reading_word(), t.shape))
+
+
+def quasi_dual_move_srt(i, t):
+    """Quasi-dual move on a standard reverse tableau."""
+    if t.flavor != "SRT":
+        raise InvalidTableauError("expected an SRT")
+    return t.with_word(quasi_dual_word_srt(i, t.reading_word(), t.shape))
 
 
 def tableau_moves(relation, n):
@@ -430,12 +457,14 @@ def symmetry_witness_by_refinements(q):
 
 def commutation_by_words(n):
     """The commutation suite compared word by word, K_j(op w) against
-    op(K_j w) on every w; names are looked up in `cli`, so patches there
-    reach it."""
+    op(K_j w) on every w.  slink and slink* act through insertion, with the
+    validated tableau maps `operators.slink_star` and `operators.slink`;
+    the Knuth and restricted dual moves are looked up in `cli`, so patches
+    there reach it.  Each slink image is inserted once per call and kept."""
     words = all_permutations(n)
     ops = [
-        ("slink*", lambda w: act_via_insertion(cli.slink_star, w)),
-        ("slink", lambda w: act_via_insertion(cli.slink, w)),
+        ("slink*", lru_cache(maxsize=None)(lambda w: act_via_insertion(operators.slink_star, w))),
+        ("slink", lru_cache(maxsize=None)(lambda w: act_via_insertion(operators.slink, w))),
     ]
     ops += [(f"dR_{i}", lambda w, i=i: cli.restricted_dual_move(i, w)) for i in range(2, n - 1)]
     results = []

@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import os
 import re
 import shlex
 from fractions import Fraction
@@ -8,12 +10,14 @@ from pathlib import Path
 import pytest
 
 from tabkit import cli, equivalence, operators, qsym
+from tabkit import rsk as rsk_module
 from tabkit.cli import SUITE_RUNNERS, main, suite_commutation, suite_mason
 from tabkit.core import (
     all_permutations,
     compositions,
     descent_composition,
     flip,
+    partitions,
     parts_to_str,
     reverse_word,
     word_from_str,
@@ -44,8 +48,8 @@ from tabkit.qsym import (
     qsym_sum,
     quasi_schur,
 )
-from tabkit.rsk import DUAL_WINDOW_TABLE, knuth_move, rsk
-from tabkit.tableaux import superstandard
+from tabkit.rsk import DUAL_WINDOW_TABLE, knuth_move, row_sequence, rsk, unbump
+from tabkit.tableaux import enumerate_tableaux
 
 from oracles import (
     commutation_by_words,
@@ -54,6 +58,7 @@ from oracles import (
     misfiled_exchange,
     refines,
     schur_expand_class_union,
+    syt_universe,
     tableau_moves,
 )
 
@@ -162,7 +167,7 @@ def test_every_move_is_built_by_moves_for(capsys, monkeypatch):
     assert count("equivalence", equivalence.perm_class, (2, 5, 1, 4, 3), "equiv1")
     assert count("equivalence", equivalence.srct_classes, (2, 1, 2))
     assert count("equivalence", equivalence.srt_image_classes, (2, 2, 2), "quasiDualSRT")
-    for suite in ("poset", "involutions", "shifted"):
+    for suite in ("poset", "involutions", "commutation", "mason", "shifted"):
         assert count("cli", SUITE_RUNNERS[suite], 5), suite
 
     def classes(fmt):
@@ -523,7 +528,7 @@ def test_expand_quasischur_exact_coefficients(capsys):
     # it is: a JSON integer, and an integer in the text
     for n in range(1, 7):
         for alpha in compositions(n):
-            decomposition = decompose_in_fk(quasi_schur(alpha), 2, n)
+            decomposition = decompose_in_fk(quasi_schur(alpha), 2)
             assert all(type(c) is int for c in decomposition.values()), alpha
             terms = sorted(decomposition.items())
             code, out, _ = run(
@@ -539,7 +544,7 @@ def test_expand_quasischur_exact_coefficients(capsys):
 
 
 def test_expand_quasischur_outside_the_span(capsys, monkeypatch):
-    def outside(q, k, n):
+    def outside(q, k):
         raise DecompositionError([Fraction(1)])
 
     monkeypatch.setattr("tabkit.cli.decompose_in_fk", outside)
@@ -583,6 +588,37 @@ def test_verify_suites_pass(capsys, suite):
     assert code == 0
     assert "0 failed" in out
     assert "FAIL" not in out
+
+
+def test_suites_run_no_insertion_and_move_no_tableau(capsys, monkeypatch):
+    # every suite moves reading words through the class engine's word moves:
+    # with insertion, inverse insertion and Tableau.with_word broken in every
+    # module that binds them, each suite prints what it printed before
+    argvs = [
+        ["verify", "--suite", suite, "--n", "6", "--format", fmt]
+        for suite in SUITE_RUNNERS
+        for fmt in ("text", "json")
+    ]
+    expected = [run(capsys, *argv) for argv in argvs]
+
+    def fail(*args):
+        raise AssertionError("a suite inserted a word or moved a tableau")
+
+    monkeypatch.setattr("tabkit.tableaux.Tableau.with_word", fail)
+    for module in (cli, equivalence, operators, qsym, rsk_module):
+        for name in ("rsk", "rsk_inverse"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fail)
+    assert [run(capsys, *argv) for argv in argvs] == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_out_write_failure_exits_2(capsys):
+    # /dev/full opens but refuses every write: the failed write or close is
+    # a usage error with exit 2, not a traceback
+    code, out, err = run(capsys, "classes", "--relation", "dual", "--n", "4", "--out", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write --out: [Errno {errno.ENOSPC}]")
 
 
 def test_involutions_checks_every_composition_of_n(capsys):
@@ -823,24 +859,53 @@ def test_conjecture_failed_checks_name_a_witness(capsys, monkeypatch, inject, fa
 
 
 def test_commutation_matches_word_oracle():
-    for n in range(1, 7):
+    for n in range(1, 8):
         assert suite_commutation(n) == commutation_by_words(n)
 
 
-def test_commutation_inserts_each_word_once(monkeypatch):
-    # slink and slink* are tabulated from one insertion per word of S_n;
-    # every other move acts on the words directly
-    calls = []
+def test_commutation_unbumps_each_word_once(monkeypatch):
+    # the words of S_n come from the RSK pair grid: one reverse bump per word
+    # and one row sequence per recording tableau, each SYT(lam) in turn
+    unbumped, sequenced = [], []
 
-    def counted(word):
-        calls.append(word)
-        return rsk(word)
+    def counted_unbump(p_rows, steps):
+        unbumped.append(unbump(p_rows, steps))
+        return unbumped[-1]
 
-    monkeypatch.setattr(cli, "rsk", counted)
+    def counted_row_sequence(q):
+        sequenced.append(q)
+        return row_sequence(q)
+
+    monkeypatch.setattr(cli, "unbump", counted_unbump)
+    monkeypatch.setattr(cli, "row_sequence", counted_row_sequence)
     for n in range(1, 7):
-        calls.clear()
+        unbumped.clear()
+        sequenced.clear()
         assert all(ok for _, ok, _ in suite_commutation(n))
-        assert sorted(calls) == all_permutations(n)
+        assert sorted(unbumped) == all_permutations(n)
+        assert sequenced == syt_universe(n)
+
+
+@pytest.mark.parametrize("name, broken", [
+    # every pair gives the identity word: it comes six times, the others never
+    ("unbump", lambda p_rows, steps: tuple(sorted(unbump(p_rows, steps)))),
+    # the last shape is skipped: its words are missing from the grid
+    ("partitions", lambda n: partitions(n)[:-1]),
+    # each tableau is listed twice: every word comes four times
+    ("enumerate_tableaux", lambda shape, flavor: 2 * enumerate_tableaux(shape, flavor)),
+], ids=["repeated-word", "missing-shape", "repeated-tableaux"])
+def test_commutation_grid_that_misses_a_word_is_a_failed_check(capsys, monkeypatch, name, broken):
+    # pairs that do not give each word of S_n once fail the backstop check
+    # instead of tabulating a move
+    monkeypatch.setattr(cli, name, broken)
+    message = "the RSK pairs of size 3 do not give each word of S_3 once"
+    with pytest.raises(CarrierError, match=message):
+        suite_commutation(3)
+    code, out, err = run(capsys, "verify", "--suite", "commutation", "--n", "3")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[0] == (
+        f"[FAIL] suite commutation runs to completion at n = 3  witness: {message!r}"
+    )
 
 
 def test_commutation_misdirected_restricted_entry_fails_its_checks(capsys, monkeypatch):
@@ -890,11 +955,12 @@ def test_commutation_mutant_reports_the_oracle_witnesses(
 
 
 def test_commutation_shape_change_is_a_failed_check(capsys, monkeypatch):
-    # a slink that changes the shape has no inverse insertion, so the suite
-    # fails its backstop check and exits 1, not with a traceback
-    monkeypatch.setattr(cli, "slink", lambda t: superstandard((t.size,)))
+    # a slink whose image has another shape leaves the reading words of
+    # SYT(lam), so the suite fails its backstop check with the move's carrier
+    # witness and exits 1, not with a traceback
+    monkeypatch.setattr(equivalence, "slink_word", lambda w, lam: tuple(sorted(w)))
     name = "suite commutation runs to completion at n = 4"
-    message = "insertion and recording shapes differ"
+    message = "move slink_0 left the carrier at (2, 1, 3, 4)"
     code, out, err = run(capsys, "verify", "--suite", "commutation", "--n", "4")
     assert (code, err) == (1, "")
     assert out.splitlines() == [

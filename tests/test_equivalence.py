@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from tabkit import equivalence
+from tabkit import equivalence, operators
 from tabkit.core import all_permutations, compositions, partitions, word_from_str
 from tabkit.equivalence import (
     CARRIERS,
@@ -25,7 +25,6 @@ from tabkit.equivalence import (
     srct_classes,
     srt_image_classes,
     syt_classes,
-    syt_universe,
 )
 from tabkit.operators import mason_rho
 from tabkit.rsk import rsk, rsk_inverse
@@ -38,6 +37,7 @@ from oracles import (
     refines,
     slink_by_runs,
     slink_star_by_runs,
+    syt_universe,
     tableau_moves,
 )
 
@@ -123,7 +123,7 @@ def test_carrier_error():
     universe = enumerate_tableaux((3, 1), "SYT")
     bad = [t for t in universe if t.reading_word() != (4, 1, 2, 3)]
     with pytest.raises(CarrierError):
-        all_classes(bad, tableau_moves("dual", 4))
+        all_classes(bad, tableau_moves("dual", 4), "dual")
 
 
 def test_dual_and_restricted_images_of_syt_are_syt():
@@ -220,21 +220,18 @@ def test_quasi_dual_classes_match_tableau_moves(relation):
 
 @pytest.mark.parametrize("relation", QUASI_DUAL)
 def test_quasi_dual_classes_move_no_tableau(monkeypatch, relation):
-    # the SRCT and SRT classes close reading words: with the tableau-level
-    # quasi-dual moves and Tableau.with_word broken, the classes come out the
-    # same
+    # the SRCT and SRT classes close reading words: the library keeps no
+    # tableau-level quasi-dual move, and with Tableau.with_word broken the
+    # classes come out the same
+    assert not hasattr(operators, "quasi_dual_move_srct")
+    assert not hasattr(operators, "quasi_dual_move_srt")
     alphas = compositions(7)
     expected = [_quasi_dual_classes(relation, alpha) for alpha in alphas]
 
     def fail(*args):
         raise AssertionError("a tableau was moved")
 
-    for target in (
-        "tabkit.operators.quasi_dual_move_srct",
-        "tabkit.operators.quasi_dual_move_srt",
-        "tabkit.tableaux.Tableau.with_word",
-    ):
-        monkeypatch.setattr(target, fail)
+    monkeypatch.setattr("tabkit.tableaux.Tableau.with_word", fail)
     assert [_quasi_dual_classes(relation, alpha) for alpha in alphas] == expected
 
 

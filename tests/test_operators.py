@@ -4,7 +4,7 @@ import pytest
 
 from tabkit import operators
 from tabkit.core import all_permutations, compositions, flip, reverse_word, slinky
-from tabkit.equivalence import srct_classes, syt_universe
+from tabkit.equivalence import srct_classes
 from tabkit.operators import (
     CYCLIC_WINDOW_TABLE,
     RESTRICTED_WINDOW_TABLE,
@@ -12,8 +12,6 @@ from tabkit.operators import (
     cyclic_dual_move,
     mason_rho,
     mason_rho_inverse,
-    quasi_dual_move_srct,
-    quasi_dual_move_srt,
     restricted_dual_move,
     restricted_dual_move_by_guard,
     restricted_dual_move_tableau,
@@ -38,10 +36,13 @@ from oracles import (
     from_runs,
     fundamental_of_tableau,
     misfiled_exchange,
+    quasi_dual_move_srct,
+    quasi_dual_move_srt,
     run_cells,
     slink_by_runs,
     slink_star_by_runs,
     syt_from_word,
+    syt_universe,
 )
 
 

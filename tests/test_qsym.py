@@ -431,7 +431,7 @@ def test_decompose_unit_classes():
     # each class function decomposes as itself with coefficient one
     fam = fk_family(2, 4)
     for key, q in fam:
-        coeffs = decompose_in_fk(q, 2, 4)
+        coeffs = decompose_in_fk(q, 2)
         assert coeffs.get(key) == 1
         total = sum(coeffs.values())
         assert total >= 1
@@ -441,7 +441,7 @@ def test_decompose_schur_nonnegative():
     for n in range(1, 6):
         for lam in partitions(n):
             for k in (0, 1, 2):
-                coeffs = decompose_in_fk(schur_fundamental(lam), k, n)
+                coeffs = decompose_in_fk(schur_fundamental(lam), k)
                 assert all(c == int(c) and c >= 0 for c in coeffs.values())
                 # reconstruct and compare
                 fam = dict(fk_family(k, n))
@@ -458,7 +458,7 @@ def test_decompose_quasi_schur_nonnegative():
             if q.is_zero():
                 continue
             for k in (0, 1, 2):
-                coeffs = decompose_in_fk(q, k, n)
+                coeffs = decompose_in_fk(q, k)
                 assert all(c == int(c) and c >= 0 for c in coeffs.values())
 
 
@@ -480,7 +480,7 @@ def test_decompose_matches_solve_exact():
                     continue
                 solution, _unique = solve_exact(columns, q.to_vector())
                 expected = {cls.key: c for cls, c in zip(classes, solution) if c}
-                coeffs = decompose_in_fk(q, k, n)
+                coeffs = decompose_in_fk(q, k)
                 assert coeffs == expected
                 assert all(type(c) is int for c in coeffs.values())
 
@@ -493,7 +493,7 @@ def test_decompose_quasi_schur_degrees_7_and_8():
                 q = quasi_schur(alpha)
                 if q.is_zero():
                     continue
-                coeffs = decompose_in_fk(q, k, n)
+                coeffs = decompose_in_fk(q, k)
                 assert all(type(c) is int and c > 0 for c in coeffs.values())
                 rebuilt = qsym_sum((family[key].scale(c) for key, c in coeffs.items()), n)
                 assert rebuilt == q
@@ -512,7 +512,7 @@ def test_decompose_round_trip():
                 chosen = {q: rng.randrange(4) for q in first}
                 target = qsym_sum((q.scale(c) for q, c in chosen.items()), n)
                 expected = {first[q]: c for q, c in chosen.items() if c}
-                assert decompose_in_fk(target, k, n) == expected
+                assert decompose_in_fk(target, k) == expected
 
 
 @pytest.mark.parametrize("k", [3, -1])
@@ -524,7 +524,7 @@ def test_decompose_rejects_a_k_outside_0_to_2(monkeypatch, k):
     monkeypatch.setattr("tabkit.qsym.fk_lead_table", fail)
     for target in (QsymElement.zero(4), quasi_schur((2, 2))):
         with pytest.raises(ValueError, match=f"no k={k} family"):
-            decompose_in_fk(target, k, 4)
+            decompose_in_fk(target, k)
 
 
 def test_shifted_family_partitions_sn():

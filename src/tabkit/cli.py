@@ -1,7 +1,7 @@
 """Command line front end: class enumeration, expansions, verification
 suites, the basis conjecture check, and DOT graph export.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 a failed check, 2 usage error.
 """
 
 import argparse
@@ -34,6 +34,7 @@ from .equivalence import (
     classes_to_dot,
     key_of,
     member_strings,
+    move_tables,
     moves_for,
     perm_class,
     srct_classes,
@@ -64,6 +65,9 @@ from .rsk import knuth_move, row_sequence, unbump
 from .tableaux import InvalidTableauError, enumerate_tableaux
 
 DEFAULT_MAX_DEGREE = 9
+
+# a move that leaves its carrier or misses its run sizes: a failed check
+CHECK_FAILURES = (CarrierError, InvalidTableauError)
 
 
 class UsageError(ValueError):
@@ -141,6 +145,8 @@ def cmd_classes(args):
         check_degree(n)
     try:
         classes = classes_for_cli(relation, n=n, alpha=alpha)
+    except CHECK_FAILURES:
+        raise
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -272,9 +278,9 @@ def cmd_expand(args):
 # pure re-runs of the library property checks at a configurable degree.
 
 def _first_failure(name, failures):
-    """The check's triple from a generator of failures: its first item, if
+    """The check's triple from an iterable of failures: its first item, if
     any, is the witness."""
-    witness = next(failures, None)
+    witness = next(iter(failures), None)
     return (name, witness is None, witness)
 
 
@@ -348,16 +354,6 @@ def suite_poset(n):
     return results
 
 
-def _move_table(words, name, i, move):
-    """The position in `words` of each word's image under an indexed move;
-    an image outside the words raises CarrierError, as in `all_classes`."""
-    index = {w: k for k, w in enumerate(words)}
-    table = [index.get(move(w)) for w in words]
-    if None in table:
-        raise CarrierError(f"move {name}_{i} left the carrier at {words[table.index(None)]}")
-    return table
-
-
 def suite_involutions(n):
     words = _window_words(n)
     results = [
@@ -365,25 +361,24 @@ def suite_involutions(n):
         for name, i, move in moves_for("equiv2", (n,)) + moves_for("shifted", (n,))
     ]
 
-    def unfixed(tableaux, move):
-        # the tableaux whose reading words two steps of the move do not fix
-        table = _move_table([t.reading_word() for t in tableaux], *move)
-        return (t for k, t in enumerate(tableaux) if table[table[k]] != k)
+    def unfixed(tableaux, moves):
+        # for each move, the tableaux whose reading words two steps of it do not fix
+        tables = move_tables([t.reading_word() for t in tableaux], moves)
+        return [[t for k, t in enumerate(tableaux) if table[table[k]] != k] for table in tables]
 
     # slink* is an involution off the superstandard tableau, which both maps fix
     results.append(_first_failure(f"slink* on SYT({n})", (
         t
         for lam in partitions(n)
-        for move in moves_for("equiv0", lam)
-        for t in unfixed(enumerate_tableaux(lam, "SYT"), move)
+        for failures in unfixed(enumerate_tableaux(lam, "SYT"), moves_for("equiv0", lam))
+        for t in failures
     )))
 
     for alpha in compositions(n):
         srct = enumerate_tableaux(alpha, "SRCT")
-        for name, i, move in moves_for("quasiDualSRCT", alpha):
-            results.append(_first_failure(
-                f"{name}_{i} on SRCT({alpha})", unfixed(srct, (name, i, move))
-            ))
+        moves = moves_for("quasiDualSRCT", alpha)
+        for (name, i, _move), found in zip(moves, unfixed(srct, moves)):
+            results.append(_first_failure(f"{name}_{i} on SRCT({alpha})", found))
     return results
 
 
@@ -404,11 +399,11 @@ def suite_commutation(n):
     pairs = 0
     for lam in partitions(n):
         tableaux = enumerate_tableaux(lam, "SYT")
-        tables = [
-            (ops[name], _move_table([t.reading_word() for t in tableaux], name, i, move))
-            for relation in ("equiv0", "equiv1")
-            for name, i, move in moves_for(relation, lam)
-        ]
+        moves = moves_for("equiv0", lam) + moves_for("equiv1", lam)
+        tables = list(zip(
+            (ops[name] for name, _i, _move in moves),
+            move_tables([t.reading_word() for t in tableaux], moves),
+        ))
         for steps in map(row_sequence, tableaux):
             # the words of (P, Q) for this Q and every P, in tableau order
             row = [index[unbump(p.rows, steps)] for p in tableaux]
@@ -448,7 +443,7 @@ def suite_mason(n):
 
         # the commuting square with the quasi-dual moves, on reading words
         words = [t.reading_word() for t in srct]
-        tables = [_move_table(words, *move) for move in moves_for("quasiDualSRCT", alpha)]
+        tables = move_tables(words, moves_for("quasiDualSRCT", alpha))
         srt_moves = moves_for("quasiDualSRT", sort_to_partition(alpha))
         results.append(_first_failure(
             f"column sort commutes with quasi-dual moves on SRCT({alpha})",
@@ -559,9 +554,7 @@ def cmd_verify(args):
     check_degree(n)
     try:
         results = SUITE_RUNNERS[args.suite](n)
-    except (CarrierError, InvalidTableauError) as exc:
-        # a move that leaves its carrier, or a run exchange that misses its
-        # run sizes, fails the suite with its message
+    except CHECK_FAILURES as exc:
         results = [(f"suite {args.suite} runs to completion at n = {n}", False, str(exc))]
     failures = [r for r in results if not r[1]]
     if args.format == "json":
@@ -641,6 +634,9 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CHECK_FAILURES as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ shape; it is the one builder of indexed moves.  The classes of SYT, SRCT
 and the SRT image close plain reading words, one shape at a time
 (`_tableau_classes`); the classes of S_n and the DOT export use the same
 word moves.  A move checks its own rules (the slink run sizes, a window's
-values); carrier membership checks that each image is a carrier element.
+values); `move_tables` checks that each image is a carrier element.
 """
 
 import json
@@ -159,10 +159,25 @@ def closure(seed, moves, relation):
     return EquivClass(relation, list(_search(seed, moves)))
 
 
+def move_tables(elements, moves):
+    """The table of each indexed move (name, i, move) on the elements: the
+    position in `elements` of each element's image.  The one carrier check:
+    an image outside the elements raises CarrierError naming the first
+    element, in element order, that a move takes outside, and the first
+    such move."""
+    index = {e: k for k, e in enumerate(elements)}
+    tables = [[index.get(move(e)) for e in elements] for _name, _i, move in moves]
+    escapes = [(table.index(None), m) for m, table in enumerate(tables) if None in table]
+    if escapes:
+        k, m = min(escapes)
+        name, i, _move = moves[m]
+        raise CarrierError(f"move {name}_{i} left the carrier at {key_of(elements[k])}")
+    return tables
+
+
 def all_classes(universe, moves, relation):
     """Partition of the universe into move-connected components."""
     elements = list(universe)
-    index = {e: i for i, e in enumerate(elements)}
     parent = list(range(len(elements)))
 
     def find(a):
@@ -171,19 +186,9 @@ def all_classes(universe, moves, relation):
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for i, element in enumerate(elements):
-        for _name, _idx, move in moves:
-            k = index.get(move(element))
-            if k is None:
-                raise CarrierError(
-                    f"move {_name}_{_idx} left the carrier at {key_of(element)}"
-                )
-            union(i, k)
+    for table in move_tables(elements, moves):
+        for a, b in enumerate(table):
+            parent[find(a)] = find(b)
 
     groups = {}
     for i, element in enumerate(elements):
@@ -211,7 +216,7 @@ def _tableau_classes(tableaux, shape, relation):
     The reading words of the tableaux are closed under the relation's moves
     on words (`moves_for`), and each word is mapped back to its tableau;
     no Tableau is built per image.  A reading word fixes the filling of its
-    shape, so the carrier check of `all_classes` (CarrierError) is the check
+    shape, so the carrier check of `move_tables` (CarrierError) is the check
     that an image is a carrier element; the slink moves check their run
     sizes themselves (InvalidTableauError).
     """
@@ -240,24 +245,21 @@ def _dual_move_tree(tableaux):
     Takes the tableaux of SYT(lam) as `enumerate_tableaux` lists them, the
     root first, and returns the edges (child, parent, j) as indices into
     them, with child = d_j(parent) and each parent the root or an earlier
-    child.  A d_j image that is not the reading word of an SYT(lam), or a
-    tableau the tree does not reach, raises CarrierError.
+    child.  `move_tables` names a d_j image that is no SYT(lam), and a
+    tableau the tree does not reach raises CarrierError.
     """
     lam = tableaux[0].shape
-    index = {t.reading_word(): k for k, t in enumerate(tableaux)}
-    reached = _search(tableaux[0].reading_word(), moves_for("dual", lam))
-    edges = []
-    for word, (parent, _name, j) in list(reached.items())[1:]:
-        if word not in index:
-            raise CarrierError(f"move d_{j} left SYT{lam} at {parent}")
-        edges.append((index[word], index[parent], j))
+    words = [t.reading_word() for t in tableaux]
+    moves = moves_for("dual", lam)
+    tables = zip(moves, move_tables(words, moves))
+    reached = _search(0, [(name, j, table.__getitem__) for (name, j, _), table in tables])
     if len(reached) < len(tableaux):
-        missed = min(w for w in index if w not in reached)
+        missed = min(w for k, w in enumerate(words) if k not in reached)
         raise CarrierError(
             f"moves d_2..d_{sum(lam) - 1} on SYT{lam} do not reach {missed}"
-            f" from {tableaux[0].reading_word()}"
+            f" from {words[0]}"
         )
-    return edges
+    return [(child, parent, j) for child, (parent, _name, j) in list(reached.items())[1:]]
 
 
 def perm_classes(n, relation):

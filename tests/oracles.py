@@ -10,8 +10,11 @@ rank of each family (`fk_family`, `exact_rank`,
 `family_independence_report`) where the library reads one lead table, and
 the commutation suite word by word (`commutation_by_words`, acting on a
 word through its insertion tableau with `act_via_insertion`) where the
-library compares move tables on the RSK pair grid.  `classes_to_json` gives the JSON value of a
-class list, which the library writes as text in one pass.  `refinements`
+library compares move tables on the RSK pair grid.  `all_classes_by_elements`
+closes a universe element by element with the carrier check inline, where
+the library tabulates each move on the whole carrier (`move_tables`).
+`classes_to_json` gives the JSON value of a class list, which the library
+writes as text in one pass.  `refinements`
 expands each fundamental into monomials term by term
 (`refinement_monomials`, `symmetry_witness_by_refinements`), where the
 library takes one subset-sum transform of the F-vector.
@@ -43,7 +46,16 @@ from tabkit.core import (
     sort_to_partition,
     word_to_str,
 )
-from tabkit.equivalence import MOVES, _indices, _straddling, key_of, moves_for, syt_classes
+from tabkit.equivalence import (
+    MOVES,
+    CarrierError,
+    EquivClass,
+    _indices,
+    _straddling,
+    key_of,
+    moves_for,
+    syt_classes,
+)
 from tabkit.operators import quasi_dual_word_srct, quasi_dual_word_srt
 from tabkit.qsym import QsymElement, class_union_qsym, qsym_sum, schur_expand_fsum
 from tabkit.rsk import dual_move, rsk, rsk_inverse
@@ -351,6 +363,42 @@ def misfiled_exchange(exchange):
 
 # ---------------------------------------------------------------------------
 # class lists
+
+def all_classes_by_elements(universe, moves, relation):
+    """Reference for `all_classes`: each element in turn takes every move,
+    with the carrier check inline, where the library tabulates one move at
+    a time on all the elements.  The first image outside the universe
+    raises CarrierError naming the first element, in element order, that
+    any move takes outside, and the first such move."""
+    elements = list(universe)
+    index = {e: i for i, e in enumerate(elements)}
+    parent = list(range(len(elements)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for i, element in enumerate(elements):
+        for name, idx, move in moves:
+            k = index.get(move(element))
+            if k is None:
+                raise CarrierError(f"move {name}_{idx} left the carrier at {key_of(element)}")
+            union(i, k)
+
+    groups = {}
+    for i, element in enumerate(elements):
+        groups.setdefault(find(i), []).append(element)
+    return sorted(
+        (EquivClass(relation, members) for members in groups.values()), key=lambda cls: cls.key
+    )
+
 
 def classes_to_json(classes):
     """The JSON value of a class list, one object per class; `json.dumps`

@@ -5,6 +5,7 @@ import os
 import re
 import shlex
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -705,7 +706,7 @@ def test_broken_restricted_entry_names_the_move(capsys, monkeypatch):
         syt_classes(6, "equiv2")
     assert str(caught.value) == message
     code, out, err = run(capsys, "classes", "--relation", "equiv2", "--n", "6")
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_broken_shifted_entry_names_the_move(capsys, monkeypatch):
@@ -717,11 +718,11 @@ def test_broken_shifted_entry_names_the_move(capsys, monkeypatch):
             classes(6, "shifted")
         assert str(caught.value) == message
     code, out, err = run(capsys, "classes", "--relation", "shifted", "--n", "6")
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("image, message", [
-    ((1, 2, 3), "move d_2 left SYT(5, 1) at (2, 1, 3, 4, 5, 6)"),
+    ((1, 2, 3), "move d_2 left the carrier at (2, 1, 3, 4, 5, 6)"),
     ((2, 1, 3), "moves d_2..d_5 on SYT(5, 1) do not reach (3, 1, 2, 4, 5, 6)"
                 " from (2, 1, 3, 4, 5, 6)"),
 ])
@@ -733,25 +734,50 @@ def test_broken_dual_entry_fails_the_transport_tree(capsys, monkeypatch, image, 
         perm_classes(6, "shifted")
     assert str(caught.value) == message
     code, out, err = run(capsys, "classes", "--relation", "shifted", "--n", "6")
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_wrong_run_sizes_are_reported_not_raised(capsys, monkeypatch):
     # a run exchange that misses its run sizes is one error line for classes
-    # (exit 2) and the failed backstop check for verify (exit 1)
+    # and the failed backstop check for verify, both a failed check (exit 1)
     monkeypatch.setattr(operators, "_exchange", misfiled_exchange(operators._exchange))
     message = (
         "run exchange on (2, 1, 3, 4, 5, 6) of shape (5, 1) gives run sizes"
         " (3, 3), not (4, 2)"
     )
     code, out, err = run(capsys, "classes", "--relation", "equiv1", "--n", "6")
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
     code, out, err = run(capsys, "verify", "--suite", "involutions", "--n", "6")
     assert (code, err) == (1, "")
     assert out.splitlines() == [
         f"[FAIL] suite involutions runs to completion at n = 6  witness: {message!r}",
         "suite involutions: 0 passed, 1 failed",
     ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_expand_quasischur_that_leaves_its_carrier_exits_1(capsys, monkeypatch, fmt):
+    # the k = 2 family's classes meet the broken move: one error line and
+    # exit 1, not a traceback; a fresh cache makes the family be rebuilt
+    monkeypatch.setattr(qsym, "fk_lead_table", lru_cache(maxsize=None)(fk_lead_table.__wrapped__))
+    monkeypatch.setitem(RESTRICTED_WINDOW_TABLE, (2, 1, 3, 4), (3, 1, 4, 2))
+    message = "move dR_2 left the carrier at (2, 1, 3, 4, 5, 6)"
+    code, out, err = run(capsys, "expand", "--quasischur", "3,2,1", "--format", fmt)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_expand_class_of_with_wrong_run_sizes_exits_1(capsys, monkeypatch, fmt):
+    # the slink class of the word meets the misfiled run exchange
+    monkeypatch.setattr(operators, "_exchange", misfiled_exchange(operators._exchange))
+    message = (
+        "run exchange on (2, 1, 3, 4, 5, 6) of shape (5, 1) gives run sizes"
+        " (3, 3), not (4, 2)"
+    )
+    code, out, err = run(
+        capsys, "expand", "--class-of", "213456", "--relation", "equiv1", "--format", fmt
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("suite, message", [

@@ -26,11 +26,12 @@ from tabkit.equivalence import (
     srt_image_classes,
     syt_classes,
 )
-from tabkit.operators import mason_rho
-from tabkit.rsk import rsk, rsk_inverse
+from tabkit.operators import RESTRICTED_WINDOW_TABLE, SHIFTED_WINDOW_TABLE, mason_rho
+from tabkit.rsk import DUAL_WINDOW_TABLE, rsk, rsk_inverse
 from tabkit.tableaux import Tableau, enumerate_tableaux, superstandard
 
 from oracles import (
+    all_classes_by_elements,
     classes_to_json,
     dual_move_tableau,
     insertion_tableau,
@@ -298,6 +299,47 @@ def test_perm_classes_match_inverse_rsk_pair_by_pair(relation, top):
     # the transport along the dual-move tree against inverse RSK of each pair
     for n in range(1, top + 1):
         assert perm_classes(n, relation) == _carried_by_inverse_rsk(n, relation)
+
+
+# one broken entry in the table of each shape-free relation, each taking
+# some SYT reading word of size 6 outside its shape; for equiv2flip the
+# first element that a move takes outside, (5, 1)'s second, is not the
+# first that dR.flip_2 takes outside
+BROKEN_ENTRIES = {
+    "equiv2": (RESTRICTED_WINDOW_TABLE, (2, 1, 3, 4), (3, 1, 4, 2)),
+    "dual": (DUAL_WINDOW_TABLE, (2, 1, 3), (1, 2, 3)),
+    "shifted": (SHIFTED_WINDOW_TABLE, (1, 2, 4, 3), (1, 2, 3, 4)),
+    "equiv2rev": (RESTRICTED_WINDOW_TABLE, (2, 1, 3, 4), (3, 1, 4, 2)),
+    "equiv2flip": (RESTRICTED_WINDOW_TABLE, (1, 3, 4, 2), (3, 1, 4, 2)),
+}
+
+
+def _carrier_witness(build, *args):
+    with pytest.raises(CarrierError) as caught:
+        build(*args)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("relation", SHAPE_FREE)
+def test_carrier_witness_matches_the_element_major_reference(monkeypatch, relation):
+    # the move tables name the element and move that a check made element
+    # by element names first, shape by shape and for the whole degree
+    table, window, image = BROKEN_ENTRIES[relation]
+    monkeypatch.setitem(table, window, image)
+    witnesses = []
+    for lam in partitions(6):
+        words = [t.reading_word() for t in enumerate_tableaux(lam, "SYT")]
+        moves = moves_for(relation, lam)
+        try:
+            expected = all_classes_by_elements(words, moves, relation)
+        except CarrierError as exc:
+            witnesses.append(str(exc))
+            assert _carrier_witness(all_classes, words, moves, relation) == str(exc)
+        else:
+            assert all_classes(words, moves, relation) == expected
+    assert witnesses
+    assert _carrier_witness(syt_classes, 6, relation) == witnesses[0]
+    assert _carrier_witness(perm_classes, 6, relation) == witnesses[0]
 
 
 def test_dual_move_tree_spans_syt():

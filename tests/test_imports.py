@@ -139,3 +139,38 @@ def test_no_function_level_imports(tmp_path):
         if (found := _function_level_imports(path))
     }
     assert found == {}
+
+
+def _functions_holding(text, path):
+    """module.function, or the module alone at module level, for each
+    string in the module's code that contains text; an f-string's literal
+    parts are strings too."""
+    tree = ast.parse(path.read_text())
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{path.stem}.{node.name}"
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value:
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, path.stem)
+    return found
+
+
+def test_only_move_tables_checks_the_carrier(tmp_path):
+    # one function decides that a move left its carrier and says so
+    module = tmp_path / "m.py"
+    module.write_text(
+        'A = "left the carrier"\n\ndef f(x):\n    def g():\n'
+        '        raise ValueError(f"{x} left the carrier")\n    return g\n'
+    )
+    assert _functions_holding("left the carrier", module) == ["m", "m.g"]
+    found = [
+        owner
+        for path in sorted(SRC.glob("*.py"))
+        for owner in _functions_holding("left the carrier", path)
+    ]
+    assert found == ["equivalence.move_tables"]

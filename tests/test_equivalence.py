@@ -302,9 +302,9 @@ def test_perm_classes_match_inverse_rsk_pair_by_pair(relation, top):
 
 
 # one broken entry in the table of each shape-free relation, each taking
-# some SYT reading word of size 6 outside its shape; for equiv2flip the
-# first element that a move takes outside, (5, 1)'s second, is not the
-# first that dR.flip_2 takes outside
+# some SYT reading word of size 6 outside its shape; on some shapes the
+# first word that any move takes outside is not the first word of the
+# first move that escapes, so the witness shows the order of the check
 BROKEN_ENTRIES = {
     "equiv2": (RESTRICTED_WINDOW_TABLE, (2, 1, 3, 4), (3, 1, 4, 2)),
     "dual": (DUAL_WINDOW_TABLE, (2, 1, 3), (1, 2, 3)),

@@ -153,7 +153,7 @@ def cmd_classes(args):
     if args.format == "json":
         emit(classes_json_text(classes) + "\n", args.out)
     elif args.format == "dot":
-        emit(classes_to_dot(classes, relation), args.out)
+        emit(classes_to_dot(classes), args.out)
     else:
         lines = [f"{len(classes)} classes under {relation}"]
         for cls in classes:
@@ -363,8 +363,10 @@ def suite_involutions(n):
 
     def unfixed(tableaux, moves):
         # for each move, the tableaux whose reading words two steps of it do not fix
-        tables = move_tables([t.reading_word() for t in tableaux], moves)
-        return [[t for k, t in enumerate(tableaux) if table[table[k]] != k] for table in tables]
+        return [
+            [t for k, t in enumerate(tableaux) if table[table[k]] != k]
+            for _, _, table in move_tables([t.reading_word() for t in tableaux], moves)
+        ]
 
     # slink* is an involution off the superstandard tableau, which both maps fix
     results.append(_first_failure(f"slink* on SYT({n})", (
@@ -400,10 +402,10 @@ def suite_commutation(n):
     for lam in partitions(n):
         tableaux = enumerate_tableaux(lam, "SYT")
         moves = moves_for("equiv0", lam) + moves_for("equiv1", lam)
-        tables = list(zip(
-            (ops[name] for name, _i, _move in moves),
-            move_tables([t.reading_word() for t in tableaux], moves),
-        ))
+        tables = [
+            (ops[name], table)
+            for name, _i, table in move_tables([t.reading_word() for t in tableaux], moves)
+        ]
         for steps in map(row_sequence, tableaux):
             # the words of (P, Q) for this Q and every P, in tableau order
             row = [index[unbump(p.rows, steps)] for p in tableaux]
@@ -441,16 +443,16 @@ def suite_mason(n):
             (t for t, image in zip(srct, images) if mason_rho_inverse(image, alpha) != t),
         ))
 
-        # the commuting square with the quasi-dual moves, on reading words
-        words = [t.reading_word() for t in srct]
-        tables = move_tables(words, moves_for("quasiDualSRCT", alpha))
+        # the commuting square on reading words, over the DQ_i tables that
+        # built the classes: they index SRCT(alpha) in reading order, as srct
+        tables = classes[0].graph[0]
         srt_moves = moves_for("quasiDualSRT", sort_to_partition(alpha))
         results.append(_first_failure(
             f"column sort commutes with quasi-dual moves on SRCT({alpha})",
             (
                 (i, t)
                 for k, t in enumerate(srct)
-                for table, (_, i, srt_move) in zip(tables, srt_moves)
+                for (_, _, table), (_, i, srt_move) in zip(tables, srt_moves)
                 if images[table[k]].reading_word() != srt_move(images[k].reading_word())
             ),
         ))

@@ -9,9 +9,10 @@ by least member.
 words, and `moves_for(relation, shape)` binds that move to each index and a
 shape; it is the one builder of indexed moves.  The classes of SYT, SRCT
 and the SRT image close plain reading words, one shape at a time
-(`_tableau_classes`); the classes of S_n and the DOT export use the same
-word moves.  A move checks its own rules (the slink run sizes, a window's
-values); `move_tables` checks that each image is a carrier element.
+(`_tableau_classes`), and S_n carries them across Q; each class keeps its
+carrier's move tables, and the DOT export reads its edges from them.  A
+move checks its own rules (the slink run sizes, a window's values);
+`move_tables` checks that each image is a carrier element.
 """
 
 import json
@@ -39,13 +40,20 @@ def key_of(element):
 
 
 class EquivClass:
-    """A move-closed, connected set of carrier elements."""
+    """A move-closed, connected set of carrier elements.
 
-    __slots__ = ("relation", "members")
+    `graph` is None, or (tables, indices) with `order` the members as given:
+    the (name, i, table) list of `move_tables` on the carrier, shared by its
+    classes, and the carrier index of each member in `order`.  Equality
+    ignores both."""
 
-    def __init__(self, relation, members):
+    __slots__ = ("relation", "members", "order", "graph")
+
+    def __init__(self, relation, members, graph=None):
         self.relation = relation
         self.members = tuple(sorted(members, key=key_of))
+        self.order = None if graph is None else members
+        self.graph = graph
 
     @property
     def key(self):
@@ -160,23 +168,22 @@ def closure(seed, moves, relation):
 
 
 def move_tables(elements, moves):
-    """The table of each indexed move (name, i, move) on the elements: the
-    position in `elements` of each element's image.  The one carrier check:
-    an image outside the elements raises CarrierError naming the first
-    element, in element order, that a move takes outside, and the first
-    such move."""
+    """(name, i, table) for each indexed move (name, i, move) on the
+    elements, the table holding the position in `elements` of each
+    element's image.  The one carrier check: an image outside the elements
+    raises CarrierError naming the first element, in element order, that a
+    move takes outside, and the first such move."""
     index = {e: k for k, e in enumerate(elements)}
-    tables = [[index.get(move(e)) for e in elements] for _name, _i, move in moves]
-    escapes = [(table.index(None), m) for m, table in enumerate(tables) if None in table]
+    tables = [(name, i, [index.get(move(e)) for e in elements]) for name, i, move in moves]
+    escapes = [(t.index(None), name, i) for name, i, t in tables if None in t]
     if escapes:
-        k, m = min(escapes)
-        name, i, _move = moves[m]
+        k, name, i = min(escapes, key=lambda escape: escape[0])
         raise CarrierError(f"move {name}_{i} left the carrier at {key_of(elements[k])}")
     return tables
 
 
 def all_classes(universe, moves, relation):
-    """Partition of the universe into move-connected components."""
+    """Partition of the universe into move-connected classes, with their graph."""
     elements = list(universe)
     parent = list(range(len(elements)))
 
@@ -186,14 +193,18 @@ def all_classes(universe, moves, relation):
             a = parent[a]
         return a
 
-    for table in move_tables(elements, moves):
+    tables = move_tables(elements, moves)
+    for _name, _i, table in tables:
         for a, b in enumerate(table):
             parent[find(a)] = find(b)
 
     groups = {}
-    for i, element in enumerate(elements):
-        groups.setdefault(find(i), []).append(element)
-    classes = [EquivClass(relation, members) for members in groups.values()]
+    for k in range(len(elements)):
+        groups.setdefault(find(k), []).append(k)
+    classes = [
+        EquivClass(relation, [elements[k] for k in indices], (tables, indices))
+        for indices in groups.values()
+    ]
     return sorted(classes, key=lambda cls: cls.key)
 
 
@@ -218,11 +229,11 @@ def _tableau_classes(tableaux, shape, relation):
     no Tableau is built per image.  A reading word fixes the filling of its
     shape, so the carrier check of `move_tables` (CarrierError) is the check
     that an image is a carrier element; the slink moves check their run
-    sizes themselves (InvalidTableauError).
+    sizes themselves (InvalidTableauError).  Each class keeps its word graph.
     """
     by_word = {t.reading_word(): t for t in tableaux}
     return [
-        EquivClass(relation, [by_word[w] for w in cls.members])
+        EquivClass(relation, [by_word[w] for w in cls.order], cls.graph)
         for cls in all_classes(by_word, moves_for(relation, shape), relation)
     ]
 
@@ -239,25 +250,22 @@ def syt_classes(shape_or_n, relation):
     return sorted(classes, key=lambda cls: cls.key)
 
 
-def _dual_move_tree(tableaux):
+def _dual_move_tree(tableaux, tables):
     """Breadth-first spanning tree of SYT(lam) under the dual moves d_j.
 
     Takes the tableaux of SYT(lam) as `enumerate_tableaux` lists them, the
-    root first, and returns the edges (child, parent, j) as indices into
-    them, with child = d_j(parent) and each parent the root or an earlier
-    child.  `move_tables` names a d_j image that is no SYT(lam), and a
-    tableau the tree does not reach raises CarrierError.
+    root first, and the (name, j, table) of each d_j on their reading words
+    from `move_tables`, and returns the edges (child, parent, j) as indices
+    into them, with child = d_j(parent) and each parent the root or an
+    earlier child.  A tableau the tree does not reach raises CarrierError.
     """
-    lam = tableaux[0].shape
-    words = [t.reading_word() for t in tableaux]
-    moves = moves_for("dual", lam)
-    tables = zip(moves, move_tables(words, moves))
-    reached = _search(0, [(name, j, table.__getitem__) for (name, j, _), table in tables])
+    reached = _search(0, [(name, j, table.__getitem__) for name, j, table in tables])
     if len(reached) < len(tableaux):
-        missed = min(w for k, w in enumerate(words) if k not in reached)
+        lam = tableaux[0].shape
+        missed = min(t.reading_word() for k, t in enumerate(tableaux) if k not in reached)
         raise CarrierError(
             f"moves d_2..d_{sum(lam) - 1} on SYT{lam} do not reach {missed}"
-            f" from {words[0]}"
+            f" from {tableaux[0].reading_word()}"
         )
     return [(child, parent, j) for child, (parent, _name, j) in list(reached.items())[1:]]
 
@@ -273,23 +281,27 @@ def perm_classes(n, relation):
     bump per P, against the root of a d_j spanning tree of SYT(shape), gives
     the word with that root as Q, and K_j along each tree edge gives the
     others.  Each SYT(shape) is enumerated once, for the tree and the
-    classes.
+    classes; the `dual` classes' own tables span the tree.  A carried class
+    keeps its tableau class's graph, with its words in the order of their P.
     """
     classes = []
     for lam in partitions(n):
         tableaux = enumerate_tableaux(lam, "SYT")
-        edges = _dual_move_tree(tableaux)
+        lam_classes = _tableau_classes(tableaux, lam, relation)
+        d_tables = lam_classes[0].graph[0] if relation == "dual" else move_tables(
+            [t.reading_word() for t in tableaux], moves_for("dual", lam))
+        edges = _dual_move_tree(tableaux, d_tables)
         root_steps = row_sequence(tableaux[0])
-        for cls in _tableau_classes(tableaux, lam, relation):
+        for cls in lam_classes:
             carried = []
-            for p in cls.members:
+            for p in cls.order:
                 words = [None] * len(tableaux)
                 words[0] = unbump(p.rows, root_steps)
                 for child, parent, j in edges:
                     words[child] = knuth_move(j, words[parent])
                 carried.append(words)
             # one class per Q: the words of the members of cls with that Q
-            classes.extend(EquivClass(relation, column) for column in zip(*carried))
+            classes.extend(EquivClass(relation, column, cls.graph) for column in zip(*carried))
     return sorted(classes, key=lambda cls: cls.key)
 
 
@@ -369,34 +381,27 @@ def classes_json_text(classes):
     return "[\n" + ",\n".join(objects) + "\n]"
 
 
-def classes_to_dot(classes, relation):
+def classes_to_dot(classes):
     """DOT graph: vertices labeled by reading word, edges by generator.
 
-    The relation's moves act on each member's key, bound to its class's
-    shape: a tableau's own, (n,) for a word of length n.  The classes are
-    closed already, under the carrier check, so each image is a member."""
-    lines = ["graph classes {"]
+    The edges come from each class's move tables (`EquivClass.graph`), so
+    no move is applied again: by class, then member in key order, then
+    move, each edge once (slink is not an involution)."""
+    vertices, edges = [], []
     for cls in classes:
-        for member in cls.members:
-            lines.append(f'  "{word_to_str(key_of(member))}";')
-    emitted = set()
-    for cls in classes:
-        first = cls.members[0]
-        shape = first.shape if isinstance(first, Tableau) else (len(first),)
-        moves = moves_for(relation, shape)
-        for member in cls.members:
-            a = key_of(member)
-            for gen_name, idx, move in moves:
-                b = move(a)
-                if a == b:
-                    continue
-                edge = (min(a, b), max(a, b), gen_name, idx)
-                if edge in emitted:
+        tables, indices = cls.graph
+        keys = dict(zip(indices, map(key_of, cls.order)))
+        ranked = sorted(indices, key=keys.__getitem__)
+        labels = {k: word_to_str(keys[k]) for k in ranked}
+        vertices.extend(f'  "{labels[k]}";' for k in ranked)
+        emitted = set()
+        for a in ranked:
+            for name, i, table in tables:
+                b = table[a]
+                edge = (min(a, b), max(a, b), name, i)
+                if b == a or edge in emitted:
                     continue
                 emitted.add(edge)
-                lines.append(
-                    f'  "{word_to_str(edge[0])}" -- "{word_to_str(edge[1])}"'
-                    f' [label="{gen_name}_{idx}"];'
-                )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+                low, high = (a, b) if keys[a] < keys[b] else (b, a)
+                edges.append(f'  "{labels[low]}" -- "{labels[high]}" [label="{name}_{i}"];')
+    return "\n".join(["graph classes {", *vertices, *edges, "}"]) + "\n"

@@ -9,6 +9,7 @@ from tabkit.equivalence import (
     CARRIERS,
     CarrierError,
     EquivClass,
+    MOVES,
     RELATIONS,
     SHAPE_FREE,
     WORD_RELATIONS,
@@ -19,6 +20,7 @@ from tabkit.equivalence import (
     closure,
     key_of,
     member_strings,
+    move_tables,
     moves_for,
     perm_class,
     perm_classes,
@@ -348,7 +350,9 @@ def test_dual_move_tree_spans_syt():
     for n in range(1, 9):
         for lam in partitions(n):
             tableaux = enumerate_tableaux(lam, "SYT")
-            edges = equivalence._dual_move_tree(tableaux)
+            words = [t.reading_word() for t in tableaux]
+            tables = move_tables(words, moves_for("dual", lam))
+            edges = equivalence._dual_move_tree(tableaux, tables)
             reached = {0}
             for child, parent, j in edges:
                 assert parent in reached and child not in reached
@@ -482,7 +486,7 @@ def test_json_and_dot_export():
     classes = syt_classes(4, "equiv2")
     data = classes_to_json(classes)
     assert sum(entry["size"] for entry in data) == len(syt_universe(4))
-    dot = classes_to_dot(classes, "equiv2")
+    dot = classes_to_dot(classes)
     assert dot.startswith("graph")
     assert dot.rstrip().endswith("}")
 
@@ -516,9 +520,10 @@ def _dot_edges(text):
 @pytest.mark.parametrize("relation", RELATIONS)
 def test_dot_edges_match_tableau_moves(relation):
     # reference: the validated tableau moves applied to each member; the
-    # export moves each member's key with its class's word moves
+    # export reads the move tables each class was built with
     if CARRIERS[relation] in ("SYT", "S_n"):
-        cases = [(n, classes_for_cli(relation, n=n)) for n in range(1, 7)]
+        top = 8 if CARRIERS[relation] == "S_n" else 7
+        cases = [(n, classes_for_cli(relation, n=n)) for n in range(1, top)]
     else:
         cases = [
             (n, classes_for_cli(relation, alpha=alpha))
@@ -526,7 +531,7 @@ def test_dot_edges_match_tableau_moves(relation):
             for alpha in compositions(n)
         ]
     for n, classes in cases:
-        dot = classes_to_dot(classes, relation)
+        dot = classes_to_dot(classes)
         lines = dot.splitlines()
         assert lines[0] == "graph classes {" and lines[-1] == "}"
         vertices = [line for line in lines[1:-1] if " -- " not in line]
@@ -534,6 +539,24 @@ def test_dot_edges_match_tableau_moves(relation):
         edges = _dot_edges(dot)
         assert len(edges) == len(set(edges))
         assert set(edges) == _reference_dot_edges(classes, relation, n)
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_dot_export_calls_no_move(monkeypatch, relation):
+    # the export reads the tables each class was built with: with every
+    # move made to raise, it writes the same text
+    carrier = {"n": 6} if CARRIERS[relation] in ("SYT", "S_n") else {"alpha": (2, 1, 2, 1)}
+    classes = classes_for_cli(relation, **carrier)
+    expected = classes_to_dot(classes)
+
+    def broken(i, word, shape):
+        raise AssertionError(f"move {relation}_{i} applied to {word}")
+
+    for name, entry in MOVES.items():
+        monkeypatch.setitem(MOVES, name, entry[:3] + (broken,))
+    with pytest.raises(AssertionError):
+        classes_for_cli(relation, **carrier)
+    assert classes_to_dot(classes) == expected
 
 
 def _reference_json(classes):

@@ -320,11 +320,11 @@ def suite_poset(n):
         ))
 
     # quasi-dual classes on the composition image are unions of equiv2
-    # classes; each image is enumerated and column sorted once, and its
-    # reading words are closed under both relations
+    # classes; each image is enumerated and column sorted once, and closed
+    # under both relations
     for alpha in compositions(n):
         shape = sort_to_partition(alpha)
-        image = [mason_rho(t).reading_word() for t in enumerate_tableaux(alpha, "SRCT")]
+        image = [mason_rho(t) for t in enumerate_tableaux(alpha, "SRCT")]
         fine, coarse = (
             all_classes(image, moves_for(relation, shape), relation)
             for relation in ("quasiDualSRT-restricted", "quasiDualSRT")
@@ -356,16 +356,20 @@ def suite_poset(n):
 
 def suite_involutions(n):
     words = _window_words(n)
+    # a window word fails when its image is no word of S_n or not sent back
     results = [
-        _first_failure(f"{name}_{i} on S_{n}", (w for w in words if move(move(w)) != w))
+        _first_failure(f"{name}_{i} on S_{n}", (
+            w for w in words for image in [move(w)]
+            if sorted(image) != sorted(w) or move(image) != w
+        ))
         for name, i, move in moves_for("equiv2", (n,)) + moves_for("shifted", (n,))
     ]
 
     def unfixed(tableaux, moves):
-        # for each move, the tableaux whose reading words two steps of it do not fix
+        # for each move, the tableaux that two steps of it do not fix
         return [
             [t for k, t in enumerate(tableaux) if table[table[k]] != k]
-            for _, _, table in move_tables([t.reading_word() for t in tableaux], moves)
+            for _, _, table in move_tables(tableaux, moves)
         ]
 
     # slink* is an involution off the superstandard tableau, which both maps fix
@@ -388,24 +392,24 @@ def suite_commutation(n):
     """K_j commutes with slink, slink* and every dR_i on S_n.
 
     Each move is tabulated once, as the index in `all_permutations(n)` of
-    each word's image; K_j and dR_i act on the words.  slink and slink* take
-    the word of (P, Q), `unbump(P, row_sequence(Q))` on the pairs of each
-    SYT(lam), to the word of (f(P), Q), with f tabulated on the reading words
-    of SYT(lam); an f(P) outside them, or pairs that do not give each word
-    of S_n once, raise CarrierError.  A check holds when K[O[k]] == O[K[k]]
-    for every k; otherwise it names the first word where the two differ.
+    each word's image: K_j on the words, dR_i by `move_tables` on them.
+    slink and slink* take the word of (P, Q), `unbump(P, row_sequence(Q))`
+    on the pairs of each SYT(lam), to the word of (f(P), Q), with f
+    tabulated on SYT(lam) by `move_tables`.  A move image outside its
+    carrier, or pairs that do not give each word of S_n once, raise
+    CarrierError.  A check holds when K[O[k]] == O[K[k]] for every k;
+    otherwise it names the first word where the two differ.
     """
     words = all_permutations(n)
+    # built before the suite's own index, so the two indexes never coexist
+    restricted = move_tables(words, moves_for("equiv2", (n,)))
     index = {w: k for k, w in enumerate(words)}
     ops = {"slink*": [None] * len(words), "slink": [None] * len(words)}
     pairs = 0
     for lam in partitions(n):
         tableaux = enumerate_tableaux(lam, "SYT")
         moves = moves_for("equiv0", lam) + moves_for("equiv1", lam)
-        tables = [
-            (ops[name], table)
-            for name, _i, table in move_tables([t.reading_word() for t in tableaux], moves)
-        ]
+        tables = [(ops[name], table) for name, _i, table in move_tables(tableaux, moves)]
         for steps in map(row_sequence, tableaux):
             # the words of (P, Q) for this Q and every P, in tableau order
             row = [index[unbump(p.rows, steps)] for p in tableaux]
@@ -415,8 +419,7 @@ def suite_commutation(n):
         pairs += len(tableaux) ** 2
     if pairs != len(words) or None in ops["slink"]:
         raise CarrierError(f"the RSK pairs of size {n} do not give each word of S_{n} once")
-    for i in range(2, n - 1):
-        ops[f"dR_{i}"] = [index[restricted_dual_move(i, w)] for w in words]
+    ops.update((f"{name}_{i}", table) for name, i, table in restricted)
     results = []
     for j in range(2, n):
         knuth = [index[knuth_move(j, w)] for w in words]
@@ -501,7 +504,7 @@ def suite_shifted(n):
     # transitivity on shifted standard tableaux via flipped reading words
     for lam in strict_partitions(n):
         name = f"flip-conjugated moves transitive on SST({lam})"
-        universe = [t.reading_word() for t in enumerate_tableaux(lam, "SST")]
+        universe = enumerate_tableaux(lam, "SST")
         try:
             classes = all_classes(universe, moves_for("equiv2flip", (n,)), "equiv2flip")
         except CarrierError as exc:

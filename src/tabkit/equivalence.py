@@ -6,18 +6,17 @@ Classes are always listed with members sorted by key and classes sorted
 by least member.
 
 `MOVES` gives each of the ten relations its carrier and one move on reading
-words, and `moves_for(relation, shape)` binds that move to each index and a
-shape; it is the one builder of indexed moves.  The classes of SYT, SRCT
-and the SRT image close plain reading words, one shape at a time
-(`_tableau_classes`), and S_n carries them across Q; each class keeps its
-carrier's move tables, and the DOT export reads its edges from them.  A
-move checks its own rules (the slink run sizes, a window's values);
-`move_tables` checks that each image is a carrier element.
+words; `moves_for(relation, shape)`, the one builder of indexed moves, binds
+it to each index and a shape.  `move_tables` moves each element's key, so
+the classes of SYT, SRCT and the SRT image close the enumerated tableaux,
+one shape at a time, and S_n carries them across Q; each class keeps its
+carrier's move tables, read by the DOT export.  A move checks its own rules
+(slink run sizes, window values); `move_tables` and `closure` its carrier.
 """
 
 import json
 
-from .core import flip, partitions, reverse_word, word_to_str
+from .core import flip, partitions, reverse_word, sort_to_partition, word_to_str
 from .rsk import dual_move, knuth_move, row_sequence, rsk, unbump
 from .operators import (
     mason_rho,
@@ -34,13 +33,11 @@ from .tableaux import Tableau, enumerate_tableaux
 def key_of(element):
     if isinstance(element, Tableau):
         return element.reading_word()
-    if isinstance(element, tuple):
-        return element
-    return tuple(element)
+    return element if isinstance(element, tuple) else tuple(element)
 
 
 class EquivClass:
-    """A move-closed, connected set of carrier elements.
+    """A move-closed, connected set of carrier elements (tableaux or words).
 
     `graph` is None, or (tables, indices) with `order` the members as given:
     the (name, i, table) list of `move_tables` on the carrier, shared by its
@@ -142,48 +139,58 @@ class CarrierError(ValueError):
     """A move produced an element outside the declared carrier."""
 
 
-def _search(seed, moves):
+def _left_carrier(name, i, element):
+    """The CarrierError of the move name_i taking the element outside."""
+    return CarrierError(f"move {name}_{i} left the carrier at {key_of(element)}")
+
+
+def _search(seed, moves, admits=None):
     """Breadth-first search from seed: each element reached, in the order
     reached, mapped to (parent, generator name, index) of the move that
-    first reached it, and the seed to None."""
+    first reached it, and the seed to None; a newly reached element that
+    `admits` rejects raises CarrierError."""
     reached = {seed: None}
     order = [seed]
     for element in order:
         for name, idx, move in moves:
             image = move(element)
             if image not in reached:
+                if admits is not None and not admits(image):
+                    raise _left_carrier(name, idx, element)
                 reached[image] = (element, name, idx)
                 order.append(image)
     return reached
 
 
 def closure(seed, moves, relation):
-    """Minimal move-closed superset of {seed}, as a class of the relation.
-
-    With involutive moves a plain breadth-first search suffices; the
-    non-involutive slink needs the components that all_classes finds, and
-    `syt_classes` finds them on reading words.
-    """
-    return EquivClass(relation, list(_search(seed, moves)))
+    """Minimal move-closed superset of {seed}, as a class of the relation,
+    by breadth-first search (enough for involutive moves, not for slink).
+    Each element reached must rearrange the seed's key (S_n for a word of
+    S_n); CarrierError names the move that left and the element it moved."""
+    letters = sorted(key_of(seed))
+    reached = _search(seed, moves, lambda element: sorted(key_of(element)) == letters)
+    return EquivClass(relation, list(reached))
 
 
 def move_tables(elements, moves):
     """(name, i, table) for each indexed move (name, i, move) on the
     elements, the table holding the position in `elements` of each
-    element's image.  The one carrier check: an image outside the elements
-    raises CarrierError naming the first element, in element order, that a
-    move takes outside, and the first such move."""
-    index = {e: k for k, e in enumerate(elements)}
-    tables = [(name, i, [index.get(move(e)) for e in elements]) for name, i, move in moves]
+    element's image, each move acting on keys (`key_of`).  An image outside
+    the keys raises CarrierError naming the first element, in element
+    order, that a move takes outside, and the first such move."""
+    keys = [key_of(e) for e in elements]
+    index = {w: k for k, w in enumerate(keys)}
+    tables = [(name, i, [index.get(move(w)) for w in keys]) for name, i, move in moves]
     escapes = [(t.index(None), name, i) for name, i, t in tables if None in t]
     if escapes:
         k, name, i = min(escapes, key=lambda escape: escape[0])
-        raise CarrierError(f"move {name}_{i} left the carrier at {key_of(elements[k])}")
+        raise _left_carrier(name, i, elements[k])
     return tables
 
 
 def all_classes(universe, moves, relation):
-    """Partition of the universe into move-connected classes, with their graph."""
+    """Partition of the universe into move-connected classes, with their
+    graph; the moves act on each element's key, as in `move_tables`."""
     elements = list(universe)
     parent = list(range(len(elements)))
 
@@ -221,32 +228,13 @@ def _straddling(fine, coarse):
 # ---------------------------------------------------------------------------
 # standard carriers
 
-def _tableau_classes(tableaux, shape, relation):
-    """Classes of tableaux of one shape under a relation.
-
-    The reading words of the tableaux are closed under the relation's moves
-    on words (`moves_for`), and each word is mapped back to its tableau;
-    no Tableau is built per image.  A reading word fixes the filling of its
-    shape, so the carrier check of `move_tables` (CarrierError) is the check
-    that an image is a carrier element; the slink moves check their run
-    sizes themselves (InvalidTableauError).  Each class keeps its word graph.
-    """
-    by_word = {t.reading_word(): t for t in tableaux}
-    return [
-        EquivClass(relation, [by_word[w] for w in cls.order], cls.graph)
-        for cls in all_classes(by_word, moves_for(relation, shape), relation)
-    ]
-
-
 def syt_classes(shape_or_n, relation):
     """Classes of SYT under one of the seven SYT relations, one SYT(shape)
     at a time."""
     shapes = partitions(shape_or_n) if isinstance(shape_or_n, int) else [tuple(shape_or_n)]
-    classes = [
-        cls
-        for lam in shapes
-        for cls in _tableau_classes(enumerate_tableaux(lam, "SYT"), lam, relation)
-    ]
+    classes = []
+    for lam in shapes:
+        classes += all_classes(enumerate_tableaux(lam, "SYT"), moves_for(relation, lam), relation)
     return sorted(classes, key=lambda cls: cls.key)
 
 
@@ -254,8 +242,8 @@ def _dual_move_tree(tableaux, tables):
     """Breadth-first spanning tree of SYT(lam) under the dual moves d_j.
 
     Takes the tableaux of SYT(lam) as `enumerate_tableaux` lists them, the
-    root first, and the (name, j, table) of each d_j on their reading words
-    from `move_tables`, and returns the edges (child, parent, j) as indices
+    root first, and the (name, j, table) of each d_j on them from
+    `move_tables`, and returns the edges (child, parent, j) as indices
     into them, with child = d_j(parent) and each parent the root or an
     earlier child.  A tableau the tree does not reach raises CarrierError.
     """
@@ -287,9 +275,9 @@ def perm_classes(n, relation):
     classes = []
     for lam in partitions(n):
         tableaux = enumerate_tableaux(lam, "SYT")
-        lam_classes = _tableau_classes(tableaux, lam, relation)
+        lam_classes = all_classes(tableaux, moves_for(relation, lam), relation)
         d_tables = lam_classes[0].graph[0] if relation == "dual" else move_tables(
-            [t.reading_word() for t in tableaux], moves_for("dual", lam))
+            tableaux, moves_for("dual", lam))
         edges = _dual_move_tree(tableaux, d_tables)
         root_steps = row_sequence(tableaux[0])
         for cls in lam_classes:
@@ -311,10 +299,9 @@ def perm_class(word, relation):
     The word-move relations' moves are involutions on words, so a
     breadth-first closure from the word finds the class.  slink is not an
     involution, so for the slink relations it is the class of the insertion
-    tableau P among the classes of SYT(shape of P) that `syt_classes`
-    closes on reading words, carried across the word's one recording
-    tableau Q by inverse RSK, with Q's row sequence read once.  Neither
-    partitions S_n.
+    tableau P among the classes of SYT(shape of P), carried across the
+    word's one recording tableau Q by inverse RSK, with Q's row sequence
+    read once.  Neither partitions S_n.
     """
     word = tuple(word)
     if relation in SHAPE_FREE:
@@ -327,13 +314,14 @@ def perm_class(word, relation):
 
 def srct_classes(alpha):
     """Classes of SRCT(alpha) under the quasi-dual move."""
-    return _tableau_classes(enumerate_tableaux(alpha, "SRCT"), alpha, "quasiDualSRCT")
+    srct = enumerate_tableaux(alpha, "SRCT")
+    return all_classes(srct, moves_for("quasiDualSRCT", alpha), "quasiDualSRCT")
 
 
 def srt_image_classes(alpha, relation):
     """Classes of the SRT image of SRCT(alpha) under an SRT relation."""
     image = [mason_rho(t) for t in enumerate_tableaux(alpha, "SRCT")]
-    return _tableau_classes(image, tuple(sorted(alpha, reverse=True)), relation)
+    return all_classes(image, moves_for(relation, sort_to_partition(alpha)), relation)
 
 
 def classes_for_cli(relation, n=None, alpha=None):

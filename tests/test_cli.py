@@ -800,6 +800,51 @@ def test_broken_dual_entry_fails_the_transport_tree(capsys, monkeypatch, image, 
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+# window entries whose image repeats a value, so it leaves S_n
+LEAVING_S_N = {
+    "dR": (RESTRICTED_WINDOW_TABLE, (2, 1, 3, 4), (1, 1, 3, 4)),
+    "h": (SHIFTED_WINDOW_TABLE, (1, 2, 4, 3), (1, 1, 4, 3)),
+}
+
+
+@pytest.mark.parametrize("entry, argv, failed", [
+    ("dR", ("verify", "--suite", "involutions", "--n", "6"), [
+        f"[FAIL] dR_{i} on S_6  witness: {w}"
+        for i, w in ((2, (2, 1, 3, 4, 5, 6)), (3, (1, 3, 2, 4, 5, 6)), (4, (1, 2, 4, 3, 5, 6)))
+    ]),
+    ("h", ("verify", "--suite", "involutions", "--n", "6"), [
+        f"[FAIL] h_{i} on S_6  witness: {w}"
+        for i, w in ((1, (1, 2, 4, 3, 5, 6)), (2, (1, 2, 3, 5, 4, 6)), (3, (1, 2, 3, 4, 6, 5)))
+    ]),
+    ("dR", ("verify", "--suite", "commutation", "--n", "6"), [
+        "[FAIL] suite commutation runs to completion at n = 6  witness:"
+        " 'move dR_4 left the carrier at (1, 2, 4, 3, 5, 6)'"
+    ]),
+    ("dR", ("expand", "--class-of", "213456", "--relation", "equiv2"),
+     "move dR_2 left the carrier at (2, 1, 3, 4, 5, 6)"),
+    ("dR", ("expand", "--class-of", "654312", "--relation", "equiv2rev"),
+     "move dR.rev_2 left the carrier at (6, 5, 4, 3, 1, 2)"),
+    ("dR", ("expand", "--class-of", "123465", "--relation", "equiv2flip"),
+     "move dR.flip_2 left the carrier at (1, 2, 3, 4, 6, 5)"),
+    ("h", ("expand", "--class-of", "124356", "--relation", "shifted"),
+     "move h_1 left the carrier at (1, 2, 4, 3, 5, 6)"),
+], ids=[
+    "involutions-dR", "involutions-h", "commutation-dR",
+    "class-of-equiv2", "class-of-equiv2rev", "class-of-equiv2flip", "class-of-shifted",
+])
+def test_move_that_leaves_s_n_exits_1(capsys, monkeypatch, entry, argv, failed):
+    # a move image outside S_n fails the check that meets it, with a word
+    # as witness, or is one error line; never a traceback
+    monkeypatch.setitem(*LEAVING_S_N[entry])
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "Traceback" not in err
+    if argv[0] == "verify":
+        assert err == ""
+        assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == failed
+    else:
+        assert (out, err) == ("", f"error: {failed}\n")
+
+
 def test_wrong_run_sizes_are_reported_not_raised(capsys, monkeypatch):
     # a run exchange that misses its run sizes is one error line for classes
     # and the failed backstop check for verify, both a failed check (exit 1)
@@ -1035,9 +1080,11 @@ def test_commutation_mutant_reports_the_oracle_witnesses(
     monkeypatch, name, move, index, target, failures
 ):
     # the mutant leaves a word unmoved that the move moves; the suite names
-    # the same failing checks and first failing words as the word oracle
+    # the same failing checks and first failing words as the word oracle.
+    # The suite binds K_j in cli, and dR_i through moves_for in equivalence
     assert move(index, target) != target
-    monkeypatch.setattr(cli, name, _wrong_on(move, target, index))
+    owner = cli if name == "knuth_move" else equivalence
+    monkeypatch.setattr(owner, name, _wrong_on(move, target, index))
     results = suite_commutation(5)
     assert sum(not ok for _, ok, _ in results) == failures
     assert results == commutation_by_words(5)

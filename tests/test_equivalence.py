@@ -126,7 +126,7 @@ def test_carrier_error():
     universe = enumerate_tableaux((3, 1), "SYT")
     bad = [t for t in universe if t.reading_word() != (4, 1, 2, 3)]
     with pytest.raises(CarrierError):
-        all_classes(bad, tableau_moves("dual", 4), "dual")
+        all_classes(bad, moves_for("dual", (3, 1)), "dual")
 
 
 def test_dual_and_restricted_images_of_syt_are_syt():
@@ -163,13 +163,14 @@ def _tableau_moves(relation, n):
     "relation", ["equiv0", "equiv1", "equiv2", "dual", "shifted", "equiv2rev", "equiv2flip"]
 )
 def test_syt_classes_match_tableau_moves(relation):
-    # reference: close the tableaux themselves under tableau-level moves
+    # reference: close the tableaux themselves under tableau-level moves,
+    # element by element
     for n in range(1, 8):
         moves = _tableau_moves(relation, n)
-        expected = all_classes(syt_universe(n), moves, relation)
+        expected = all_classes_by_elements(syt_universe(n), moves, relation)
         assert syt_classes(n, relation) == expected
         for lam in partitions(n):
-            expected = all_classes(enumerate_tableaux(lam, "SYT"), moves, relation)
+            expected = all_classes_by_elements(enumerate_tableaux(lam, "SYT"), moves, relation)
             assert syt_classes(lam, relation) == expected
 
 
@@ -210,14 +211,14 @@ def _quasi_dual_classes(relation, alpha):
 @pytest.mark.parametrize("relation", QUASI_DUAL)
 def test_quasi_dual_classes_match_tableau_moves(relation):
     # reference: close the tableaux themselves under the validated tableau
-    # moves of tableau_moves
+    # moves of tableau_moves, element by element
     for n in range(1, 8):
         moves = tableau_moves(relation, n)
         for alpha in compositions(n):
             universe = enumerate_tableaux(alpha, "SRCT")
             if CARRIERS[relation] == "SRT":
                 universe = [mason_rho(t) for t in universe]
-            expected = all_classes(universe, moves, relation)
+            expected = all_classes_by_elements(universe, moves, relation)
             assert _quasi_dual_classes(relation, alpha) == expected
 
 
@@ -342,6 +343,104 @@ def test_carrier_witness_matches_the_element_major_reference(monkeypatch, relati
     assert witnesses
     assert _carrier_witness(syt_classes, 6, relation) == witnesses[0]
     assert _carrier_witness(perm_classes, 6, relation) == witnesses[0]
+
+
+def _carriers(relation, n):
+    """Each carrier of the relation at degree n that a class builder closes,
+    with the shape its moves take: SYT(lam) for the SYT and S_n relations
+    (perm_classes carries the latter's SYT(lam) classes across Q), SRCT(alpha)
+    or its SRT image for the quasi-dual ones."""
+    if CARRIERS[relation] in ("SYT", "S_n"):
+        return [(enumerate_tableaux(lam, "SYT"), lam) for lam in partitions(n)]
+    carriers = []
+    for alpha in compositions(n):
+        srct = enumerate_tableaux(alpha, "SRCT")
+        if CARRIERS[relation] == "SRCT":
+            carriers.append((srct, alpha))
+        else:
+            carriers.append(([mason_rho(t) for t in srct], tuple(sorted(alpha, reverse=True))))
+    return carriers
+
+
+def _tables_or_witness(elements, moves):
+    try:
+        return move_tables(elements, moves)
+    except CarrierError as exc:
+        return str(exc)
+
+
+def _break_move(monkeypatch, relation):
+    """Send some carrier element of size 6 outside its carrier: a broken
+    window entry, or a slink word move that reverses the word."""
+    if relation in ("equiv0", "equiv1"):
+        name = "slink_star_word" if relation == "equiv0" else "slink_word"
+        monkeypatch.setattr(equivalence, name, lambda w, lam: tuple(reversed(w)))
+    elif relation in BROKEN_ENTRIES:
+        monkeypatch.setitem(*BROKEN_ENTRIES[relation])
+    elif relation == "quasiDualSRT-restricted":
+        monkeypatch.setitem(*BROKEN_ENTRIES["equiv2"])
+    else:
+        monkeypatch.setitem(*BROKEN_ENTRIES["dual"])
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_move_tables_read_each_elements_key(monkeypatch, relation):
+    # a carrier of tableaux is tabulated as the list of their reading words
+    # is, and a move that leaves it is named by the same text
+    def outcomes():
+        return [
+            (
+                _tables_or_witness(elements, moves),
+                _tables_or_witness([key_of(e) for e in elements], moves),
+            )
+            for n in range(1, 7)
+            for elements, shape in _carriers(relation, n)
+            for moves in [moves_for(relation, shape)]
+        ]
+
+    assert all(tableaux == words for tableaux, words in outcomes())
+    _break_move(monkeypatch, relation)
+    broken = outcomes()
+    assert all(tableaux == words for tableaux, words in broken)
+    assert any(isinstance(tableaux, str) for tableaux, _ in broken)
+
+
+@pytest.mark.parametrize("build, args", [
+    (syt_classes, (6, "equiv0")),
+    (syt_classes, (6, "equiv2")),
+    (syt_classes, ((3, 2, 1), "shifted")),
+    (srct_classes, ((2, 1, 2),)),
+    (srt_image_classes, ((2, 2, 2), "quasiDualSRT")),
+    (srt_image_classes, ((3, 1, 2), "quasiDualSRT-restricted")),
+])
+def test_tableau_classes_are_built_once_on_the_enumerated_tableaux(monkeypatch, build, args):
+    # the class builders close the tableaux they enumerate (or column sort):
+    # one EquivClass per class returned, with those Tableau objects as members
+    built, made = [], []
+
+    class Counted(EquivClass):
+        __slots__ = ()
+
+        def __init__(self, *init):
+            built.append(self)
+            super().__init__(*init)
+
+    def kept(fn):
+        def wrapped(*call):
+            result = fn(*call)
+            made.extend(result if isinstance(result, list) else [result])
+            return result
+        return wrapped
+
+    monkeypatch.setattr(equivalence, "EquivClass", Counted)
+    if build is srt_image_classes:
+        monkeypatch.setattr(equivalence, "mason_rho", kept(equivalence.mason_rho))
+    else:
+        monkeypatch.setattr(equivalence, "enumerate_tableaux", kept(equivalence.enumerate_tableaux))
+    classes = build(*args)
+    assert sorted(map(id, built)) == sorted(map(id, classes))
+    assert sorted(id(m) for cls in classes for m in cls.members) == sorted(map(id, made))
+    assert all(isinstance(m, Tableau) for m in made)
 
 
 def test_dual_move_tree_spans_syt():

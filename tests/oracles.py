@@ -508,13 +508,16 @@ def commutation_by_words(n):
     op(K_j w) on every w.  slink and slink* act through insertion, with the
     validated tableau maps `operators.slink_star` and `operators.slink`;
     the Knuth move is looked up in `cli` and the restricted dual move in
-    `equivalence`, where the suite binds them, so patches there reach it.  Each slink image is inserted once per call and kept."""
+    `equivalence`, where the suite binds them, so patches there reach it.
+    Each slink image is inserted once per call and kept."""
     words = all_permutations(n)
     ops = [
         ("slink*", lru_cache(maxsize=None)(lambda w: act_via_insertion(operators.slink_star, w))),
         ("slink", lru_cache(maxsize=None)(lambda w: act_via_insertion(operators.slink, w))),
     ]
-    ops += [(f"dR_{i}", lambda w, i=i: equivalence.restricted_dual_move(i, w)) for i in range(2, n - 1)]
+    ops += [
+        (f"dR_{i}", lambda w, i=i: equivalence.restricted_dual_move(i, w)) for i in range(2, n - 1)
+    ]
     results = []
     for j in range(2, n):
         for name, op in ops:

@@ -436,7 +436,9 @@ def test_tableau_classes_are_built_once_on_the_enumerated_tableaux(monkeypatch, 
     if build is srt_image_classes:
         monkeypatch.setattr(equivalence, "mason_rho", kept(equivalence.mason_rho))
     else:
-        monkeypatch.setattr(equivalence, "enumerate_tableaux", kept(equivalence.enumerate_tableaux))
+        monkeypatch.setattr(
+            equivalence, "enumerate_tableaux", kept(equivalence.enumerate_tableaux)
+        )
     classes = build(*args)
     assert sorted(map(id, built)) == sorted(map(id, classes))
     assert sorted(id(m) for cls in classes for m in cls.members) == sorted(map(id, made))

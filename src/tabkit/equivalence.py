@@ -9,9 +9,11 @@ by least member.
 words; `moves_for(relation, shape)`, the one builder of indexed moves, binds
 it to each index and a shape.  `move_tables` moves each element's key, so
 the classes of SYT, SRCT and the SRT image close the enumerated tableaux,
-one shape at a time, and S_n carries them across Q; each class keeps its
-carrier's move tables, read by the DOT export.  A move checks its own rules
-(slink run sizes, window values); `move_tables` and `closure` its carrier.
+one shape at a time; each class keeps its carrier's move tables, read by
+the DOT export.  `closure` closes one word under moves on words, and S_n
+carries the SYT classes across Q along the Knuth class of one word.  A move
+checks its own rules (slink run sizes, window values); `move_tables` and
+the word search of `closure` its carrier.
 """
 
 import json
@@ -144,32 +146,31 @@ def _left_carrier(name, i, element):
     return CarrierError(f"move {name}_{i} left the carrier at {key_of(element)}")
 
 
-def _search(seed, moves, admits=None):
-    """Breadth-first search from seed: each element reached, in the order
-    reached, mapped to (parent, generator name, index) of the move that
-    first reached it, and the seed to None; a newly reached element that
-    `admits` rejects raises CarrierError."""
+def _search(seed, moves):
+    """Breadth-first search from the word seed: each word reached, in the
+    order reached, mapped to (parent, generator name, index) of the move
+    that first reached it, and the seed to None.  A newly reached word that
+    does not rearrange the seed (a word outside S_n, for a seed in S_n)
+    raises CarrierError naming the move and the word it moved."""
+    letters = sorted(seed)
     reached = {seed: None}
     order = [seed]
-    for element in order:
+    for word in order:
         for name, idx, move in moves:
-            image = move(element)
+            image = move(word)
             if image not in reached:
-                if admits is not None and not admits(image):
-                    raise _left_carrier(name, idx, element)
-                reached[image] = (element, name, idx)
+                if sorted(image) != letters:
+                    raise _left_carrier(name, idx, word)
+                reached[image] = (word, name, idx)
                 order.append(image)
     return reached
 
 
 def closure(seed, moves, relation):
-    """Minimal move-closed superset of {seed}, as a class of the relation,
-    by breadth-first search (enough for involutive moves, not for slink).
-    Each element reached must rearrange the seed's key (S_n for a word of
-    S_n); CarrierError names the move that left and the element it moved."""
-    letters = sorted(key_of(seed))
-    reached = _search(seed, moves, lambda element: sorted(key_of(element)) == letters)
-    return EquivClass(relation, list(reached))
+    """Minimal move-closed set of words holding the word seed, as a class of
+    the relation, by breadth-first search (enough for involutive moves, not
+    for slink).  Each word reached must rearrange the seed (`_search`)."""
+    return EquivClass(relation, list(_search(tuple(seed), moves)))
 
 
 def move_tables(elements, moves):
@@ -238,26 +239,6 @@ def syt_classes(shape_or_n, relation):
     return sorted(classes, key=lambda cls: cls.key)
 
 
-def _dual_move_tree(tableaux, tables):
-    """Breadth-first spanning tree of SYT(lam) under the dual moves d_j.
-
-    Takes the tableaux of SYT(lam) as `enumerate_tableaux` lists them, the
-    root first, and the (name, j, table) of each d_j on them from
-    `move_tables`, and returns the edges (child, parent, j) as indices
-    into them, with child = d_j(parent) and each parent the root or an
-    earlier child.  A tableau the tree does not reach raises CarrierError.
-    """
-    reached = _search(0, [(name, j, table.__getitem__) for name, j, table in tables])
-    if len(reached) < len(tableaux):
-        lam = tableaux[0].shape
-        missed = min(t.reading_word() for k, t in enumerate(tableaux) if k not in reached)
-        raise CarrierError(
-            f"moves d_2..d_{sum(lam) - 1} on SYT{lam} do not reach {missed}"
-            f" from {tableaux[0].reading_word()}"
-        )
-    return [(child, parent, j) for child, (parent, _name, j) in list(reached.items())[1:]]
-
-
 def perm_classes(n, relation):
     """Classes of S_n under a word relation.
 
@@ -265,28 +246,35 @@ def perm_classes(n, relation):
     insertion tableau P through P alone (Haiman's dual equivalence for the
     tableau relations), so a class is a class of SYT(shape) carried across
     each Q of that shape.  The carrying rests on Haiman's theorem: the Knuth
-    move K_j fixes P and acts on Q as the dual move d_j.  So one reverse
-    bump per P, against the root of a d_j spanning tree of SYT(shape), gives
-    the word with that root as Q, and K_j along each tree edge gives the
-    others.  Each SYT(shape) is enumerated once, for the tree and the
-    classes; the `dual` classes' own tables span the tree.  A carried class
-    keeps its tableau class's graph, with its words in the order of their P.
+    move K_j fixes P and acts on Q as the dual move d_j.  So the Knuth class
+    of the word r with P = Q = T0, the first enumerated SYT(shape), holds
+    one word per Q, each reached from its parent by one K_j, and the same
+    K_j takes P's word with the parent's Q to P's word with the child's Q.
+    Each P is reverse-bumped once, against T0, and carried along those
+    edges.  A Knuth class that does not hold one word per SYT(shape) raises
+    CarrierError.  A carried class keeps its tableau class's graph, with its
+    words in the order of their P.
     """
+    knuth = [("K", j, lambda w, j=j: knuth_move(j, w)) for j in range(2, n)]
     classes = []
     for lam in partitions(n):
         tableaux = enumerate_tableaux(lam, "SYT")
-        lam_classes = all_classes(tableaux, moves_for(relation, lam), relation)
-        d_tables = lam_classes[0].graph[0] if relation == "dual" else move_tables(
-            tableaux, moves_for("dual", lam))
-        edges = _dual_move_tree(tableaux, d_tables)
         root_steps = row_sequence(tableaux[0])
-        for cls in lam_classes:
+        root = unbump(tableaux[0].rows, root_steps)
+        reached = _search(root, knuth)
+        if len(reached) != len(tableaux):
+            raise CarrierError(
+                f"the Knuth class of {root} holds {len(reached)} words,"
+                f" not |SYT{lam}| = {len(tableaux)}"
+            )
+        position = {w: k for k, w in enumerate(reached)}
+        edges = [(position[parent], j) for parent, _name, j in list(reached.values())[1:]]
+        for cls in all_classes(tableaux, moves_for(relation, lam), relation):
             carried = []
             for p in cls.order:
-                words = [None] * len(tableaux)
-                words[0] = unbump(p.rows, root_steps)
-                for child, parent, j in edges:
-                    words[child] = knuth_move(j, words[parent])
+                words = [unbump(p.rows, root_steps)]
+                for parent, j in edges:
+                    words.append(knuth_move(j, words[parent]))
                 carried.append(words)
             # one class per Q: the words of the members of cls with that Q
             classes.extend(EquivClass(relation, column, cls.graph) for column in zip(*carried))

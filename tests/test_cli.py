@@ -134,6 +134,30 @@ def test_classes_output_golden(capsys, fmt):
     assert (hashlib.sha256(data).hexdigest(), len(data)) == CLASSES_GOLDENS[fmt]
 
 
+# sha256 and length of `classes --relation <r> --n 8 --format json` output,
+# taken while perm_classes carried its classes along a d_j spanning tree of
+# each SYT(lam)
+CLASSES_N8_GOLDENS = {
+    "equiv0": ("cd0961d85c6d57c18c0f415f9ed613bad4279eb06281c71407b9eafdf6fe289a", 58107),
+    "equiv1": ("bb233ca1e9e09dd1efce6136688881bf1260488cf3ff1a1a29dc1df97645860b", 53211),
+    "equiv2": ("5907dcaa8d85b53b28ab9ed8288a2dbf122d126d79e537575dfdd5051832b919", 27739),
+    "dual": ("458202ddb720ee772afdad229639b36ccaee841943efd62f4fbdc054f1fd2928", 15313),
+    "shifted": ("3be8b0fb61868b71e311ee4c15f4b8a9362195de7d485d7802f3682c5776d416", 962051),
+    "equiv2rev": ("98fda8ec278239b66f11c0bbacbd0bbe525d7e7c45cc2b9cc39cd162ceb95fd7", 1405455),
+    "equiv2flip": ("34a657866e6565a3727f2919a0504970a7f8550a8c721e286d114981d1242721", 1414507),
+}
+
+
+@pytest.mark.parametrize("relation", WORD_RELATIONS)
+def test_classes_json_golden_at_degree_8(capsys, relation):
+    code, out, err = run(
+        capsys, "classes", "--relation", relation, "--n", "8", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == CLASSES_N8_GOLDENS[relation]
+
+
 @pytest.mark.parametrize("relation, flag, value", list(DOT_GOLDENS))
 def test_classes_dot_golden(capsys, relation, flag, value):
     expected = DOT_GOLDENS[relation, flag, value]
@@ -182,9 +206,10 @@ def test_quasi_dual_dot_golden(capsys):
 
 
 def test_each_carrier_is_tabulated_once(monkeypatch):
-    # perm_classes(n, "dual") spans its transport tree with the d_j tables of
-    # its own classes, and the mason suite reads the DQ_i tables that built
-    # the classes of each SRCT(alpha)
+    # perm_classes tabulates only the moves of its own classes on each
+    # SYT(lam), carrying them across Q with Knuth moves on words, and the
+    # mason suite reads the DQ_i tables that built the classes of each
+    # SRCT(alpha)
     calls = []
 
     def counting(tables):
@@ -198,7 +223,7 @@ def test_each_carrier_is_tabulated_once(monkeypatch):
     for relation in WORD_RELATIONS:
         calls.clear()
         perm_classes(6, relation)
-        assert len(calls) == len(partitions(6)) * (1 if relation == "dual" else 2), relation
+        assert len(calls) == len(partitions(6)), relation
     calls.clear()
     suite_mason(6)
     assert len(calls) == len(compositions(6))
@@ -784,20 +809,46 @@ def test_broken_shifted_entry_names_the_move(capsys, monkeypatch):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("image, message", [
-    ((1, 2, 3), "move d_2 left the carrier at (2, 1, 3, 4, 5, 6)"),
-    ((2, 1, 3), "moves d_2..d_5 on SYT(5, 1) do not reach (3, 1, 2, 4, 5, 6)"
-                " from (2, 1, 3, 4, 5, 6)"),
-])
-def test_broken_dual_entry_fails_the_transport_tree(capsys, monkeypatch, image, message):
-    # perm_classes carries words across Q along a tree of d_j moves: an image
-    # that is no SYT, or an SYT the tree misses, is named, not a KeyError
-    monkeypatch.setitem(DUAL_WINDOW_TABLE, (2, 1, 3), image)
+def _perm_classes_error(capsys, relation):
+    """The CarrierError message of perm_classes(6, relation), checked to be
+    the one error line of `classes` on S_6, with exit 1."""
     with pytest.raises(CarrierError) as caught:
-        perm_classes(6, "shifted")
-    assert str(caught.value) == message
-    code, out, err = run(capsys, "classes", "--relation", "shifted", "--n", "6")
+        perm_classes(6, relation)
+    message = str(caught.value)
+    code, out, err = run(capsys, "classes", "--relation", relation, "--n", "6")
     assert (code, out, err) == (1, "", f"error: {message}\n")
+    return message
+
+
+def test_knuth_class_of_the_wrong_size_is_named(capsys, monkeypatch):
+    # perm_classes carries words across Q along the Knuth class of one word
+    # per shape: a K_j that fixes every word reaches one word, not f^lam
+    monkeypatch.setattr(equivalence, "knuth_move", lambda j, w: w)
+    message = _perm_classes_error(capsys, "shifted")
+    assert message == (
+        "the Knuth class of (2, 1, 3, 4, 5, 6) holds 1 words, not |SYT(5, 1)| = 5"
+    )
+    assert "left the carrier" not in message
+
+
+def test_knuth_image_that_repeats_a_value_leaves_the_carrier(capsys, monkeypatch):
+    # a K_j image outside S_n is named by the word search, as in closure
+    monkeypatch.setattr(equivalence, "knuth_move", lambda j, w: w[:j - 1] + w[j - 2:j - 1] + w[j:])
+    assert _perm_classes_error(capsys, "equiv2flip") == (
+        "move K_2 left the carrier at (1, 2, 3, 4, 5, 6)"
+    )
+
+
+def test_broken_dual_entry_leaves_the_s_n_transport_alone(capsys, monkeypatch):
+    # the transport across Q moves words by K_j and reads no d_j table, so a
+    # broken d_2 entry fails only the relation that moves by d_j
+    expected = run(capsys, "classes", "--relation", "shifted", "--n", "6")
+    monkeypatch.setitem(DUAL_WINDOW_TABLE, (2, 1, 3), (1, 2, 3))
+    assert run(capsys, "classes", "--relation", "shifted", "--n", "6") == expected
+    assert expected[0] == 0
+    assert run(capsys, "classes", "--relation", "dual", "--n", "6") == (
+        1, "", "error: move d_2 left the carrier at (2, 1, 3, 4, 5, 6)\n"
+    )
 
 
 # window entries whose image repeats a value, so it leaves S_n

@@ -29,13 +29,12 @@ from tabkit.equivalence import (
     syt_classes,
 )
 from tabkit.operators import RESTRICTED_WINDOW_TABLE, SHIFTED_WINDOW_TABLE, mason_rho
-from tabkit.rsk import DUAL_WINDOW_TABLE, rsk, rsk_inverse
+from tabkit.rsk import DUAL_WINDOW_TABLE, knuth_move, rsk, rsk_inverse
 from tabkit.tableaux import Tableau, enumerate_tableaux, superstandard
 
 from oracles import (
     all_classes_by_elements,
     classes_to_json,
-    dual_move_tableau,
     insertion_tableau,
     refines,
     slink_by_runs,
@@ -115,10 +114,20 @@ def test_duplicate_generating_functions_are_distinct_classes():
 
 
 def test_closure_matches_all_classes():
-    moves = tableau_moves("equiv2", 5)
-    classes = syt_classes(5, "equiv2")
-    for cls in classes:
-        assert closure(cls.members[0], moves, "equiv2") == cls
+    # closure closes a word: each class key of SYT(5) under the word moves
+    # closes to the reading words of its class
+    moves = moves_for("equiv2", (5,))
+    for cls in syt_classes(5, "equiv2"):
+        words = [key_of(t) for t in cls.members]
+        assert closure(cls.key, moves, "equiv2") == EquivClass("equiv2", words)
+
+
+def test_closure_takes_a_list_seed():
+    # a seed given as a list is closed as its word
+    moves = moves_for("dual", (4,))
+    cls = closure([2, 1, 3, 4], moves, "dual")
+    assert cls == closure((2, 1, 3, 4), moves, "dual")
+    assert (2, 1, 3, 4) in cls and all(type(w) is tuple for w in cls)
 
 
 def test_carrier_error():
@@ -299,7 +308,8 @@ def _carried_by_inverse_rsk(n, relation):
     "relation, top", [(relation, 7) for relation in WORD_RELATIONS] + [("shifted", 8)]
 )
 def test_perm_classes_match_inverse_rsk_pair_by_pair(relation, top):
-    # the transport along the dual-move tree against inverse RSK of each pair
+    # the transport along the Knuth class of the root against inverse RSK of
+    # each pair
     for n in range(1, top + 1):
         assert perm_classes(n, relation) == _carried_by_inverse_rsk(n, relation)
 
@@ -445,26 +455,30 @@ def test_tableau_classes_are_built_once_on_the_enumerated_tableaux(monkeypatch, 
     assert all(isinstance(m, Tableau) for m in made)
 
 
-def test_dual_move_tree_spans_syt():
-    # each edge is a d_j move from a tableau already reached to a new one,
-    # and the edges reach every SYT(lam) from the root
+def test_knuth_class_of_the_root_aligns_the_q_columns():
+    # perm_classes carries each P along the Knuth class of r, the word with
+    # P = Q = T0: each edge is a K_j move from a word already reached, the
+    # edges reach each word with P = T0 once, every word of a carried class
+    # has the same Q, and the carried classes hold each word of S_n once
     for n in range(1, 9):
+        knuth = [("K", j, lambda w, j=j: knuth_move(j, w)) for j in range(2, n)]
         for lam in partitions(n):
             tableaux = enumerate_tableaux(lam, "SYT")
-            words = [t.reading_word() for t in tableaux]
-            tables = move_tables(words, moves_for("dual", lam))
-            edges = equivalence._dual_move_tree(tableaux, tables)
-            reached = {0}
-            for child, parent, j in edges:
-                assert parent in reached and child not in reached
-                assert dual_move_tableau(j, tableaux[parent]) == tableaux[child]
-                reached.add(child)
-            assert reached == set(range(len(tableaux)))
+            root = rsk_inverse(tableaux[0], tableaux[0])
+            reached = equivalence._search(root, knuth)
+            order = list(reached)
+            for k, (parent, _name, j) in enumerate(list(reached.values())[1:], start=1):
+                assert order.index(parent) < k and knuth_move(j, parent) == order[k]
+            assert sorted(order) == sorted(rsk_inverse(tableaux[0], q) for q in tableaux)
+        for relation in ("dual", "shifted"):
+            classes = perm_classes(n, relation)
+            assert all(len({rsk(w)[1] for w in cls.members}) == 1 for cls in classes)
+            assert sorted(w for cls in classes for w in cls) == all_permutations(n)
 
 
 @pytest.mark.parametrize("relation", WORD_RELATIONS)
 def test_perm_classes_enumerates_each_shape_once(monkeypatch, relation):
-    # one SYT(lam) list serves the transport tree and the classes of lam
+    # one SYT(lam) list serves the root of the transport and the classes of lam
     calls = []
     real = equivalence.enumerate_tableaux
     monkeypatch.setattr(

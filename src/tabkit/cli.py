@@ -39,6 +39,7 @@ from .equivalence import (
     perm_class,
     srct_classes,
     syt_classes,
+    _left_carrier,
     _straddling,
 )
 from .operators import (
@@ -137,9 +138,7 @@ def emit(text, out_path):
 
 def cmd_classes(args):
     relation = args.relation
-    if relation not in RELATIONS:
-        raise UsageError(f"unknown relation {relation!r}; choose from {RELATIONS}")
-    alpha = parse_parts(args.alpha, "--alpha") if args.alpha else None
+    alpha = parse_parts(args.alpha, "--alpha") if args.alpha is not None else None
     n = sum(alpha) if alpha is not None else args.n
     if n is not None:
         check_degree(n)
@@ -166,13 +165,8 @@ def cmd_classes(args):
 # expand
 
 def cmd_expand(args):
-    selectors = [args.shape, args.class_of, args.quasischur]
-    if sum(sel is not None for sel in selectors) != 1:
-        raise UsageError("expand needs exactly one of --shape, --class-of, --quasischur")
     if args.relation is not None and args.class_of is None:
         raise UsageError("--relation works only with --class-of")
-    if args.format == "dot":
-        raise UsageError("expand has no dot output")
 
     if args.shape is not None:
         lam = parse_parts(args.shape, "--shape")
@@ -202,8 +196,6 @@ def cmd_expand(args):
         check_degree(n)
         if sorted(word) != list(range(1, n + 1)):
             raise UsageError(f"{args.class_of!r} is not a permutation")
-        if args.relation not in WORD_RELATIONS:
-            raise UsageError(f"--class-of works with word relations, not {args.relation}")
         cls = perm_class(word, args.relation)
         q = class_union_qsym([cls])
         witness = None
@@ -422,7 +414,9 @@ def suite_commutation(n):
     ops.update((f"{name}_{i}", table) for name, i, table in restricted)
     results = []
     for j in range(2, n):
-        knuth = [index[knuth_move(j, w)] for w in words]
+        knuth = [index.get(knuth_move(j, w)) for w in words]
+        if None in knuth:
+            raise _left_carrier("K", j, words[knuth.index(None)])
         for name, op in ops.items():
             results.append(_first_failure(
                 f"K_{j} commutes with {name} on S_{n}",
@@ -553,10 +547,7 @@ SUITE_RUNNERS = {
 
 
 def cmd_verify(args):
-    if args.format == "dot":
-        raise UsageError("verify has no dot output")
-    n = args.n if args.n is not None else 5
-    check_degree(n)
+    n = check_degree(args.n)
     try:
         results = SUITE_RUNNERS[args.suite](n)
     except CHECK_FAILURES as exc:
@@ -590,37 +581,45 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError for `main` to report; its subcommands inherit it."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tabkit",
         description="Tableau equivalence classes and quasisymmetric expansions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    def common(p, *formats):
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p_classes = sub.add_parser("classes", help="list equivalence classes")
     carrier = p_classes.add_mutually_exclusive_group()
     carrier.add_argument("--n", type=int)
     carrier.add_argument("--alpha", help="composition, comma separated")
-    p_classes.add_argument("--relation", required=True)
-    common(p_classes)
+    p_classes.add_argument("--relation", required=True, choices=RELATIONS)
+    common(p_classes, "text", "json", "dot")
     p_classes.set_defaults(fn=cmd_classes)
 
     p_expand = sub.add_parser("expand", help="fundamental and Schur expansions")
-    p_expand.add_argument("--shape", help="partition, comma separated")
-    p_expand.add_argument("--class-of", dest="class_of", help="permutation word")
-    p_expand.add_argument("--quasischur", help="composition, comma separated")
-    p_expand.add_argument("--relation")
-    common(p_expand)
+    selector = p_expand.add_mutually_exclusive_group(required=True)
+    selector.add_argument("--shape", help="partition, comma separated")
+    selector.add_argument("--class-of", dest="class_of", help="permutation word")
+    selector.add_argument("--quasischur", help="composition, comma separated")
+    p_expand.add_argument("--relation", choices=WORD_RELATIONS)
+    common(p_expand, "text", "json")
     p_expand.set_defaults(fn=cmd_expand)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("--suite", required=True, choices=SUITE_RUNNERS)
-    p_verify.add_argument("--n", type=int)
-    common(p_verify)
+    p_verify.add_argument("--n", type=int, default=5)
+    common(p_verify, "text", "json")
     p_verify.set_defaults(fn=cmd_verify)
     return parser
 
@@ -633,8 +632,8 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

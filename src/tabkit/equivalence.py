@@ -6,14 +6,14 @@ Classes are always listed with members sorted by key and classes sorted
 by least member.
 
 `MOVES` gives each of the ten relations its carrier and one move on reading
-words; `moves_for(relation, shape)`, the one builder of indexed moves, binds
-it to each index and a shape.  `move_tables` moves each element's key, so
-the classes of SYT, SRCT and the SRT image close the enumerated tableaux,
-one shape at a time; each class keeps its carrier's move tables, read by
-the DOT export.  `closure` closes one word under moves on words, and S_n
-carries the SYT classes across Q along the Knuth class of one word.  A move
-checks its own rules (slink run sizes, window values); `move_tables` and
-the word search of `closure` its carrier.
+words; `moves_for(relation, shape)`, the one builder of each relation's
+indexed moves, binds it to each index and a shape.  `move_tables` moves each
+element's key, so the classes of SYT, SRCT and the SRT image close the
+enumerated tableaux, one shape at a time; each class keeps its carrier's
+move tables, read by the DOT export.  `closure` closes one word under moves
+on words, and S_n carries the SYT classes across Q along the Knuth class of
+one word.  A move checks its own rules (slink run sizes, window values);
+`move_tables` and the word search of `closure` its carrier.
 """
 
 import json

@@ -26,6 +26,7 @@ from tabkit.core import (
 )
 from tabkit.equivalence import (
     CARRIERS,
+    RELATIONS,
     WORD_RELATIONS,
     CarrierError,
     EquivClass,
@@ -62,6 +63,12 @@ from oracles import (
     syt_universe,
     tableau_moves,
 )
+
+
+# argparse's wording for a --relation of classes outside RELATIONS, and for
+# --format dot given to expand or verify
+RELATION_CHOICES = ", ".join(map(repr, RELATIONS))
+DOT_CHOICE = "error: argument --format: invalid choice: 'dot' (choose from 'text', 'json')\n"
 
 
 def run(capsys, *argv):
@@ -300,8 +307,9 @@ def test_classes_srct(capsys):
 
 
 def test_classes_usage_errors(capsys):
-    code, _, err = run(capsys, "classes", "--relation", "nope", "--n", "4")
-    assert code == 2 and "unknown relation" in err
+    assert run(capsys, "classes", "--relation", "nope", "--n", "4") == (
+        2, "", f"error: argument --relation: invalid choice: 'nope' (choose from {RELATION_CHOICES})\n"
+    )
     # a relation given the option of another carrier names its own
     for argv, needs in [
         (["--relation", "equiv2"], "--n"),
@@ -461,7 +469,7 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
         first = cli._parser().parse_args(["verify", "--suite", "poset"])
         second = cli._parser().parse_args(["classes", "--relation", "dual", "--n", "3"])
         assert first is not second and not hasattr(second, "suite")
-        assert (first.n, first.format, second.format) == (None, "text", "text")
+        assert (first.n, first.format, second.format) == (5, "text", "text")
     finally:
         cli._parser.cache_clear()
 
@@ -473,22 +481,28 @@ def test_expand_quasischur(capsys):
 
 
 def test_expand_usage_errors(capsys):
-    code, _, err = run(capsys, "expand")
-    assert code == 2 and "exactly one" in err
+    assert run(capsys, "expand") == (
+        2, "", "error: one of the arguments --shape --class-of --quasischur is required\n"
+    )
     code, _, err = run(capsys, "expand", "--shape", "1,2")
     assert code == 2 and "not a partition" in err
     code, _, err = run(capsys, "expand", "--class-of", "1223", "--relation", "equiv2")
     assert code == 2 and "not a permutation" in err
     code, _, err = run(capsys, "expand", "--class-of", "1234")
     assert code == 2 and "--relation" in err
+    word_choices = ", ".join(map(repr, WORD_RELATIONS))
     assert run(capsys, "expand", "--class-of", "2143", "--relation", "quasiDualSRCT") == (
-        2, "", "error: --class-of works with word relations, not quasiDualSRCT\n"
+        2, "", "error: argument --relation: invalid choice: 'quasiDualSRCT' "
+        f"(choose from {word_choices})\n"
     )
-    code, _, err = run(capsys, "expand", "--shape", "2,1", "--format", "dot")
-    assert code == 2
+    assert run(capsys, "expand", "--shape", "2,1", "--format", "dot") == (2, "", DOT_CHOICE)
     for selector in (("--shape", "2,1"), ("--quasischur", "2,1")):
-        code, _, err = run(capsys, "expand", *selector, "--relation", "nope")
-        assert code == 2 and "--relation" in err
+        assert run(capsys, "expand", *selector, "--relation", "nope") == (
+            2, "", f"error: argument --relation: invalid choice: 'nope' (choose from {word_choices})\n"
+        )
+        assert run(capsys, "expand", *selector, "--relation", "dual") == (
+            2, "", "error: --relation works only with --class-of\n"
+        )
 
 
 def test_expand_dot_rejected_before_any_work(capsys, monkeypatch):
@@ -496,10 +510,9 @@ def test_expand_dot_rejected_before_any_work(capsys, monkeypatch):
         raise AssertionError("expand computed an answer it cannot print")
 
     monkeypatch.setattr("tabkit.cli.perm_class", fail)
-    code, _, err = run(
+    assert run(
         capsys, "expand", "--class-of", "2143", "--relation", "equiv2", "--format", "dot"
-    )
-    assert code == 2 and "no dot output" in err
+    ) == (2, "", DOT_CHOICE)
 
 
 @pytest.mark.parametrize("relation", WORD_RELATIONS)
@@ -640,6 +653,19 @@ def test_expand_quasischur_outside_the_span(capsys, monkeypatch):
     code, out, err = run(capsys, "expand", "--quasischur", "2,1", "--format", "json")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "outside the span" in err
+
+
+def test_expand_quasischur_outside_the_lead_table(capsys, monkeypatch):
+    # a family table without the first lead of S(2,1): decompose_in_fk
+    # itself finds the function outside the span
+    lead = next(i for i, c in enumerate(quasi_schur((2, 1)).to_vector()) if c)
+    real = qsym.fk_lead_table
+    monkeypatch.setattr(qsym, "fk_lead_table", lambda k, n: {
+        at: entry for at, entry in real(k, n).items() if at != lead
+    })
+    assert run(capsys, "expand", "--quasischur", "2,1") == (
+        1, "", "error: S(2,1): function is outside the span of the family\n"
+    )
 
 
 def test_expand_quasischur_at_the_degree_cap(capsys):
@@ -1164,6 +1190,24 @@ def test_commutation_shape_change_is_a_failed_check(capsys, monkeypatch):
     }
 
 
+@pytest.mark.parametrize("broken, message", [
+    # K_2 copies the first letter over the second: 1234 -> 1134
+    (lambda j, w: w[:j - 1] + w[j - 2:j - 1] + w[j:], "move K_2 left the carrier at (1, 2, 3, 4)"),
+    # K_3 leaves S_4 only at 2143, after K_2 holds on every word
+    (lambda j, w: (0,) * 4 if (j, w) == (3, (2, 1, 4, 3)) else knuth_move(j, w),
+     "move K_3 left the carrier at (2, 1, 4, 3)"),
+], ids=["every-word", "one-word"])
+def test_knuth_image_outside_s_n_is_a_failed_check(capsys, monkeypatch, broken, message):
+    # the suite that checks K_j names the first word whose image leaves S_n
+    monkeypatch.setattr(cli, "knuth_move", broken)
+    code, out, err = run(capsys, "verify", "--suite", "commutation", "--n", "4")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        f"[FAIL] suite commutation runs to completion at n = 4  witness: {message!r}",
+        "suite commutation: 0 passed, 1 failed",
+    ]
+
+
 def test_poset_failed_refinement_names_a_witness(capsys, monkeypatch):
     # with the dual classes in place of the equiv0 ones, the first check
     # fails and names the least key of the first straddling class
@@ -1322,14 +1366,16 @@ def test_verify_dot_rejected_before_any_work(capsys, monkeypatch):
         raise AssertionError("verify ran a suite it cannot print")
 
     monkeypatch.setitem(SUITE_RUNNERS, "poset", fail)
-    code, out, err = run(capsys, "verify", "--suite", "poset", "--n", "3", "--format", "dot")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "no dot output" in err
+    assert run(capsys, "verify", "--suite", "poset", "--n", "3", "--format", "dot") == (
+        2, "", DOT_CHOICE
+    )
 
 
-def test_verify_unknown_suite():
-    with pytest.raises(SystemExit):
-        main(["verify", "--suite", "nope"])
+def test_verify_unknown_suite(capsys):
+    suites = ", ".join(map(repr, SUITE_RUNNERS))
+    assert run(capsys, "verify", "--suite", "nope") == (
+        2, "", f"error: argument --suite: invalid choice: 'nope' (choose from {suites})\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -1353,7 +1399,48 @@ def test_malformed_input_exits_2(capsys, argv):
 
 
 def test_n_with_alpha_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["classes", "--relation", "quasiDualSRCT", "--alpha", "2,2", "--n", "7"])
-    assert exc.value.code == 2
-    assert "not allowed with" in capsys.readouterr().err
+    assert run(
+        capsys, "classes", "--relation", "quasiDualSRCT", "--alpha", "2,2", "--n", "7"
+    ) == (2, "", "error: argument --n: not allowed with argument --alpha\n")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["classes", "--n", "4"],
+    ["verify", "--suite", "nope"],
+    ["classes", "--n", "7", "--alpha", "2,2"],
+    ["expand"],
+    ["expand", "--shape", "2,1", "--quasischur", "2,1"],
+    ["expand", "--shape", "2,1", "--format", "dot"],
+    ["verify", "--suite", "poset", "--format", "dot"],
+    ["classes", "--relation", "nope", "--n", "4"],
+    ["expand", "--class-of", "2143", "--relation", "nope"],
+    ["expand", "--class-of", "2143", "--relation", "quasiDualSRCT"],
+])
+def test_every_usage_error_is_one_line_returned_by_main(capsys, argv):
+    # argparse's own errors too: main returns 2, with no usage block and no SystemExit
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
+def test_help_offers_each_commands_choices(capsys):
+    helps = {}
+    for command in ("classes", "expand", "verify"):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        helps[command] = " ".join(capsys.readouterr().out.split())
+    assert "[--format {text,json,dot}]" in helps["classes"]
+    assert "[--format {text,json}]" in helps["expand"]
+    assert "[--format {text,json}]" in helps["verify"]
+    assert f"--relation {{{','.join(RELATIONS)}}}" in helps["classes"]
+    assert f"[--relation {{{','.join(WORD_RELATIONS)}}}]" in helps["expand"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classes", "--relation", "quasiDualSRCT", "--alpha", ""],
+    ["expand", "--quasischur", ""],
+])
+def test_an_empty_composition_has_degree_0(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: degree must be >= 1\n")

@@ -694,3 +694,10 @@ def test_classes_json_text_matches_reference_on_compositions(relation):
 
 def test_classes_json_text_of_no_classes():
     assert classes_json_text([]) + "\n" == _reference_json([]) == "[]\n"
+
+
+def test_equiv_class_hash_and_repr():
+    one = EquivClass("dual", [(2, 1), (1, 2)])
+    assert hash(one) == hash(EquivClass("dual", [(1, 2), (2, 1)]))
+    assert len({one, EquivClass("dual", [(1, 2), (2, 1)]), EquivClass("equiv2", one)}) == 2
+    assert repr(one) == "EquivClass('dual', 2 members)"

@@ -510,3 +510,21 @@ def test_mason_inverse_rejects_outside_image():
     assert mason_rho(mason_rho_inverse(t, (1, 2))) == t
     with pytest.raises(InvalidTableauError):
         mason_rho_inverse(t, (2, 1))
+
+
+def test_shifted_dual_move_below_four_letters():
+    # no window of four values fits: h_1 is the identity, any other index raises
+    for word in [(), (1,), (2, 1), (3, 1, 2)]:
+        assert shifted_dual_move(1, list(word)) == word
+    for i in (0, 2):
+        with pytest.raises(ValueError, match=f"^index {i} out of range for n=3$"):
+            shifted_dual_move(i, (3, 1, 2))
+
+
+def test_mason_maps_reject_the_wrong_flavor_and_shape():
+    with pytest.raises(InvalidTableauError, match="^expected an SRCT$"):
+        mason_rho(Tableau([(1, 2), (3,)], "SYT"))
+    with pytest.raises(InvalidTableauError, match="^expected an SRT$"):
+        mason_rho_inverse(Tableau([(1, 2), (3,)], "SYT"), (2, 1))
+    with pytest.raises(InvalidTableauError, match="^shape mismatch$"):
+        mason_rho_inverse(Tableau([(3, 1), (2,)], "SRT"), (3,))

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -551,3 +552,20 @@ def test_json_round_trip():
         3,
     )
     assert rebuilt == q
+
+
+def test_qsym_element_rejects_a_key_of_another_degree():
+    with pytest.raises(ValueError, match=f"^{re.escape('(1, 1) is not a composition of 3')}$"):
+        QsymElement(3, {(2, 1): 1, (1, 1): 2})
+    # a zero coefficient is dropped before its key is read
+    assert QsymElement(3, {(1, 1): 0}).coeffs == {}
+
+
+def test_schur_expand_fsum_rejects_classes_of_two_relations():
+    classes = [syt_classes(3, "dual")[0], syt_classes(3, "equiv2")[0]]
+    with pytest.raises(ValueError) as caught:
+        schur_expand_fsum(class_union_qsym(classes), classes)
+    assert str(caught.value) in (
+        f"classes under mixed relations: {{'{a}', '{b}'}}"
+        for a, b in (("dual", "equiv2"), ("equiv2", "dual"))
+    )

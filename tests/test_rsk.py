@@ -1,6 +1,8 @@
+import pytest
+
 from tabkit.core import all_permutations, inverse_descent_set, partitions
 from tabkit.rsk import dual_move, knuth_move, rsk, rsk_inverse
-from tabkit.tableaux import enumerate_tableaux, superstandard
+from tabkit.tableaux import InvalidTableauError, enumerate_tableaux, superstandard
 
 from oracles import (
     act_via_insertion,
@@ -108,3 +110,8 @@ def test_act_via_insertion():
         image = act_via_insertion(f, w)
         assert insertion_tableau(image) == f(insertion_tableau(w))
         assert rsk(image)[1] == rsk(w)[1]
+
+
+def test_rsk_inverse_rejects_tableaux_of_two_shapes():
+    with pytest.raises(InvalidTableauError, match="^insertion and recording shapes differ$"):
+        rsk_inverse(superstandard((2, 1)), superstandard((3,)))

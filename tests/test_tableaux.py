@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
@@ -291,3 +292,27 @@ def test_json_round_trip():
 def test_render_smoke():
     text = superstandard((3, 2)).render()
     assert text.splitlines() == ["4 5", "1 2 3"]
+
+
+def test_tableau_rejects_an_unknown_flavor_and_an_empty_row():
+    with pytest.raises(InvalidTableauError, match="^unknown flavor 'XYZ'$"):
+        Tableau([(1,)], "XYZ")
+    with pytest.raises(InvalidTableauError, match="^empty row$"):
+        Tableau([(1, 2), ()], "SYT")
+
+
+def test_with_word_rejects_a_word_of_the_wrong_length():
+    t = Tableau([(1, 2), (3,)], "SYT")
+    with pytest.raises(InvalidTableauError, match="^word length does not match shape$"):
+        t.with_word((1, 2))
+
+
+@pytest.mark.parametrize("shape, flavor, message", [
+    ((2, 1), "XYZ", "unknown flavor 'XYZ'"),
+    ((2, 0, 1), "SRCT", "(2, 0, 1) is not a composition"),
+    ((2, 2), "SST", "(2, 2) is not a strict partition"),
+    ((1, 2), "SYT", "(1, 2) is not a partition"),
+])
+def test_enumerate_tableaux_rejects_a_shape_outside_its_flavor(shape, flavor, message):
+    with pytest.raises(InvalidTableauError, match=f"^{re.escape(message)}$"):
+        enumerate_tableaux(shape, flavor)

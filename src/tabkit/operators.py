@@ -1,11 +1,10 @@
 """Run-permuting involutions on SYT, restricted/quasi/shifted dual moves,
 and the column-sorting bijection between SRCT and SRT."""
 
-from collections import Counter
+from functools import lru_cache
 
 from .core import (
     apply_window,
-    descent_composition,
     flip,
     inverse_descent_set,
     reverse_word,
@@ -17,11 +16,38 @@ from .tableaux import InvalidTableauError, Tableau, in_single_pistol, reading_ce
 
 # ---------------------------------------------------------------------------
 # slink and slink_star, on the reading word of an SYT of shape lam; position p
-# of the word stands for the cell reading_cells("SYT", lam)[p]
+# of the word stands for the cell reading_cells("SYT", lam)[p].  pos[v] is the
+# position of the value v, pos[0] unused: run m's positions are a slice of pos.
 
-def slink_context(word, shape):
+@lru_cache(maxsize=None)
+def _reading_rows(shape):
+    """The row of each position of the SYT reading word of the shape."""
+    return tuple(r for r, _ in reading_cells("SYT", shape))
+
+
+def _positions(word):
+    pos = [0] * (len(word) + 1)
+    for p, v in enumerate(word):
+        pos[v] = p
+    return pos
+
+
+def _run_sizes(pos):
+    """The descent composition of the word with position array pos: a run
+    ends at n and at each v with pos[v] > pos[v + 1]."""
+    n = len(pos) - 1
+    sizes, start = [], 0
+    for v in range(1, n + 1):
+        if v == n or pos[v] > pos[v + 1]:
+            sizes.append(v - start)
+            start = v
+    return tuple(sizes)
+
+
+def slink_context(word, shape, pos=None):
     """(j, i, beta) for the run surgery, or None when the word is the
-    reading word of the superstandard tableau of the shape.
+    reading word of the superstandard tableau of the shape; pos, if given,
+    is the word's position array.
 
     beta is the descent composition of the word, j the first index whose run
     prefix fails to be superstandard, and i the lowest row whose part
@@ -30,23 +56,23 @@ def slink_context(word, shape):
     when their row indices never go down, so j is the first run whose end
     reaches the first value that drops a row.
     """
-    cells = reading_cells("SYT", tuple(shape))
-    row_of = [0] * (len(word) + 1)
-    for p, v in enumerate(word):
-        row_of[v] = cells[p][0]
-    drop = next((v for v in range(2, len(word) + 1) if row_of[v] < row_of[v - 1]), None)
-    if drop is None:
+    pos = _positions(word) if pos is None else pos
+    rows = _reading_rows(tuple(shape))
+    row_of = [rows[p] for p in pos[1:]]  # row_of[v - 1] is the row of v
+    for drop in range(1, len(row_of)):  # the value drop + 1 drops a row
+        if row_of[drop] < row_of[drop - 1]:
+            break
+    else:
         return None
-    beta = descent_composition(word)
+    beta = _run_sizes(pos)
     cutoff = 0
     for j, part in enumerate(beta, start=1):
         cutoff += part
-        if cutoff >= drop:
+        if cutoff > drop:
             break
-    mu = Counter(row_of[1:cutoff + 1])
-    bj = beta[j - 1]
+    mu = row_of[:cutoff]
     for i in range(1, j):
-        if mu[i] <= bj + i - j:
+        if mu.count(i) <= beta[j - 1] + i - j:
             return (j, i, beta)
     raise AssertionError("no admissible row index found")  # pragma: no cover
 
@@ -75,57 +101,52 @@ def _exchange(cells, runs, donor, j, take):
     return runs
 
 
-def _permute_runs(word, shape, beta, donor, j, take):
-    """The word after the run exchange of `_exchange`: each run gets the
-    next block of consecutive values, in position order.  The image's
-    descent composition must be beta with `take` in the donor's place;
-    otherwise InvalidTableauError names the word and both run sizes.
-    Whether the image is an SYT word is its caller's check."""
-    cells = reading_cells("SYT", tuple(shape))
-    pos = [0] * (len(word) + 1)
-    for p, v in enumerate(word):
-        pos[v] = p
-    runs, low = [], 0
+def _run_surgery(word, shape, star):
+    """slink* (star) or slink on the reading word of an SYT of the shape:
+    after the run exchange of `_exchange`, each run gets the next block of
+    consecutive values, in position order.  Unless the exchanged runs cover
+    each position once and have the sizes of beta with `take` in the
+    donor's place, InvalidTableauError names the word.  Whether the image
+    is an SYT word is its caller's check."""
+    pos = _positions(word)
+    ctx = slink_context(word, shape, pos)
+    if ctx is None:
+        return tuple(word)
+    j, i, beta = ctx
+    donor, take = (i, beta[j - 1] + i - j) if star else (j - 1, beta[j - 1] - 1)
+    runs, low = [], 1
     for part in beta:
-        runs.append(pos[low + 1:low + part + 1])
+        runs.append(pos[low:low + part])
         low += part
+    image_pos = [0]  # the image's position array
+    for positions in _exchange(reading_cells("SYT", tuple(shape)), runs, donor, j, take):
+        image_pos += sorted(positions)
     image = [0] * len(word)
-    value = 1
-    for positions in _exchange(cells, runs, donor, j, take):
-        for p in sorted(positions):
-            image[p] = value
-            value += 1
-    image = tuple(image)
+    for v, p in enumerate(image_pos):
+        image[p] = v
     expected = list(beta)
     expected[donor - 1] = take
     expected[j - 1] = beta[donor - 1] + beta[j - 1] - take
-    found = descent_composition(image)
-    if found != tuple(expected):
+    expected, found = tuple(expected), _run_sizes(image_pos)
+    if found != expected or 0 in image:
         raise InvalidTableauError(
-            f"run exchange on {word} of shape {tuple(shape)} gives run sizes "
-            f"{found}, not {tuple(expected)}"
+            f"run exchange on {word} of shape {tuple(shape)} "
+            + (f"gives run sizes {found}, not {expected}" if found != expected
+               else f"leaves position {image.index(0)} out of its runs")
         )
-    return image
+    return tuple(image)
 
 
 def slink_word(word, shape):
     """slink on the reading word of an SYT of the shape: pass the lead of
     the offending run back to the previous run."""
-    ctx = slink_context(word, shape)
-    if ctx is None:
-        return tuple(word)
-    j, _, beta = ctx
-    return _permute_runs(word, shape, beta, j - 1, j, beta[j - 1] - 1)
+    return _run_surgery(word, shape, star=False)
 
 
 def slink_star_word(word, shape):
     """slink* on the reading word of an SYT of the shape: exchange the
     offending run with the lowest row that can absorb it."""
-    ctx = slink_context(word, shape)
-    if ctx is None:
-        return tuple(word)
-    j, i, beta = ctx
-    return _permute_runs(word, shape, beta, i, j, beta[j - 1] + i - j)
+    return _run_surgery(word, shape, star=True)
 
 
 def slink(t):

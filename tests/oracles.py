@@ -28,8 +28,8 @@ counts members at inverse-descent bitmasks.  `refines`, `syt_from_word`,
 calls, and `syt_universe` lists every SYT of size n.  `tableau_moves`,
 `quasi_dual_move_srct` and `quasi_dual_move_srt` lift word moves to
 tableaux through the validated `Tableau.with_word`, where the library
-moves reading words only, and `misfiled_exchange` breaks the library's
-run exchange on purpose.  Test modules import them as
+moves reading words only, and `misfiled_exchange` and
+`duplicated_exchange` break the library's run exchange on purpose.  Test modules import them as
 `from oracles import ...`.
 """
 
@@ -359,6 +359,19 @@ def misfiled_exchange(exchange):
         return runs
 
     return misfiled
+
+
+def duplicated_exchange(exchange):
+    """The library's run exchange with one of run j's positions in place of
+    the donor's first, so that one position lies in two runs and another in
+    none."""
+
+    def duplicated(cells, runs, donor, j, take):
+        runs = exchange(cells, runs, donor, j, take)
+        runs[donor - 1] = runs[j - 1][:1] + runs[donor - 1][1:]
+        return runs
+
+    return duplicated
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ from tabkit.tableaux import enumerate_tableaux
 
 from oracles import (
     commutation_by_words,
+    duplicated_exchange,
     family_independence_report,
     insertion_tableau,
     misfiled_exchange,
@@ -163,6 +164,25 @@ def test_classes_json_golden_at_degree_8(capsys, relation):
     assert (code, err) == (0, "")
     data = out.encode()
     assert (hashlib.sha256(data).hexdigest(), len(data)) == CLASSES_N8_GOLDENS[relation]
+
+
+# sha256 and length of `classes --relation <r> --n 9 --format <f>` output for
+# the two slink relations, taken while each slink move read the word's
+# descent composition twice; the DOT pins every slink and slink* edge
+CLASSES_N9_SLINK_GOLDENS = {
+    ("equiv0", "json"): ("77f51d339254450ee5f41eff170418864a7ce944e49c1edf806fcbafabb6dcae", 201271),
+    ("equiv0", "dot"): ("e7f20cfdc9cbf491b430484b6bc4d1b7e7ae66e73b9ed38b8a6742db64e4afb5", 64602),
+    ("equiv1", "json"): ("6fc6ae16eed71f7e176f8a6a7986d8fc73bc0a1e3287f54348a01dbbb75367d2", 182911),
+    ("equiv1", "dot"): ("cb79d9a58d2e47e1f8d2d8ed7ac26ca39ab57fad0c5a80ec485161b9b0dbc882", 76326),
+}
+
+
+@pytest.mark.parametrize("relation, fmt", list(CLASSES_N9_SLINK_GOLDENS))
+def test_slink_classes_golden_at_degree_9(capsys, relation, fmt):
+    code, out, err = run(capsys, "classes", "--relation", relation, "--n", "9", "--format", fmt)
+    assert (code, err) == (0, "")
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == CLASSES_N9_SLINK_GOLDENS[relation, fmt]
 
 
 @pytest.mark.parametrize("relation, flag, value", list(DOT_GOLDENS))
@@ -938,6 +958,19 @@ def test_wrong_run_sizes_are_reported_not_raised(capsys, monkeypatch):
         f"[FAIL] suite involutions runs to completion at n = 6  witness: {message!r}",
         "suite involutions: 0 passed, 1 failed",
     ]
+
+
+def test_runs_that_miss_a_position_are_reported_not_raised(capsys, monkeypatch):
+    # an exchange that puts a position in two runs, and so another in none,
+    # is caught by the run check, before the carrier check sees the image
+    monkeypatch.setattr(operators, "_exchange", duplicated_exchange(operators._exchange))
+    message = (
+        "run exchange on (2, 1, 3, 4, 5, 6) of shape (5, 1) leaves position 1"
+        " out of its runs"
+    )
+    for relation in ("equiv0", "equiv1"):
+        code, out, err = run(capsys, "classes", "--relation", relation, "--n", "6")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -1,9 +1,18 @@
+import re
 from itertools import combinations
 
 import pytest
 
 from tabkit import operators
-from tabkit.core import all_permutations, compositions, flip, reverse_word, slinky
+from tabkit.core import (
+    all_permutations,
+    compositions,
+    descent_composition,
+    flip,
+    partitions,
+    reverse_word,
+    slinky,
+)
 from tabkit.equivalence import srct_classes
 from tabkit.operators import (
     CYCLIC_WINDOW_TABLE,
@@ -33,6 +42,8 @@ from tabkit.tableaux import (
 )
 
 from oracles import (
+    _slink_context_by_rows,
+    duplicated_exchange,
     from_runs,
     fundamental_of_tableau,
     misfiled_exchange,
@@ -164,6 +175,53 @@ def test_run_exchange_checks_its_run_sizes(monkeypatch):
         with pytest.raises(InvalidTableauError) as caught:
             move((2, 1, 3, 4, 5, 6), (5, 1))
         assert str(caught.value) == message
+
+
+def test_run_exchange_covers_each_position_once(monkeypatch):
+    # an exchange that puts one of run j's positions in the donor's place
+    # leaves another position in no run; on every SYT of size 3..7 the move
+    # names the word, by its run sizes or by the position left out
+    monkeypatch.setattr(operators, "_exchange", duplicated_exchange(operators._exchange))
+    raised = 0
+    for n in range(3, 8):
+        for t in syt_universe(n):
+            word = t.reading_word()
+            if t == superstandard(t.shape):
+                continue
+            for move in (slink_word, slink_star_word):
+                with pytest.raises(InvalidTableauError) as caught:
+                    move(word, t.shape)
+                assert re.fullmatch(
+                    re.escape(f"run exchange on {word} of shape {t.shape} ")
+                    + r"(gives run sizes \(.*\), not \(.*\)|leaves position \d out of its runs)",
+                    str(caught.value),
+                )
+                raised += 1
+    # 348 SYT of size 3..7, 41 of them superstandard, one per shape
+    assert raised == 2 * (348 - 41)
+
+
+def test_slink_context_matches_the_row_oracle():
+    # the context read off the word's position array equals the one read
+    # off the tableau's rows on every SYT of size <= 9, None exactly for the
+    # superstandard tableau of each shape
+    checked = fixed = 0
+    for n in range(1, 10):
+        for t in syt_universe(n):
+            ctx = slink_context(t.reading_word(), t.shape)
+            assert ctx == _slink_context_by_rows(t)
+            assert (ctx is None) == (t == superstandard(t.shape))
+            checked += 1
+            fixed += ctx is None
+    assert (checked, fixed) == (3735, sum(len(partitions(n)) for n in range(1, 10)))
+
+
+def test_run_sizes_match_descent_composition():
+    # the run reader on the position array is the descent composition, on
+    # every permutation of n <= 7, the empty word included
+    for n in range(8):
+        for word in all_permutations(n):
+            assert operators._run_sizes(operators._positions(word)) == descent_composition(word)
 
 
 def test_slink_fixes_superstandard():

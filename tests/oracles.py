@@ -29,8 +29,8 @@ calls, and `syt_universe` lists every SYT of size n.  `tableau_moves`,
 `quasi_dual_move_srct` and `quasi_dual_move_srt` lift word moves to
 tableaux through the validated `Tableau.with_word`, where the library
 moves reading words only, and `misfiled_exchange` and
-`duplicated_exchange` break the library's run exchange on purpose.  Test modules import them as
-`from oracles import ...`.
+`duplicated_exchange` break the library's run exchange on purpose.  Test
+modules import them as `from oracles import ...`.
 """
 
 from collections import Counter

@@ -67,12 +67,28 @@ def inverse_descent_set(word):
     return {i for i in pos if i + 1 in pos and pos[i] > pos[i + 1]}
 
 
+def position_array(word):
+    """pos[v] is the position of the value v in a permutation of [n], pos[0] unused."""
+    pos = [0] * (len(word) + 1)
+    for p, v in enumerate(word):
+        pos[v] = p
+    return pos
+
+
+def run_sizes(pos):
+    """The descent composition of the permutation with position array pos:
+    a run ends at n and at each v with pos[v] > pos[v + 1]."""
+    n, sizes, start = len(pos) - 1, [], 0
+    for v in range(1, n + 1):
+        if v == n or pos[v] > pos[v + 1]:
+            sizes.append(v - start)
+            start = v
+    return tuple(sizes)
+
+
 def descent_composition(word):
-    """Gap encoding of the inverse descent set, a composition of len(word)."""
-    n = len(word)
-    if n == 0:
-        return ()
-    return subset_to_composition(inverse_descent_set(word), n)
+    """Gap encoding of the inverse descent set of a permutation of [n]."""
+    return run_sizes(position_array(word))
 
 
 def subset_to_composition(subset, n):

@@ -1,13 +1,13 @@
 """Run-permuting involutions on SYT, restricted/quasi/shifted dual moves,
 and the column-sorting bijection between SRCT and SRT."""
 
-from functools import lru_cache
-
 from .core import (
     apply_window,
     flip,
     inverse_descent_set,
+    position_array,
     reverse_word,
+    run_sizes,
     window_table,
 )
 from .rsk import dual_move
@@ -16,38 +16,12 @@ from .tableaux import InvalidTableauError, Tableau, in_single_pistol, reading_ce
 
 # ---------------------------------------------------------------------------
 # slink and slink_star, on the reading word of an SYT of shape lam; position p
-# of the word stands for the cell reading_cells("SYT", lam)[p].  pos[v] is the
-# position of the value v, pos[0] unused: run m's positions are a slice of pos.
+# of the word stands for the cell reading_cells("SYT", lam)[p], and the
+# positions of each run are a slice of the word's position array
 
-@lru_cache(maxsize=None)
-def _reading_rows(shape):
-    """The row of each position of the SYT reading word of the shape."""
-    return tuple(r for r, _ in reading_cells("SYT", shape))
-
-
-def _positions(word):
-    pos = [0] * (len(word) + 1)
-    for p, v in enumerate(word):
-        pos[v] = p
-    return pos
-
-
-def _run_sizes(pos):
-    """The descent composition of the word with position array pos: a run
-    ends at n and at each v with pos[v] > pos[v + 1]."""
-    n = len(pos) - 1
-    sizes, start = [], 0
-    for v in range(1, n + 1):
-        if v == n or pos[v] > pos[v + 1]:
-            sizes.append(v - start)
-            start = v
-    return tuple(sizes)
-
-
-def slink_context(word, shape, pos=None):
+def slink_context(word, shape):
     """(j, i, beta) for the run surgery, or None when the word is the
-    reading word of the superstandard tableau of the shape; pos, if given,
-    is the word's position array.
+    reading word of the superstandard tableau of the shape.
 
     beta is the descent composition of the word, j the first index whose run
     prefix fails to be superstandard, and i the lowest row whose part
@@ -56,15 +30,14 @@ def slink_context(word, shape, pos=None):
     when their row indices never go down, so j is the first run whose end
     reaches the first value that drops a row.
     """
-    pos = _positions(word) if pos is None else pos
-    rows = _reading_rows(tuple(shape))
-    row_of = [rows[p] for p in pos[1:]]  # row_of[v - 1] is the row of v
+    cells, pos = reading_cells("SYT", tuple(shape)), position_array(word)
+    row_of = [cells[p][0] for p in pos[1:]]  # row_of[v - 1] is the row of v
     for drop in range(1, len(row_of)):  # the value drop + 1 drops a row
         if row_of[drop] < row_of[drop - 1]:
             break
     else:
         return None
-    beta = _run_sizes(pos)
+    beta = run_sizes(pos)
     cutoff = 0
     for j, part in enumerate(beta, start=1):
         cutoff += part
@@ -108,13 +81,12 @@ def _run_surgery(word, shape, star):
     each position once and have the sizes of beta with `take` in the
     donor's place, InvalidTableauError names the word.  Whether the image
     is an SYT word is its caller's check."""
-    pos = _positions(word)
-    ctx = slink_context(word, shape, pos)
+    ctx = slink_context(word, shape)
     if ctx is None:
         return tuple(word)
     j, i, beta = ctx
     donor, take = (i, beta[j - 1] + i - j) if star else (j - 1, beta[j - 1] - 1)
-    runs, low = [], 1
+    pos, runs, low = position_array(word), [], 1
     for part in beta:
         runs.append(pos[low:low + part])
         low += part
@@ -127,12 +99,16 @@ def _run_surgery(word, shape, star):
     expected = list(beta)
     expected[donor - 1] = take
     expected[j - 1] = beta[donor - 1] + beta[j - 1] - take
-    expected, found = tuple(expected), _run_sizes(image_pos)
-    if found != expected or 0 in image:
+    expected, found = tuple(expected), run_sizes(image_pos)
+    if found != expected:
         raise InvalidTableauError(
-            f"run exchange on {word} of shape {tuple(shape)} "
-            + (f"gives run sizes {found}, not {expected}" if found != expected
-               else f"leaves position {image.index(0)} out of its runs")
+            f"run exchange on {word} of shape {tuple(shape)} gives run sizes "
+            f"{found}, not {expected}"
+        )
+    if 0 in image:
+        raise InvalidTableauError(
+            f"run exchange on {word} of shape {tuple(shape)} leaves position "
+            f"{image.index(0)} out of its runs"
         )
     return tuple(image)
 

@@ -9,6 +9,7 @@ from tabkit.core import (
     flip,
     inverse_descent_set,
     partitions,
+    position_array,
     reverse_word,
     slinky,
     sort_to_partition,
@@ -79,6 +80,16 @@ def test_descent_composition_golden():
     assert descent_composition((1, 2, 3)) == (3,)
     assert descent_composition((3, 2, 1)) == (1, 1, 1)
     assert descent_composition(()) == ()
+
+
+def test_descent_composition_reads_the_position_array():
+    # the runs read off the position array give the gap encoding of the
+    # inverse descent set, on every permutation of 1 <= n <= 7
+    for n in range(1, 8):
+        for word in all_permutations(n):
+            pos = position_array(word)
+            assert [word[p] for p in pos[1:]] == list(range(1, n + 1))
+            assert descent_composition(word) == subset_to_composition(inverse_descent_set(word), n)
 
 
 def test_subset_composition_round_trip():

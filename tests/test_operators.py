@@ -7,7 +7,6 @@ from tabkit import operators
 from tabkit.core import (
     all_permutations,
     compositions,
-    descent_composition,
     flip,
     partitions,
     reverse_word,
@@ -214,14 +213,6 @@ def test_slink_context_matches_the_row_oracle():
             checked += 1
             fixed += ctx is None
     assert (checked, fixed) == (3735, sum(len(partitions(n)) for n in range(1, 10)))
-
-
-def test_run_sizes_match_descent_composition():
-    # the run reader on the position array is the descent composition, on
-    # every permutation of n <= 7, the empty word included
-    for n in range(8):
-        for word in all_permutations(n):
-            assert operators._run_sizes(operators._positions(word)) == descent_composition(word)
 
 
 def test_slink_fixes_superstandard():

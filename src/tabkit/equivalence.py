@@ -5,27 +5,28 @@ canonical key of a tableau is its reading word; of a word, itself.
 Classes are always listed with members sorted by key and classes sorted
 by least member.
 
-`MOVES` gives each of the ten relations its carrier and one move on reading
-words; `moves_for(relation, shape)`, the one builder of each relation's
-indexed moves, binds it to each index and a shape.  `move_tables` moves each
-element's key, so the classes of SYT, SRCT and the SRT image close the
-enumerated tableaux, one shape at a time; each class keeps its carrier's
-move tables, read by the DOT export.  `closure` closes one word under moves
-on words, and S_n carries the SYT classes across Q along the Knuth class of
-one word.  A move checks its own rules (slink run sizes, window values);
-`move_tables` and the word search of `closure` its carrier.
+`MOVES` gives each of the ten relations its carrier and its move on reading
+words: the value window and pattern table of the six window relations, or a
+move(i, word, shape); `moves_for(relation, shape)`, the one builder of each
+relation's indexed moves, binds it to each index and a shape.  `move_tables`
+moves each element's key, so the classes of SYT, SRCT and the SRT image
+close the enumerated tableaux, one shape at a time; each class keeps its
+carrier's move tables, read by the DOT export.  `closure` closes one word
+under moves on words, and S_n carries the SYT classes across Q along the
+Knuth class of one word.  A move checks its own rules (slink run sizes,
+window values); `move_tables` and the word search of `closure` its carrier.
 """
 
 import json
 
-from .core import flip, partitions, reverse_word, sort_to_partition, word_to_str
-from .rsk import dual_move, knuth_move, row_sequence, rsk, unbump
+from .core import apply_window, flip, partitions, reverse_word, sort_to_partition, word_to_str
+from .rsk import DUAL_WINDOW_TABLE, knuth_move, row_sequence, rsk, unbump
 from .operators import (
+    RESTRICTED_WINDOW_TABLE,
+    SHIFTED_WINDOW_TABLE,
     mason_rho,
     quasi_dual_word_srct,
     quasi_dual_word_srt,
-    restricted_dual_move,
-    shifted_dual_move,
     slink_star_word,
     slink_word,
 )
@@ -49,8 +50,10 @@ class EquivClass:
     __slots__ = ("relation", "members", "order", "graph")
 
     def __init__(self, relation, members, graph=None):
+        given = list(members)
+        tableaux = bool(given) and isinstance(given[0], Tableau)
         self.relation = relation
-        self.members = tuple(sorted(members, key=key_of))
+        self.members = tuple(sorted(given, key=key_of if tableaux else None))
         self.order = None if graph is None else members
         self.graph = graph
 
@@ -90,28 +93,41 @@ def _indices(span, n):
     return (0,) if span is None else range(span[0], n - span[1] + 1)
 
 
+def _restricted_window(i, n):
+    """The values i-1 .. i+2 that dR_i permutes."""
+    return i - 1, i + 2
+
+
 # Each relation, in the order the CLI lists them: its carrier (SYT(n), S_n,
 # SRCT(alpha) or the SRT image of SRCT(alpha)), generator name, index span
-# and move(i, word, shape) on the reading word of a carrier element; only
-# the slink and quasi-dual moves read the shape.  Each nontrivial action of a
-# move on SYT or S_n is a dual move d_k, which fixes a word's recording
-# tableau Q and keeps SYT reading words of a shape among themselves.  A move
-# looks its operator up by name when called, so a patched one runs.
+# and move on the reading word of a carrier element.  A window relation's
+# move is (window, table, outer): its move at index i on words of length n
+# applies the table to the values window(i, n); with outer (reversal or the
+# flip) set, it is outer∘dR_i∘outer, whose table is the table conjugated by
+# outer, on the values that outer sends to the window of dR_i.  The slink
+# and quasi-dual moves are move(i, word, shape), and only they read the
+# shape.  Each nontrivial action of a move on SYT or S_n is a dual move d_k,
+# which fixes a word's recording tableau Q and keeps SYT reading words of a
+# shape among themselves.  A move(i, word, shape) looks its operator up by
+# name when called, and a window move `apply_window`, so a patched one runs;
+# a window table is read when `moves_for` binds it.
 MOVES = {
     "equiv0": ("SYT", "slink*", None, lambda i, w, s: slink_star_word(w, s)),
     "equiv1": ("SYT", "slink", None, lambda i, w, s: slink_word(w, s)),
-    "equiv2": ("SYT", "dR", (2, 2), lambda i, w, s: restricted_dual_move(i, w)),
-    "dual": ("SYT", "d", (2, 1), lambda i, w, s: dual_move(i, w)),
+    "equiv2": ("SYT", "dR", (2, 2), (_restricted_window, RESTRICTED_WINDOW_TABLE, None)),
+    "dual": ("SYT", "d", (2, 1), (lambda i, n: (i - 1, i + 1), DUAL_WINDOW_TABLE, None)),
     "quasiDualSRCT": ("SRCT", "DQ", (2, 1), lambda i, w, s: quasi_dual_word_srct(i, w, s)),
     "quasiDualSRT": ("SRT", "dQ", (2, 1), lambda i, w, s: quasi_dual_word_srt(i, w, s)),
-    "quasiDualSRT-restricted": ("SRT", "dR", (2, 2), lambda i, w, s: restricted_dual_move(i, w)),
-    "shifted": ("S_n", "h", (1, 3), lambda i, w, s: shifted_dual_move(i, w)),
+    "quasiDualSRT-restricted": (
+        "SRT", "dR", (2, 2), (_restricted_window, RESTRICTED_WINDOW_TABLE, None),
+    ),
+    "shifted": ("S_n", "h", (1, 3), (lambda i, n: (i, i + 3), SHIFTED_WINDOW_TABLE, None)),
     "equiv2rev": (
-        "S_n", "dR.rev", (2, 2),
-        lambda i, w, s: reverse_word(restricted_dual_move(i, reverse_word(w))),
+        "S_n", "dR.rev", (2, 2), (_restricted_window, RESTRICTED_WINDOW_TABLE, reverse_word),
     ),
     "equiv2flip": (
-        "S_n", "dR.flip", (2, 2), lambda i, w, s: flip(restricted_dual_move(i, flip(w))),
+        "S_n", "dR.flip", (2, 2),
+        (lambda i, n: (n - i - 1, n - i + 2), RESTRICTED_WINDOW_TABLE, flip),
     ),
 }
 CARRIERS = {relation: entry[0] for relation, entry in MOVES.items()}
@@ -131,7 +147,17 @@ def moves_for(relation, shape):
     if relation not in MOVES:
         raise ValueError(f"unknown relation {relation!r}")
     _carrier, name, span, move = MOVES[relation]
-    return [(name, i, lambda w, i=i: move(i, w, shape)) for i in _indices(span, sum(shape))]
+    n = sum(shape)
+    if callable(move):
+        return [(name, i, lambda w, i=i: move(i, w, shape)) for i in _indices(span, n)]
+    window, table, outer = move
+    if outer is not None:
+        table = {outer(k): outer(v) for k, v in table.items()}
+    return [
+        (name, i, lambda w, low=low, high=high: apply_window(w, low, high, table))
+        for i in _indices(span, n)
+        for low, high in [window(i, n)]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +358,10 @@ def classes_for_cli(relation, n=None, alpha=None):
 
 def member_strings(cls):
     """The digit string of each member's key, in member order."""
-    return [word_to_str(key_of(m)) for m in cls.members]
+    members = cls.members
+    if members and isinstance(members[0], Tableau):
+        members = map(key_of, members)
+    return list(map(word_to_str, members))
 
 
 def classes_json_text(classes):

@@ -53,9 +53,9 @@ class Tableau:
         return t
 
     def _assign(self, rows, flavor):
-        self.rows = tuple(tuple(row) for row in rows)
+        self.rows = tuple(map(tuple, rows))
         self.flavor = flavor
-        self.shape = tuple(len(row) for row in self.rows)
+        self.shape = tuple(map(len, self.rows))
         self._hash = None
         self._word = None
 
@@ -247,7 +247,9 @@ def in_single_pistol(shape, cells):
 
 def enumerate_tableaux(shape, flavor):
     """All standard fillings of the shape with the flavor's constraints,
-    ordered by reading word."""
+    ordered by reading word; a partition's zero parts are dropped.  SYT and
+    SRT (the complements of SYT) come from `_syt_words`, each row a slice
+    of the word, SRCT and SST from `_fillings`."""
     shape = tuple(shape)
     if flavor not in FLAVORS:
         raise InvalidTableauError(f"unknown flavor {flavor!r}")
@@ -257,14 +259,44 @@ def enumerate_tableaux(shape, flavor):
         raise InvalidTableauError(f"{shape} is not a strict partition")
     if flavor != "SRCT" and any(a < b for a, b in zip(shape, shape[1:])):
         raise InvalidTableauError(f"{shape} is not a partition")
-    out = _fillings(shape, "SYT" if flavor == "SRT" else flavor)
+    shape = tuple(part for part in shape if part)
+    if flavor in ("SRCT", "SST"):
+        return sorted(_fillings(shape, flavor), key=Tableau.reading_word)
+    n, words = sum(shape), sorted(_syt_words(shape))
+    stops = [sum(shape[r:]) for r in range(len(shape) + 1)]
+    rows = list(zip(stops[1:], stops))  # row r is word[stops[r + 1]:stops[r]]
     if flavor == "SRT":
-        n = sum(shape)
-        out = [
-            Tableau._trusted([[n + 1 - v for v in row] for row in t.rows], "SRT")
-            for t in out
-        ]
-    return sorted(out, key=lambda t: t.reading_word())
+        return sorted(
+            (Tableau._trusted([[n + 1 - v for v in w[a:b]] for a, b in rows], "SRT") for w in words),
+            key=Tableau.reading_word,
+        )
+    out = [Tableau._trusted([w[a:b] for a, b in rows], "SYT") for w in words]
+    for t, w in zip(out, words):
+        t._word = w
+    return out
+
+
+def _syt_words(shape):
+    """The reading words of SYT(shape), a partition with no zero part, in
+    no set order.  n sits in a corner, so each is the word of an SYT of the
+    shape less that corner with n inserted at the corner's reading
+    position; each sub-shape's words are built once."""
+    memo = {(): [()]}
+
+    def words(lam):
+        if lam not in memo:
+            n, out, above = sum(lam), [], 0  # above: cells in the rows above row r
+            for r in range(len(lam) - 1, -1, -1):
+                part = lam[r]
+                if r + 1 == len(lam) or part > lam[r + 1]:
+                    p = above + part - 1
+                    rest = lam[:r] + (part - 1,) + lam[r + 1:] if part > 1 else lam[:r]
+                    out += [w[:p] + (n,) + w[p:] for w in words(rest)]
+                above += part
+            memo[lam] = out
+        return memo[lam]
+
+    return words(shape)
 
 
 def _fillings(shape, flavor):

@@ -37,7 +37,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 
-from tabkit import cli, equivalence, operators
+from tabkit import cli, operators
 from tabkit.core import (
     all_permutations,
     compositions,
@@ -207,13 +207,17 @@ def quasi_dual_move_srt(i, t):
 def tableau_moves(relation, n):
     """Indexed moves for a carrier of size n: the word moves on S_n, or each
     move lifted to tableaux.  A lifted move acts on the tableau's reading
-    word, bound to the tableau's shape, and refills it through
-    `Tableau.with_word`, which validates the image."""
-    carrier, name, span, move = MOVES[relation]
+    word with the relation's moves bound to the tableau's shape
+    (`moves_for`), and refills it through `Tableau.with_word`, which
+    validates the image."""
+    carrier, name, span, _move = MOVES[relation]
     if carrier == "S_n":
         return moves_for(relation, (n,))
+    bound = lru_cache(maxsize=None)(
+        lambda shape: {i: move for _name, i, move in moves_for(relation, shape)}
+    )
     return [
-        (name, i, lambda t, i=i: t.with_word(move(i, t.reading_word(), t.shape)))
+        (name, i, lambda t, i=i: t.with_word(bound(t.shape)[i](t.reading_word())))
         for i in _indices(span, n)
     ]
 
@@ -520,16 +524,17 @@ def commutation_by_words(n):
     """The commutation suite compared word by word, K_j(op w) against
     op(K_j w) on every w.  slink and slink* act through insertion, with the
     validated tableau maps `operators.slink_star` and `operators.slink`;
-    the Knuth move is looked up in `cli` and the restricted dual move in
-    `equivalence`, where the suite binds them, so patches there reach it.
-    Each slink image is inserted once per call and kept."""
+    the Knuth move is looked up in `cli`, where the suite binds it, and the
+    restricted dual move in `operators`, so a patch there, or of its
+    `apply_window`, reaches it.  Each slink image is inserted once per call
+    and kept."""
     words = all_permutations(n)
     ops = [
         ("slink*", lru_cache(maxsize=None)(lambda w: act_via_insertion(operators.slink_star, w))),
         ("slink", lru_cache(maxsize=None)(lambda w: act_via_insertion(operators.slink, w))),
     ]
     ops += [
-        (f"dR_{i}", lambda w, i=i: equivalence.restricted_dual_move(i, w)) for i in range(2, n - 1)
+        (f"dR_{i}", lambda w, i=i: operators.restricted_dual_move(i, w)) for i in range(2, n - 1)
     ]
     results = []
     for j in range(2, n):

@@ -15,6 +15,7 @@ from tabkit import rsk as rsk_module
 from tabkit.cli import SUITE_RUNNERS, main, suite_commutation, suite_mason
 from tabkit.core import (
     all_permutations,
+    apply_window,
     compositions,
     descent_composition,
     flip,
@@ -183,6 +184,31 @@ def test_slink_classes_golden_at_degree_9(capsys, relation, fmt):
     assert (code, err) == (0, "")
     data = out.encode()
     assert (hashlib.sha256(data).hexdigest(), len(data)) == CLASSES_N9_SLINK_GOLDENS[relation, fmt]
+
+
+# sha256 and length of the outputs of the `partition` benchmark's relations
+# at its degrees, `classes --relation <r> --n <n> --format <f>`, taken while
+# SYT were enumerated by a backtracking fill and each window move went
+# through its operator; the DOT pins every edge
+CLASSES_PARTITION_GOLDENS = {
+    ("equiv2", 9, "json"): ("78cc6c9b287d0e3dc3c9bc0298f64732ed9c46de146657c51f883813a5373703", 83338),
+    ("equiv2", 9, "dot"): ("2506c961e0ea38faec9d7a02f55fd7d5ad6c5eab5e0c9d768b7b018d77e94dc7", 181608),
+    ("dual", 9, "json"): ("e3cad44a44714c17fdda7df1f60cb26242c5a47f16cacbd7821d1d99aeb7c2e7", 51921),
+    ("dual", 9, "dot"): ("abe3d73d525a25e270ee822b12b39383b9b8c19846ffbc56337e6401ebb2768a", 300502),
+    ("shifted", 8, "dot"): ("c7f5bd0e5afb08b44c8de05d7104af9aabab497fe5075cfbcd55d2243012f7d1", 3386898),
+    ("equiv2rev", 8, "dot"): ("3f592e7b89e4b50f0d52a087201d9a4c9fd1743c55b32ebb2e19ab9e8ae0e754", 2538498),
+    ("equiv2flip", 8, "dot"): ("2bd0eab73f9d09955d8cbe3e2be0e4667358188dc4038bb9cc092758ec1b9e33", 2580498),
+}
+
+
+@pytest.mark.parametrize("relation, n, fmt", list(CLASSES_PARTITION_GOLDENS))
+def test_partition_classes_golden(capsys, relation, n, fmt):
+    code, out, err = run(
+        capsys, "classes", "--relation", relation, "--n", str(n), "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == CLASSES_PARTITION_GOLDENS[relation, n, fmt]
 
 
 @pytest.mark.parametrize("relation, flag, value", list(DOT_GOLDENS))
@@ -1175,6 +1201,18 @@ def _wrong_on(move, target, index):
     return wrong
 
 
+def _window_wrong_on(target, index):
+    """`apply_window`, except that in the window of dR_index, the values
+    index-1 .. index+2 under the restricted table, it returns target
+    unmoved."""
+    def wrong(w, low, high, table):
+        if (low, high) == (index - 1, index + 2) and table is RESTRICTED_WINDOW_TABLE:
+            if tuple(w) == target:
+                return tuple(w)
+        return apply_window(w, low, high, table)
+    return wrong
+
+
 @pytest.mark.parametrize(
     "name, move, index, target, failures",
     [
@@ -1192,9 +1230,15 @@ def test_commutation_mutant_reports_the_oracle_witnesses(
     # the mutant leaves a word unmoved that the move moves; the suite names
     # the same failing checks and first failing words as the word oracle.
     # The suite binds K_j in cli, and dR_i through moves_for in equivalence
+    # as `apply_window` on its window; the oracle's dR_i is
+    # `operators.restricted_dual_move`, which calls `apply_window` there
     assert move(index, target) != target
-    owner = cli if name == "knuth_move" else equivalence
-    monkeypatch.setattr(owner, name, _wrong_on(move, target, index))
+    if name == "knuth_move":
+        monkeypatch.setattr(cli, name, _wrong_on(move, target, index))
+    else:
+        for owner in (equivalence, operators):
+            monkeypatch.setattr(owner, "apply_window", _window_wrong_on(target, index))
+        assert operators.restricted_dual_move(index, target) == target
     results = suite_commutation(5)
     assert sum(not ok for _, ok, _ in results) == failures
     assert results == commutation_by_words(5)

@@ -4,7 +4,15 @@ import re
 import pytest
 
 from tabkit import equivalence, operators
-from tabkit.core import all_permutations, compositions, partitions, word_from_str
+from tabkit.core import (
+    all_permutations,
+    compositions,
+    flip,
+    partitions,
+    reverse_word,
+    word_from_str,
+    word_to_str,
+)
 from tabkit.equivalence import (
     CARRIERS,
     CarrierError,
@@ -28,8 +36,14 @@ from tabkit.equivalence import (
     srt_image_classes,
     syt_classes,
 )
-from tabkit.operators import RESTRICTED_WINDOW_TABLE, SHIFTED_WINDOW_TABLE, mason_rho
-from tabkit.rsk import DUAL_WINDOW_TABLE, knuth_move, rsk, rsk_inverse
+from tabkit.operators import (
+    RESTRICTED_WINDOW_TABLE,
+    SHIFTED_WINDOW_TABLE,
+    mason_rho,
+    restricted_dual_move,
+    shifted_dual_move,
+)
+from tabkit.rsk import DUAL_WINDOW_TABLE, dual_move, knuth_move, rsk, rsk_inverse
 from tabkit.tableaux import Tableau, enumerate_tableaux, superstandard
 
 from oracles import (
@@ -664,11 +678,15 @@ def test_dot_export_calls_no_move(monkeypatch, relation):
     classes = classes_for_cli(relation, **carrier)
     expected = classes_to_dot(classes)
 
-    def broken(i, word, shape):
-        raise AssertionError(f"move {relation}_{i} applied to {word}")
+    def broken(*args):
+        raise AssertionError(f"a move of {relation} applied to {args}")
 
+    # a window relation's moves are `apply_window` bound to their windows,
+    # the others' the move(i, word, shape) of MOVES
+    monkeypatch.setattr(equivalence, "apply_window", broken)
     for name, entry in MOVES.items():
-        monkeypatch.setitem(MOVES, name, entry[:3] + (broken,))
+        if callable(entry[3]):
+            monkeypatch.setitem(MOVES, name, entry[:3] + (broken,))
     with pytest.raises(AssertionError):
         classes_for_cli(relation, **carrier)
     assert classes_to_dot(classes) == expected
@@ -701,3 +719,72 @@ def test_equiv_class_hash_and_repr():
     assert hash(one) == hash(EquivClass("dual", [(1, 2), (2, 1)]))
     assert len({one, EquivClass("dual", [(1, 2), (2, 1)]), EquivClass("equiv2", one)}) == 2
     assert repr(one) == "EquivClass('dual', 2 members)"
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except TypeError as exc:  # a member that is a list has no hash
+        return type(exc)
+
+
+@pytest.mark.parametrize("build", [
+    list, tuple, lambda ms: (m for m in ms), lambda ms: map(tuple, ms),
+    lambda ms: EquivClass("dual", ms), lambda ms: [list(m) for m in ms],
+])
+def test_equiv_class_sorts_words_as_key_of_does(build):
+    # words sort natively, in the order of their keys, from any iterable
+    words = [(3, 1, 2, 4), (1, 2, 3, 4), (2, 1, 3, 4), (1, 3, 2, 4)]
+    expected = tuple(sorted(build(words), key=key_of))
+    cls = EquivClass("equiv2", build(words))
+    assert cls.members == expected
+    assert _outcome(lambda: hash(cls)) == _outcome(lambda: hash(("equiv2", expected)))
+    assert repr(cls) == "EquivClass('equiv2', 4 members)"
+    assert cls.key == key_of(expected[0]) == (1, 2, 3, 4)
+    assert member_strings(cls) == ["1234", "1324", "2134", "3124"]
+
+
+def test_equiv_class_sorts_tableaux_by_reading_word():
+    tableaux = enumerate_tableaux((2, 2), "SYT")[::-1] + enumerate_tableaux((3, 1), "SYT")
+    cls = EquivClass("dual", tableaux)
+    assert cls.members == tuple(sorted(tableaux, key=key_of))
+    assert hash(cls) == hash(("dual", cls.members))
+    assert repr(cls) == f"EquivClass('dual', {len(tableaux)} members)"
+    assert member_strings(cls) == [word_to_str(key_of(t)) for t in cls.members]
+    assert cls == EquivClass("dual", iter(tableaux)) == EquivClass("dual", cls)
+
+
+# each window relation's move as its operator composed by hand, from the
+# operators that the suites and oracles call
+WINDOW_OPERATORS = {
+    "equiv2": restricted_dual_move,
+    "dual": dual_move,
+    "quasiDualSRT-restricted": restricted_dual_move,
+    "shifted": shifted_dual_move,
+    "equiv2rev": lambda i, w: reverse_word(restricted_dual_move(i, reverse_word(w))),
+    "equiv2flip": lambda i, w: flip(restricted_dual_move(i, flip(w))),
+}
+
+
+def _binding_words():
+    """S_n for n <= 7, and every SYT reading word of size 8."""
+    return [w for n in range(1, 8) for w in all_permutations(n)] + [
+        t.reading_word() for lam in partitions(8) for t in enumerate_tableaux(lam, "SYT")
+    ]
+
+
+@pytest.mark.parametrize("broken", [None, *BROKEN_ENTRIES])
+def test_window_moves_are_their_operators(monkeypatch, broken):
+    # moves_for binds each window relation's move to its window, with the
+    # conjugated table built when it is called; with a table entry patched
+    # first, the patch reaches every relation that reads the table
+    if broken is not None:
+        monkeypatch.setitem(*BROKEN_ENTRIES[broken])
+    assert set(WINDOW_OPERATORS) == {r for r, entry in MOVES.items() if not callable(entry[3])}
+    by_length = {}
+    for w in _binding_words():
+        by_length.setdefault(len(w), []).append(w)
+    for relation, operator in WINDOW_OPERATORS.items():
+        for n, words in by_length.items():
+            for _name, i, move in moves_for(relation, (n,)):
+                assert [move(w) for w in words] == [operator(i, w) for w in words], (relation, i)

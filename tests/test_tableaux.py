@@ -11,6 +11,7 @@ from tabkit.rsk import rsk
 from tabkit.tableaux import (
     InvalidTableauError,
     Tableau,
+    _fillings,
     enumerate_tableaux,
     in_single_pistol,
     reading_cells,
@@ -269,6 +270,34 @@ def test_enumerate_matches_brute_force():
             assert enumerate_tableaux(alpha, "SRCT") == brute_force_tableaux(alpha, "SRCT")
         for lam in strict_partitions(n):
             assert enumerate_tableaux(lam, "SST") == brute_force_tableaux(lam, "SST")
+
+
+def _enumerated(tableaux):
+    return [(t.rows, t.shape, t.reading_word(), t._validate()) for t in tableaux]
+
+
+@pytest.mark.parametrize("shapes", [
+    pytest.param([lam for n in range(10) for lam in partitions(n)], id="partitions"),
+    pytest.param([(), (0,), (2, 0), (1, 1, 0)], id="zero-parts"),
+])
+def test_syt_and_srt_words_match_the_backtracking_fill(shapes):
+    # SYT and SRT come from the SYT reading words built corner by corner;
+    # the backtracking fill of the shape, sorted by reading word, is the
+    # reference.  A partition's zero parts are dropped: each tableau has
+    # only nonempty rows, so it passes _validate()
+    for shape in shapes:
+        lam = tuple(part for part in shape if part)
+        syt = sorted(_fillings(lam, "SYT"), key=Tableau.reading_word)
+        n = sum(lam)
+        srt = sorted(
+            (Tableau([[n + 1 - v for v in row] for row in t.rows], "SRT") for t in syt),
+            key=Tableau.reading_word,
+        )
+        for flavor, expected in (("SYT", syt), ("SRT", srt)):
+            found = _enumerated(enumerate_tableaux(shape, flavor))
+            assert found == _enumerated(expected), (shape, flavor)
+            assert len(found) == len(set(found)) == _hook_length_count(lam)
+            assert all(problem is None for *_, problem in found)
 
 
 def test_srct_count_equals_shape_fiber():

@@ -142,12 +142,10 @@ def cmd_classes(args):
     n = sum(alpha) if alpha is not None else args.n
     if n is not None:
         check_degree(n)
-    try:
-        classes = classes_for_cli(relation, n=n, alpha=alpha)
-    except CHECK_FAILURES:
-        raise
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    flag, value = ("--n", args.n) if relation in WORD_RELATIONS else ("--alpha", alpha)
+    if value is None:
+        raise UsageError(f"relation {relation} needs {flag}")
+    classes = classes_for_cli(relation, n=n, alpha=alpha)
 
     if args.format == "json":
         emit(classes_json_text(classes) + "\n", args.out)
@@ -207,18 +205,15 @@ def cmd_expand(args):
             print(f"error: class of {word_to_str(word)} under {args.relation}: {exc}",
                   file=sys.stderr)
             return 1
+        members = member_strings(cls)
         payload = {
             "input": {"word": word_to_str(word), "relation": args.relation},
-            "class": {
-                "size": len(cls.members),
-                "members": [word_to_str(m) for m in cls.members],
-            },
+            "class": {"size": len(members), "members": members},
             "fundamental": q.to_json(),
             "symmetric": witness is None,
         }
         lines = [
-            f"class of {word_to_str(word)} under {args.relation}: "
-            + " ".join(word_to_str(m) for m in cls.members),
+            f"class of {word_to_str(word)} under {args.relation}: " + " ".join(members),
             f"F-sum = {format_expansion(q.coeffs, 'F')}",
         ]
         if witness is None:

@@ -12,14 +12,15 @@ from itertools import permutations as _itertools_permutations
 
 
 def compositions(n):
-    """All compositions of n, ordered lexicographically."""
+    """All compositions of n, ordered lexicographically: by first part,
+    then by the rest, which recursion lists in that order."""
     if n == 0:
         return [()]
     out = []
     for first in range(1, n + 1):
         for rest in compositions(n - first):
             out.append((first,) + rest)
-    return sorted(out)
+    return out
 
 
 def partitions(n, max_part=None):

@@ -42,7 +42,8 @@ def key_of(element):
 class EquivClass:
     """A move-closed, connected set of carrier elements (tableaux or words).
 
-    `graph` is None, or (tables, indices) with `order` the members as given:
+    `graph` is None, or (tables, indices) with `order` the tuple of the
+    members in the order given:
     the (name, i, table) list of `move_tables` on the carrier, shared by its
     classes, and the carrier index of each member in `order`.  Equality
     ignores both."""
@@ -50,11 +51,11 @@ class EquivClass:
     __slots__ = ("relation", "members", "order", "graph")
 
     def __init__(self, relation, members, graph=None):
-        given = list(members)
+        given = tuple(members)
         tableaux = bool(given) and isinstance(given[0], Tableau)
         self.relation = relation
         self.members = tuple(sorted(given, key=key_of if tableaux else None))
-        self.order = None if graph is None else members
+        self.order = None if graph is None else given
         self.graph = graph
 
     @property
@@ -339,15 +340,13 @@ def srt_image_classes(alpha, relation):
 
 
 def classes_for_cli(relation, n=None, alpha=None):
-    """Carrier selection used by the command line front end: the
-    quasi-dual relations take a composition alpha, the others a degree n."""
+    """The classes of the relation on its carrier: SYT(n) or S_n for the
+    degree n, SRCT(alpha) or its SRT image for the composition alpha."""
     carrier = CARRIERS[relation]
-    if carrier in ("SYT", "S_n"):
-        if n is None or alpha is not None:
-            raise ValueError(f"relation {relation} needs --n")
-        return (syt_classes if carrier == "SYT" else perm_classes)(n, relation)
-    if alpha is None:
-        raise ValueError(f"relation {relation} needs --alpha")
+    if carrier == "SYT":
+        return syt_classes(n, relation)
+    if carrier == "S_n":
+        return perm_classes(n, relation)
     if carrier == "SRCT":
         return srct_classes(alpha)
     return srt_image_classes(alpha, relation)
@@ -391,7 +390,9 @@ def classes_to_dot(classes):
 
     The edges come from each class's move tables (`EquivClass.graph`), so
     no move is applied again: by class, then member in key order, then
-    move, each edge once (slink is not an involution)."""
+    move, each edge once.  A move a -> b that the same move sends back is
+    written from the end of lower key; slink is not an involution, so a
+    one-way edge is written from its source."""
     vertices, edges = [], []
     for cls in classes:
         tables, indices = cls.graph
@@ -399,14 +400,11 @@ def classes_to_dot(classes):
         ranked = sorted(indices, key=keys.__getitem__)
         labels = {k: word_to_str(keys[k]) for k in ranked}
         vertices.extend(f'  "{labels[k]}";' for k in ranked)
-        emitted = set()
         for a in ranked:
             for name, i, table in tables:
                 b = table[a]
-                edge = (min(a, b), max(a, b), name, i)
-                if b == a or edge in emitted:
+                if b == a or (table[b] == a and keys[b] < keys[a]):
                     continue
-                emitted.add(edge)
                 low, high = (a, b) if keys[a] < keys[b] else (b, a)
                 edges.append(f'  "{labels[low]}" -- "{labels[high]}" [label="{name}_{i}"];')
     return "\n".join(["graph classes {", *vertices, *edges, "}"]) + "\n"

@@ -45,6 +45,14 @@ def test_composition_counts():
     assert compositions(3) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
 
 
+def test_compositions_are_sorted_without_repeats():
+    # the recursion lists them in lexicographic order, with no sort
+    for n in range(13):
+        comps = compositions(n)
+        assert comps == sorted(set(comps))
+        assert all(sum(alpha) == n and all(alpha) for alpha in comps)
+
+
 def test_partition_counts():
     expected = [1, 1, 2, 3, 5, 7, 11, 15, 22]
     for n, count in enumerate(expected):

@@ -692,6 +692,18 @@ def test_dot_export_calls_no_move(monkeypatch, relation):
     assert classes_to_dot(classes) == expected
 
 
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_class_rebuilt_from_an_iterator_exports_the_same_dot(relation):
+    # a class keeps its members in the order given as a tuple, so a class
+    # rebuilt from an iterator over them has the graph of the original
+    carrier = {"n": 5} if CARRIERS[relation] in ("SYT", "S_n") else {"alpha": (2, 1, 2, 1)}
+    classes = classes_for_cli(relation, **carrier)
+    rebuilt = [EquivClass(relation, iter(cls.order), cls.graph) for cls in classes]
+    assert [list(cls.order) for cls in rebuilt] == [list(cls.order) for cls in classes]
+    assert rebuilt == classes
+    assert classes_to_dot(rebuilt) == classes_to_dot(classes)
+
+
 def _reference_json(classes):
     return json.dumps(classes_to_json(classes), indent=2) + "\n"
 

@@ -175,3 +175,19 @@ def test_only_move_tables_checks_the_carrier(tmp_path):
         for owner in _functions_holding("left the carrier", path)
     ]
     assert found == ["equivalence._left_carrier"]
+
+
+def test_only_cli_names_the_carrier_flags():
+    # the CLI checks its own carrier flags: no string elsewhere names one
+    found = {
+        flag: sorted({
+            owner
+            for path in sorted(SRC.glob("*.py"))
+            for owner in _functions_holding(flag, path)
+        })
+        for flag in ("--n", "--alpha")
+    }
+    assert found == {
+        "--n": ["cli.build_parser", "cli.cmd_classes"],
+        "--alpha": ["cli.build_parser", "cli.cmd_classes"],
+    }

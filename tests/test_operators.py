@@ -541,16 +541,32 @@ def test_mason_commutes_with_quasi_dual():
 
 
 def test_mason_bijection_exhaustive():
-    from tabkit.core import compositions
-
+    # of the SRT of shape sort(alpha), exactly the column sorts of SRCT(alpha)
+    # come back, each to its SRCT; every other one is rejected, either while
+    # the columns are placed or by the constructor of the rebuilt filling
+    outcomes = {"ok": 0}
     for n in range(1, 7):
         for alpha in compositions(n):
-            images = set()
+            images = {}
             for t in enumerate_tableaux(alpha, "SRCT"):
                 image = mason_rho(t)
                 assert image not in images
-                images.add(image)
+                images[image] = t
                 assert mason_rho_inverse(image, alpha) == t
+            for t in enumerate_tableaux(sorted(alpha, reverse=True), "SRT"):
+                try:
+                    found = mason_rho_inverse(t, alpha)
+                except InvalidTableauError as exc:
+                    assert t not in images
+                    outcomes[str(exc)] = outcomes.get(str(exc), 0) + 1
+                else:
+                    assert found == images[t]
+                    outcomes["ok"] += 1
+    assert outcomes == {
+        "ok": 119,
+        "tableau is not in the image of the column sort": 165,
+        "triple rule violated": 98,
+    }
 
 
 def test_mason_inverse_rejects_outside_image():
@@ -559,6 +575,10 @@ def test_mason_inverse_rejects_outside_image():
     assert mason_rho(mason_rho_inverse(t, (1, 2))) == t
     with pytest.raises(InvalidTableauError):
         mason_rho_inverse(t, (2, 1))
+    # an unvalidated column-increasing filling rebuilds a valid SRCT whose
+    # column sort is not the input
+    with pytest.raises(InvalidTableauError, match="^round trip failed$"):
+        mason_rho_inverse(Tableau._trusted([(1,), (2,)], "SRT"), (1, 1))
 
 
 def test_shifted_dual_move_below_four_letters():

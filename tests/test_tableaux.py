@@ -300,13 +300,24 @@ def test_syt_and_srt_words_match_the_backtracking_fill(shapes):
             assert all(problem is None for *_, problem in found)
 
 
+def _valid_srct(alpha):
+    """SRCT(alpha), each checked to pass _validate() and to occur once, in
+    reading-word order: the fill keeps each SRCT it completes unfiltered."""
+    srct = enumerate_tableaux(alpha, "SRCT")
+    assert all(t._validate() is None and t.shape == alpha for t in srct), alpha
+    words = [t.reading_word() for t in srct]
+    assert words == sorted(set(words)), alpha
+    return srct
+
+
 def test_srct_count_equals_shape_fiber():
     # composition tableaux of all alpha with sorted shape lambda biject with
-    # the reverse tableaux of lambda
+    # the reverse tableaux of lambda; with each valid and listed once, the
+    # enumeration is SRCT(alpha) for every alpha up to the degree cap
     for n in range(1, 10):
         for lam in partitions(n):
             total = sum(
-                len(enumerate_tableaux(alpha, "SRCT"))
+                len(_valid_srct(alpha))
                 for alpha in compositions(n)
                 if tuple(sorted(alpha, reverse=True)) == lam
             )

@@ -13,11 +13,13 @@ moves each element's key, so the classes of SYT, SRCT and the SRT image
 close the enumerated tableaux, one shape at a time; each class keeps its
 carrier's move tables, read by the DOT export.  `closure` closes one word
 under moves on words, and S_n carries the SYT classes across Q along the
-Knuth class of one word.  A move checks its own rules (slink run sizes,
-window values); `move_tables` and the word search of `closure` its carrier.
+Knuth class of one word, each shape's words built once per process.  A
+move checks its own rules (slink run sizes, window values); `move_tables`
+and the word search of `closure` its carrier.
 """
 
 import json
+from functools import lru_cache
 
 from .core import apply_window, flip, partitions, reverse_word, sort_to_partition, word_to_str
 from .rsk import DUAL_WINDOW_TABLE, knuth_move, row_sequence, rsk, unbump
@@ -272,40 +274,55 @@ def perm_classes(n, relation):
     Each relation's moves fix a word's recording tableau Q and move its
     insertion tableau P through P alone (Haiman's dual equivalence for the
     tableau relations), so a class is a class of SYT(shape) carried across
-    each Q of that shape.  The carrying rests on Haiman's theorem: the Knuth
-    move K_j fixes P and acts on Q as the dual move d_j.  So the Knuth class
-    of the word r with P = Q = T0, the first enumerated SYT(shape), holds
-    one word per Q, each reached from its parent by one K_j, and the same
-    K_j takes P's word with the parent's Q to P's word with the child's Q.
-    Each P is reverse-bumped once, against T0, and carried along those
-    edges.  A Knuth class that does not hold one word per SYT(shape) raises
-    CarrierError.  A carried class keeps its tableau class's graph, with its
-    words in the order of their P.
+    each Q of that shape: its words with one Q are a column of the shape's
+    Knuth word grid (`_knuth_grid`), one row per member P.  A carried class
+    keeps its tableau class's graph, with its words in the order of their P.
     """
-    knuth = [("K", j, lambda w, j=j: knuth_move(j, w)) for j in range(2, n)]
     classes = []
     for lam in partitions(n):
-        tableaux = enumerate_tableaux(lam, "SYT")
-        root_steps = row_sequence(tableaux[0])
-        root = unbump(tableaux[0].rows, root_steps)
-        reached = _search(root, knuth)
-        if len(reached) != len(tableaux):
-            raise CarrierError(
-                f"the Knuth class of {root} holds {len(reached)} words,"
-                f" not |SYT{lam}| = {len(tableaux)}"
-            )
-        position = {w: k for k, w in enumerate(reached)}
-        edges = [(position[parent], j) for parent, _name, j in list(reached.values())[1:]]
+        tableaux, grid = _knuth_grid(lam)
         for cls in all_classes(tableaux, moves_for(relation, lam), relation):
-            carried = []
-            for p in cls.order:
-                words = [unbump(p.rows, root_steps)]
-                for parent, j in edges:
-                    words.append(knuth_move(j, words[parent]))
-                carried.append(words)
+            _tables, indices = cls.graph
             # one class per Q: the words of the members of cls with that Q
-            classes.extend(EquivClass(relation, column, cls.graph) for column in zip(*carried))
+            columns = zip(*(grid[k] for k in indices))
+            classes.extend(EquivClass(relation, column, cls.graph) for column in columns)
     return sorted(classes, key=lambda cls: cls.key)
+
+
+@lru_cache(maxsize=None)
+def _knuth_grid(lam):
+    """(SYT(lam), grid), built once per shape per process and shared by
+    every relation on S_n: grid[k] holds the word of (P_k, Q) for each Q,
+    P_k the k-th enumerated SYT(lam), with the Q in one order for all k.
+
+    The grid rests on Haiman's theorem: the Knuth move K_j fixes P and acts
+    on Q as the dual move d_j.  So the Knuth class of the word r with
+    P = Q = T0, the first enumerated SYT(lam), holds one word per Q, each
+    reached from its parent by one K_j, and the same K_j takes P's word with
+    the parent's Q to P's word with the child's Q.  Each P is reverse-bumped
+    once, against T0, and carried along those edges.  A Knuth class that
+    does not hold one word per SYT(lam) raises CarrierError, as does a K_j
+    image outside S_n (`_search`); an error is never cached.
+    """
+    tableaux = tuple(enumerate_tableaux(lam, "SYT"))
+    knuth = [("K", j, lambda w, j=j: knuth_move(j, w)) for j in range(2, sum(lam))]
+    root_steps = row_sequence(tableaux[0])
+    root = unbump(tableaux[0].rows, root_steps)
+    reached = _search(root, knuth)
+    if len(reached) != len(tableaux):
+        raise CarrierError(
+            f"the Knuth class of {root} holds {len(reached)} words,"
+            f" not |SYT{lam}| = {len(tableaux)}"
+        )
+    position = {w: k for k, w in enumerate(reached)}
+    edges = [(position[parent], j) for parent, _name, j in list(reached.values())[1:]]
+    grid = []
+    for p in tableaux:
+        words = [unbump(p.rows, root_steps)]
+        for parent, j in edges:
+            words.append(knuth_move(j, words[parent]))
+        grid.append(tuple(words))
+    return tableaux, tuple(grid)
 
 
 def perm_class(word, relation):

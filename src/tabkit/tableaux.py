@@ -246,9 +246,9 @@ def in_single_pistol(shape, cells):
 
 def enumerate_tableaux(shape, flavor):
     """All standard fillings of the shape with the flavor's constraints,
-    ordered by reading word; a partition's zero parts are dropped.  SYT and
-    SRT (the complements of SYT) come from `_syt_words`, each row a slice
-    of the word, SRCT and SST from `_fillings`."""
+    ordered by reading word; a partition's zero parts are dropped.  Each
+    call returns a fresh list of the same tableaux, built once per (shape,
+    flavor) per process (`_enumerated`); a rejected shape is never cached."""
     shape = tuple(shape)
     if flavor not in FLAVORS:
         raise InvalidTableauError(f"unknown flavor {flavor!r}")
@@ -258,18 +258,26 @@ def enumerate_tableaux(shape, flavor):
         raise InvalidTableauError(f"{shape} is not a strict partition")
     if flavor != "SRCT" and any(a < b for a, b in zip(shape, shape[1:])):
         raise InvalidTableauError(f"{shape} is not a partition")
-    shape = tuple(part for part in shape if part)
+    return list(_enumerated(tuple(part for part in shape if part), flavor))
+
+
+@lru_cache(maxsize=None)
+def _enumerated(shape, flavor):
+    """The tableaux of `enumerate_tableaux` as a tuple, for a checked shape
+    with no zero part.  SYT and SRT (the complements of SYT) come from
+    `_syt_words`, each row a slice of the word, SRCT and SST from
+    `_fillings`."""
     if flavor in ("SRCT", "SST"):
-        return sorted(_fillings(shape, flavor), key=Tableau.reading_word)
+        return tuple(sorted(_fillings(shape, flavor), key=Tableau.reading_word))
     n, words = sum(shape), sorted(_syt_words(shape))
     stops = [sum(shape[r:]) for r in range(len(shape) + 1)]
     rows = list(zip(stops[1:], stops))  # row r is word[stops[r + 1]:stops[r]]
     if flavor == "SRT":
-        return sorted(
+        return tuple(sorted(
             (Tableau._trusted([[n + 1 - v for v in w[a:b]] for a, b in rows], "SRT") for w in words),
             key=Tableau.reading_word,
-        )
-    out = [Tableau._trusted([w[a:b] for a, b in rows], "SYT") for w in words]
+        ))
+    out = tuple(Tableau._trusted([w[a:b] for a, b in rows], "SYT") for w in words)
     for t, w in zip(out, words):
         t._word = w
     return out

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from tabkit import equivalence, operators
+from tabkit import equivalence, operators, tableaux
 from tabkit.core import (
     all_permutations,
     compositions,
@@ -488,6 +488,62 @@ def test_knuth_class_of_the_root_aligns_the_q_columns():
             classes = perm_classes(n, relation)
             assert all(len({rsk(w)[1] for w in cls.members}) == 1 for cls in classes)
             assert sorted(w for cls in classes for w in cls) == all_permutations(n)
+
+
+def _small_carrier_classes(relation):
+    """Every class of the relation on its carriers of degree <= 7 (every
+    composition of n <= 6 for an SRCT or SRT relation)."""
+    if CARRIERS[relation] in ("SYT", "S_n"):
+        return [classes_for_cli(relation, n=n) for n in range(1, 8)]
+    return [
+        classes_for_cli(relation, alpha=alpha)
+        for n in range(1, 7) for alpha in compositions(n)
+    ]
+
+
+def _built(classes):
+    """Members, order, graph tables and DOT text of classes."""
+    return [(cls.members, cls.order, cls.graph) for cls in classes], classes_to_dot(classes)
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_warm_carriers_build_the_classes_of_cold_ones(relation):
+    # carriers are cached per process, never classes: a build from warm
+    # caches and one after clearing them equal the first, cold build
+    caches = (tableaux._enumerated, equivalence._knuth_grid)
+    cold = [_built(classes) for classes in _small_carrier_classes(relation)]
+    assert not any(cache.cache_info().hits for cache in caches)
+    warm = [_built(classes) for classes in _small_carrier_classes(relation)]
+    assert any(cache.cache_info().hits for cache in caches)
+    for cache in caches:
+        cache.cache_clear()
+    cleared = [_built(classes) for classes in _small_carrier_classes(relation)]
+    assert warm == cold
+    assert cleared == cold
+
+
+def test_word_relations_share_one_knuth_grid_per_shape(monkeypatch):
+    # the Knuth search and the carry run once per shape per process
+    calls = []
+    monkeypatch.setattr(
+        equivalence, "knuth_move", lambda j, w: calls.append(j) or knuth_move(j, w),
+    )
+    perm_classes(6, "shifted")
+    built = len(calls)
+    for relation in ("equiv2rev", "equiv2flip", "dual", "shifted"):
+        perm_classes(6, relation)
+    assert built > 0 and len(calls) == built
+
+
+def test_a_failing_knuth_search_fails_on_every_call(monkeypatch):
+    expected = perm_classes(5, "equiv2flip")
+    equivalence._knuth_grid.cache_clear()
+    monkeypatch.setattr(equivalence, "knuth_move", lambda j, w: w)
+    for _ in range(2):
+        with pytest.raises(CarrierError, match=r"^the Knuth class of \(2, 1, 3, 4, 5\) holds 1 words"):
+            perm_classes(5, "equiv2flip")
+    monkeypatch.undo()
+    assert perm_classes(5, "equiv2flip") == expected
 
 
 @pytest.mark.parametrize("relation", WORD_RELATIONS)

@@ -356,3 +356,26 @@ def test_with_word_rejects_a_word_of_the_wrong_length():
 def test_enumerate_tableaux_rejects_a_shape_outside_its_flavor(shape, flavor, message):
     with pytest.raises(InvalidTableauError, match=f"^{re.escape(message)}$"):
         enumerate_tableaux(shape, flavor)
+
+
+@pytest.mark.parametrize("shape, flavor", [
+    ((3, 2, 1), "SYT"), ((3, 2, 1), "SRT"), ((1, 3, 2), "SRCT"), ((4, 2, 1), "SST"),
+])
+def test_enumerate_tableaux_returns_a_fresh_list_of_the_same_tableaux(shape, flavor):
+    # the tableaux are built once per (shape, flavor); each call gets its own list
+    # a partition's zero part is dropped before the lookup
+    padded = shape if flavor == "SRCT" else shape + (0,)
+    first, second = enumerate_tableaux(shape, flavor), enumerate_tableaux(padded, flavor)
+    assert type(first) is list and first is not second and len(first) > 1
+    assert len(first) == len(second) and all(a is b for a, b in zip(first, second))
+    kept = list(first)
+    first.clear()
+    second.append(second[0])
+    third = enumerate_tableaux(shape, flavor)
+    assert len(third) == len(kept) and all(a is b for a, b in zip(third, kept))
+
+
+def test_a_rejected_shape_is_rejected_on_every_call():
+    for _ in range(2):
+        with pytest.raises(InvalidTableauError, match=r"^\(1, 2\) is not a partition$"):
+            enumerate_tableaux((1, 2), "SYT")

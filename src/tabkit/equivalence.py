@@ -9,13 +9,26 @@ by least member.
 words: the value window and pattern table of the six window relations, or a
 move(i, word, shape); `moves_for(relation, shape)`, the one builder of each
 relation's indexed moves, binds it to each index and a shape.  `move_tables`
-moves each element's key, so the classes of SYT, SRCT and the SRT image
-close the enumerated tableaux, one shape at a time; each class keeps its
-carrier's move tables, read by the DOT export.  `closure` closes one word
-under moves on words, and S_n carries the SYT classes across Q along the
-Knuth class of one word, each shape's words built once per process.  A
-move checks its own rules (slink run sizes, window values); `move_tables`
-and the word search of `closure` its carrier.
+moves each element's key, so the classes of SRCT and the SRT image close the
+enumerated tableaux, one shape at a time; each class keeps its carrier's
+move tables, read by the DOT export.  `closure` closes one word under moves
+on words, and S_n carries the SYT classes across Q along the Knuth class of
+one word, each shape's words built once per process.
+
+The tables of SYT(lam), for the classes of SYT and S_n, are those of
+`move_tables` but come from `syt_move_tables`.  A window relation's move
+permutes the values of one window, and a window that misses n commutes
+with deleting n (the restriction property of Haiman's dual equivalence):
+with n in the corner c of a word w of SYT(lam), at reading position p, and
+w' the word of SYT(lam - c) that deleting n leaves, the move takes w to the
+image of w' with n put back at p, a word of SYT(lam) exactly when the image
+of w' is one of SYT(lam - c).  So only the move whose window holds n is
+applied, and every other table is read off the tables of SYT(lam - c),
+window by window, through the corner's child map (`syt_record`).
+
+A move checks its own rules (slink run sizes, window values); `_checked`,
+on the tables of either builder, and the word search of `closure` its
+carrier.
 """
 
 import json
@@ -32,7 +45,7 @@ from .operators import (
     slink_star_word,
     slink_word,
 )
-from .tableaux import Tableau, enumerate_tableaux
+from .tableaux import Tableau, enumerate_tableaux, syt_record
 
 
 def key_of(element):
@@ -113,7 +126,12 @@ def _restricted_window(i, n):
 # which fixes a word's recording tableau Q and keeps SYT reading words of a
 # shape among themselves.  A move(i, word, shape) looks its operator up by
 # name when called, and a window move `apply_window`, so a patched one runs;
-# a window table is read when `moves_for` binds it.
+# a window table is read when `moves_for` binds it.  A window move on SYT(lam)
+# that misses n is the same move on SYT(lam less the corner of n), with n put
+# back in its corner, so `syt_move_tables` applies only the window that holds
+# n and reads the others off the sub-shapes; at size n the windows other than
+# the top one are the windows at size n - 1, matched by window, not by index
+# (index i of equiv2flip at size n is index i - 1 at size n - 1).
 MOVES = {
     "equiv0": ("SYT", "slink*", None, lambda i, w, s: slink_star_word(w, s)),
     "equiv1": ("SYT", "slink", None, lambda i, w, s: slink_word(w, s)),
@@ -206,21 +224,74 @@ def move_tables(elements, moves):
     """(name, i, table) for each indexed move (name, i, move) on the
     elements, the table holding the position in `elements` of each
     element's image, each move acting on keys (`key_of`).  An image outside
-    the keys raises CarrierError naming the first element, in element
-    order, that a move takes outside, and the first such move."""
+    the keys raises CarrierError (`_checked`)."""
     keys = [key_of(e) for e in elements]
     index = {w: k for k, w in enumerate(keys)}
-    tables = [(name, i, [index.get(move(w)) for w in keys]) for name, i, move in moves]
+    return _checked(keys, [(name, i, [index.get(move(w)) for w in keys]) for name, i, move in moves])
+
+
+def _checked(keys, tables):
+    """The (name, i, table) list, each table holding None for an image
+    outside the carrier with these keys; when some table holds None,
+    CarrierError names the first key, in carrier order, that a move takes
+    outside, and the first such move."""
     escapes = [(t.index(None), name, i) for name, i, t in tables if None in t]
     if escapes:
         k, name, i = min(escapes, key=lambda escape: escape[0])
-        raise _left_carrier(name, i, elements[k])
+        raise _left_carrier(name, i, keys[k])
     return tables
 
 
-def all_classes(universe, moves, relation):
+def syt_move_tables(lam, relation, memo=None):
+    """`move_tables(enumerate_tableaux(lam, "SYT"), moves_for(relation, lam))`
+    for an SYT or S_n relation, CarrierError included, built on the words
+    of SYT(lam) (`syt_record`).  A slink relation's tables come from
+    `move_tables`, a window relation's from `_window_tables`; memo, a dict
+    kept for one relation, holds the window tables of each shape reached,
+    so a caller that passes one memo for several shapes builds each
+    sub-shape's tables once."""
+    shape = tuple(part for part in lam if part)
+    words = syt_record(shape)[0]
+    if callable(MOVES[relation][3]):
+        return move_tables(words, moves_for(relation, lam))
+    tables = _window_tables(shape, relation, {} if memo is None else memo)
+    return _checked(words, list(tables.values()))
+
+
+def _window_tables(lam, relation, memo):
+    """{window: (name, i, table)} for each move of a window relation on the
+    words of SYT(lam), in the order of `moves_for`, each table holding None
+    for an image outside SYT(lam); memo[shape] holds the same for lam and
+    every shape below it.  Only the window that holds n is applied; a
+    window [low, high] with high < n misses n, so its table is read off the
+    same window's table on each SYT(lam - c), through the child map of the
+    corner c (`syt_record`), an image outside staying None."""
+    if lam not in memo:
+        words, corners = syt_record(lam)
+        n, window = sum(lam), MOVES[relation][3][0]
+        below = [(child, _window_tables(sub, relation, memo)) for sub, child in corners]
+        tables = {}
+        for name, i, move in moves_for(relation, lam):
+            low, high = window(i, n)
+            if high < n:
+                table = [None] * len(words)
+                for child, sub_tables in below:
+                    for k, image in zip(child, sub_tables[low, high][2]):
+                        if image is not None:
+                            table[k] = child[image]
+            else:
+                index = {w: k for k, w in enumerate(words)}
+                table = [index.get(move(w)) for w in words]
+            tables[low, high] = (name, i, table)
+        memo[lam] = tables
+    return memo[lam]
+
+
+def all_classes(universe, moves, relation, tables=None):
     """Partition of the universe into move-connected classes, with their
-    graph; the moves act on each element's key, as in `move_tables`."""
+    graph; the moves act on each element's key, as in `move_tables`.  With
+    tables, the universe's move tables already built (`syt_move_tables`),
+    the moves are not read."""
     elements = list(universe)
     parent = list(range(len(elements)))
 
@@ -230,10 +301,12 @@ def all_classes(universe, moves, relation):
             a = parent[a]
         return a
 
-    tables = move_tables(elements, moves)
+    if tables is None:
+        tables = move_tables(elements, moves)
     for _name, _i, table in tables:
         for a, b in enumerate(table):
-            parent[find(a)] = find(b)
+            if b != a:
+                parent[find(a)] = find(b)
 
     groups = {}
     for k in range(len(elements)):
@@ -262,9 +335,10 @@ def syt_classes(shape_or_n, relation):
     """Classes of SYT under one of the seven SYT relations, one SYT(shape)
     at a time."""
     shapes = partitions(shape_or_n) if isinstance(shape_or_n, int) else [tuple(shape_or_n)]
-    classes = []
+    classes, memo = [], {}
     for lam in shapes:
-        classes += all_classes(enumerate_tableaux(lam, "SYT"), moves_for(relation, lam), relation)
+        tableaux = enumerate_tableaux(lam, "SYT")
+        classes += all_classes(tableaux, None, relation, syt_move_tables(lam, relation, memo))
     return sorted(classes, key=lambda cls: cls.key)
 
 
@@ -278,10 +352,11 @@ def perm_classes(n, relation):
     Knuth word grid (`_knuth_grid`), one row per member P.  A carried class
     keeps its tableau class's graph, with its words in the order of their P.
     """
-    classes = []
+    classes, memo = [], {}
     for lam in partitions(n):
         tableaux, grid = _knuth_grid(lam)
-        for cls in all_classes(tableaux, moves_for(relation, lam), relation):
+        tables = syt_move_tables(lam, relation, memo)
+        for cls in all_classes(tableaux, None, relation, tables):
             _tables, indices = cls.graph
             # one class per Q: the words of the members of cls with that Q
             columns = zip(*(grid[k] for k in indices))

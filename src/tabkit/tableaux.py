@@ -264,12 +264,12 @@ def enumerate_tableaux(shape, flavor):
 @lru_cache(maxsize=None)
 def _enumerated(shape, flavor):
     """The tableaux of `enumerate_tableaux` as a tuple, for a checked shape
-    with no zero part.  SYT and SRT (the complements of SYT) come from
-    `_syt_words`, each row a slice of the word, SRCT and SST from
+    with no zero part.  SYT and SRT (the complements of SYT) come from the
+    words of `syt_record`, each row a slice of a word, SRCT and SST from
     `_fillings`."""
     if flavor in ("SRCT", "SST"):
         return tuple(sorted(_fillings(shape, flavor), key=Tableau.reading_word))
-    n, words = sum(shape), sorted(_syt_words(shape))
+    n, words = sum(shape), syt_record(shape)[0]
     stops = [sum(shape[r:]) for r in range(len(shape) + 1)]
     rows = list(zip(stops[1:], stops))  # row r is word[stops[r + 1]:stops[r]]
     if flavor == "SRT":
@@ -283,27 +283,29 @@ def _enumerated(shape, flavor):
     return out
 
 
-def _syt_words(shape):
-    """The reading words of SYT(shape), a partition with no zero part, in
-    no set order.  n sits in a corner, so each is the word of an SYT of the
-    shape less that corner with n inserted at the corner's reading
-    position; each sub-shape's words are built once."""
-    memo = {(): [()]}
-
-    def words(lam):
-        if lam not in memo:
-            n, out, above = sum(lam), [], 0  # above: cells in the rows above row r
-            for r in range(len(lam) - 1, -1, -1):
-                part = lam[r]
-                if r + 1 == len(lam) or part > lam[r + 1]:
-                    p = above + part - 1
-                    rest = lam[:r] + (part - 1,) + lam[r + 1:] if part > 1 else lam[:r]
-                    out += [w[:p] + (n,) + w[p:] for w in words(rest)]
-                above += part
-            memo[lam] = out
-        return memo[lam]
-
-    return words(shape)
+@lru_cache(maxsize=None)
+def syt_record(shape):
+    """(words, corners) for SYT(shape), a partition with no zero part, built
+    once per shape per process from the records of its sub-shapes.  words
+    holds the reading words in sorted order.  n sits in a corner, so each
+    word is a word of SYT(shape less that corner) with n inserted at the
+    corner's reading position; corners holds (sub-shape, child) for each
+    corner, top row first, child[k] the index in words of the k-th word of
+    the sub-shape with n so inserted."""
+    if not shape:
+        return ((),), ()
+    n, made, above = sum(shape), [], 0  # above: cells in the rows above row r
+    for r in range(len(shape) - 1, -1, -1):
+        part = shape[r]
+        if r + 1 == len(shape) or part > shape[r + 1]:
+            p = above + part - 1
+            sub = shape[:r] + (part - 1,) + shape[r + 1:] if part > 1 else shape[:r]
+            made.append((sub, [w[:p] + (n,) + w[p:] for w in syt_record(sub)[0]]))
+        above += part
+    words = sorted(w for _sub, grown in made for w in grown)
+    index = {w: k for k, w in enumerate(words)}
+    corners = tuple((sub, tuple(map(index.__getitem__, grown))) for sub, grown in made)
+    return tuple(words), corners
 
 
 def _fillings(shape, flavor):

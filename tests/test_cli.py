@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -27,11 +28,13 @@ from tabkit.core import (
 )
 from tabkit.equivalence import (
     CARRIERS,
+    MOVES,
     RELATIONS,
     WORD_RELATIONS,
     CarrierError,
     EquivClass,
     all_classes,
+    move_tables,
     moves_for,
     perm_classes,
     srct_classes,
@@ -260,10 +263,13 @@ def test_quasi_dual_dot_golden(capsys):
 
 def test_each_carrier_is_tabulated_once(monkeypatch):
     # perm_classes tabulates only the moves of its own classes on each
-    # SYT(lam), carrying them across Q with Knuth moves on words, and the
-    # mason suite reads the DQ_i tables that built the classes of each
+    # SYT(lam), carrying them across Q with Knuth moves on words: a slink
+    # relation with one move_tables call per shape, a window relation by
+    # applying only the window that holds n, once to each word of each shape
+    # it reaches, and reading every other table off the shape less a corner.
+    # The mason suite reads the DQ_i tables that built the classes of each
     # SRCT(alpha)
-    calls = []
+    calls, applied = [], Counter()
 
     def counting(tables):
         def wrapped(elements, moves):
@@ -271,12 +277,40 @@ def test_each_carrier_is_tabulated_once(monkeypatch):
             return tables(elements, moves)
         return wrapped
 
+    def counted(move, shape, i):
+        def wrapped(w):
+            applied[shape, i] += 1
+            return move(w)
+        return wrapped
+
+    def counting_moves(relation, shape):
+        return [(name, i, counted(move, shape, i)) for name, i, move in moves_for(relation, shape)]
+
+    def top_windows(relation):
+        # each shape of size m <= 6 with the index of the window that holds m,
+        # applied once to each word of the shape
+        window = MOVES[relation][3][0]
+        return Counter({
+            (mu, i): len(enumerate_tableaux(mu, "SYT"))
+            for m in range(1, 7)
+            for mu in partitions(m)
+            for _name, i, _move in moves_for(relation, mu)
+            if window(i, m)[1] == m
+        })
+
+    expected = {r: top_windows(r) for r in WORD_RELATIONS if not callable(MOVES[r][3])}
     monkeypatch.setattr(equivalence, "move_tables", counting(equivalence.move_tables))
     monkeypatch.setattr(cli, "move_tables", counting(cli.move_tables))
+    monkeypatch.setattr(equivalence, "moves_for", counting_moves)
     for relation in WORD_RELATIONS:
         calls.clear()
+        applied.clear()
         perm_classes(6, relation)
-        assert len(calls) == len(partitions(6)), relation
+        if relation in expected:
+            assert calls == [] and applied == expected[relation], relation
+        else:
+            assert len(calls) == len(partitions(6)), relation
+    assert set(expected) == {"equiv2", "dual", "shifted", "equiv2rev", "equiv2flip"}
     calls.clear()
     suite_mason(6)
     assert len(calls) == len(compositions(6))
@@ -878,6 +912,41 @@ def test_broken_shifted_entry_names_the_move(capsys, monkeypatch):
             classes(6, "shifted")
         assert str(caught.value) == message
     code, out, err = run(capsys, "classes", "--relation", "shifted", "--n", "6")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("relation, entry, message", [
+    ("equiv2", (RESTRICTED_WINDOW_TABLE, (1, 3, 4, 2), (3, 1, 4, 2)),
+     "move dR_4 left the carrier at (3, 5, 6, 1, 2, 4, 7)"),
+    ("equiv2rev", (RESTRICTED_WINDOW_TABLE, (1, 3, 4, 2), (3, 1, 4, 2)),
+     "move dR.rev_4 left the carrier at (4, 6, 2, 5, 1, 3, 7)"),
+    ("equiv2flip", (RESTRICTED_WINDOW_TABLE, (2, 1, 3, 4), (3, 1, 4, 2)),
+     "move dR.flip_3 left the carrier at (3, 4, 6, 1, 2, 5, 7)"),
+    ("dual", (DUAL_WINDOW_TABLE, (2, 1, 3), (1, 2, 3)),
+     "move d_2 left the carrier at (2, 1, 3, 4, 5, 6, 7)"),
+    ("shifted", (SHIFTED_WINDOW_TABLE, (1, 2, 4, 3), (1, 2, 3, 4)),
+     "move h_3 left the carrier at (3, 4, 6, 1, 2, 5, 7)"),
+])
+def test_escape_in_a_window_that_misses_n_is_named_as_before(capsys, monkeypatch, relation, entry, message):
+    # the first move to leave SYT(lam) has a window that misses n = 7, so
+    # its table is read off SYT(lam less a corner); the escape still names
+    # the first word, in carrier order, that any move takes outside, and the
+    # first such move, as move_tables on the tableaux does
+    _name, i = re.match(r"move (\S+)_(\d+) ", message).groups()
+    assert MOVES[relation][3][0](int(i), 7)[1] < 7
+    monkeypatch.setitem(*entry)
+    reference = []
+    for lam in partitions(7):
+        try:
+            move_tables(enumerate_tableaux(lam, "SYT"), moves_for(relation, lam))
+        except CarrierError as exc:
+            reference.append(str(exc))
+    assert reference[0] == message
+    for classes in (syt_classes, perm_classes):
+        with pytest.raises(CarrierError) as caught:
+            classes(7, relation)
+        assert str(caught.value) == message
+    code, out, err = run(capsys, "classes", "--relation", relation, "--n", "7")
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 

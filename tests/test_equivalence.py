@@ -35,6 +35,7 @@ from tabkit.equivalence import (
     srct_classes,
     srt_image_classes,
     syt_classes,
+    syt_move_tables,
 )
 from tabkit.operators import (
     RESTRICTED_WINDOW_TABLE,
@@ -427,6 +428,35 @@ def test_move_tables_read_each_elements_key(monkeypatch, relation):
     broken = outcomes()
     assert all(tableaux == words for tableaux, words in broken)
     assert any(isinstance(tableaux, str) for tableaux, _ in broken)
+
+
+def _built_tables_or_witness(*args):
+    try:
+        return syt_move_tables(*args)
+    except CarrierError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("broken", [None, "equiv2", "dual"])
+@pytest.mark.parametrize("relation", SHAPE_FREE)
+def test_window_tables_are_read_off_the_shape_less_a_corner(monkeypatch, relation, broken):
+    # syt_move_tables applies only the window that holds n and reads every
+    # other table of SYT(lam) off SYT(lam less a corner): it gives the
+    # tables, or the CarrierError text, of move_tables on the tableaux, with
+    # a fresh memo for each shape or one for the whole degree, also under a
+    # broken restricted entry (read by all three dR relations) or dual entry
+    if broken is not None:
+        monkeypatch.setitem(*BROKEN_ENTRIES[broken])
+    escaped = []
+    for n in range(9):
+        memo = {}
+        for lam in partitions(n):
+            expected = _tables_or_witness(enumerate_tableaux(lam, "SYT"), moves_for(relation, lam))
+            assert _built_tables_or_witness(lam, relation) == expected, lam
+            assert _built_tables_or_witness(lam, relation, memo) == expected, lam
+            escaped += [lam] if isinstance(expected, str) else []
+    patched = None if broken is None else BROKEN_ENTRIES[broken][0]
+    assert bool(escaped) == (MOVES[relation][3][1] is patched)
 
 
 @pytest.mark.parametrize("build, args", [

@@ -32,7 +32,6 @@ from .equivalence import (
     classes_for_cli,
     classes_json_text,
     classes_to_dot,
-    key_of,
     member_strings,
     move_tables,
     moves_for,
@@ -63,7 +62,7 @@ from .qsym import (
     schur_fundamental,
 )
 from .rsk import knuth_move, row_sequence, unbump
-from .tableaux import InvalidTableauError, enumerate_tableaux
+from .tableaux import InvalidTableauError, enumerate_words, rows_of
 
 DEFAULT_MAX_DEGREE = 9
 
@@ -311,7 +310,7 @@ def suite_poset(n):
     # under both relations
     for alpha in compositions(n):
         shape = sort_to_partition(alpha)
-        image = [mason_rho(t) for t in enumerate_tableaux(alpha, "SRCT")]
+        image = [mason_rho(w, alpha) for w in enumerate_words(alpha, "SRCT")]
         fine, coarse = (
             all_classes(image, moves_for(relation, shape), relation)
             for relation in ("quasiDualSRT-restricted", "quasiDualSRT")
@@ -322,20 +321,16 @@ def suite_poset(n):
         ))
 
     # equiv2 on S_n refines the shifted classes taken on reversed (flipped)
-    # words, checked shape by shape.  Reversal carries equiv2 classes onto
+    # words, checked on SYT(n).  Reversal carries equiv2 classes onto
     # equiv2rev classes, whose moves are dR_i conjugated by reversal; the flip
     # does the same for equiv2flip.  All three relations fix Q and move P
     # through insertion, so each word class is a class of SYT(lam) carried
-    # across Q, and the check holds on S_n exactly when every SYT(lam) passes.
-    shifted = lru_cache(maxsize=None)(lambda lam: syt_classes(lam, "shifted"))
+    # across Q, and the check holds on S_n exactly when it holds on SYT(n).
     for name, relation in (("reversed", "equiv2rev"), ("flipped", "equiv2flip")):
         check = f"equiv2 refines {name} shifted classes on S_{n}"
         try:
-            results.append(_first_failure(check, (
-                key
-                for lam in partitions(n)
-                for key in _straddling(syt_classes(lam, relation), shifted(lam))
-            )))
+            fine, coarse = syt_classes(n, relation), syt_classes(n, "shifted")
+            results.append(_first_failure(check, _straddling(fine, coarse)))
         except CarrierError as exc:
             results.append((check, False, str(exc)))
     return results
@@ -352,23 +347,23 @@ def suite_involutions(n):
         for name, i, move in moves_for("equiv2", (n,)) + moves_for("shifted", (n,))
     ]
 
-    def unfixed(tableaux, moves):
-        # for each move, the tableaux that two steps of it do not fix
+    def unfixed(carrier, moves):
+        # for each move, the carrier words that two steps of it do not fix
         return [
-            [t for k, t in enumerate(tableaux) if table[table[k]] != k]
-            for _, _, table in move_tables(tableaux, moves)
+            [t for k, t in enumerate(carrier) if table[table[k]] != k]
+            for _, _, table in move_tables(carrier, moves)
         ]
 
     # slink* is an involution off the superstandard tableau, which both maps fix
     results.append(_first_failure(f"slink* on SYT({n})", (
         t
         for lam in partitions(n)
-        for failures in unfixed(enumerate_tableaux(lam, "SYT"), moves_for("equiv0", lam))
+        for failures in unfixed(enumerate_words(lam, "SYT"), moves_for("equiv0", lam))
         for t in failures
     )))
 
     for alpha in compositions(n):
-        srct = enumerate_tableaux(alpha, "SRCT")
+        srct = enumerate_words(alpha, "SRCT")
         moves = moves_for("quasiDualSRCT", alpha)
         for (name, i, _move), found in zip(moves, unfixed(srct, moves)):
             results.append(_first_failure(f"{name}_{i} on SRCT({alpha})", found))
@@ -381,11 +376,11 @@ def suite_commutation(n):
     Each move is tabulated once, as the index in `all_permutations(n)` of
     each word's image: K_j on the words, dR_i by `move_tables` on them.
     slink and slink* take the word of (P, Q), `unbump(P, row_sequence(Q))`
-    on the pairs of each SYT(lam), to the word of (f(P), Q), with f
-    tabulated on SYT(lam) by `move_tables`.  A move image outside its
-    carrier, or pairs that do not give each word of S_n once, raise
-    CarrierError.  A check holds when K[O[k]] == O[K[k]] for every k;
-    otherwise it names the first word where the two differ.
+    on the rows of the pairs of each SYT(lam), to the word of (f(P), Q),
+    with f tabulated on the words of SYT(lam) by `move_tables`.  A move
+    image outside its carrier, or pairs that do not give each word of S_n
+    once, raise CarrierError.  A check holds when K[O[k]] == O[K[k]] for
+    every k; otherwise it names the first word where the two differ.
     """
     words = all_permutations(n)
     # built before the suite's own index, so the two indexes never coexist
@@ -394,16 +389,17 @@ def suite_commutation(n):
     ops = {"slink*": [None] * len(words), "slink": [None] * len(words)}
     pairs = 0
     for lam in partitions(n):
-        tableaux = enumerate_tableaux(lam, "SYT")
+        syt = enumerate_words(lam, "SYT")
         moves = moves_for("equiv0", lam) + moves_for("equiv1", lam)
-        tables = [(ops[name], table) for name, _i, table in move_tables(tableaux, moves)]
-        for steps in map(row_sequence, tableaux):
+        tables = [(ops[name], table) for name, _i, table in move_tables(syt, moves)]
+        rows = [rows_of(w, "SYT", lam) for w in syt]
+        for steps in map(row_sequence, rows):
             # the words of (P, Q) for this Q and every P, in tableau order
-            row = [index[unbump(p.rows, steps)] for p in tableaux]
+            row = [index[unbump(p, steps)] for p in rows]
             for op, table in tables:
                 for k, image in zip(row, table):
                     op[k] = row[image]
-        pairs += len(tableaux) ** 2
+        pairs += len(syt) ** 2
     if pairs != len(words) or None in ops["slink"]:
         raise CarrierError(f"the RSK pairs of size {n} do not give each word of S_{n} once")
     ops.update((f"{name}_{i}", table) for name, i, table in restricted)
@@ -421,22 +417,22 @@ def suite_commutation(n):
 
 
 def suite_mason(n):
-    # each SRCT(alpha) is enumerated once, by srct_classes; its classes sum
-    # to S_alpha, and their members in reading order are SRCT(alpha)
+    # the words of each SRCT(alpha) are enumerated once, for srct_classes
+    # and srct alike; its classes sum to S_alpha
     classes_of = {alpha: srct_classes(alpha) for alpha in compositions(n)}
     quasi_schurs = {class_union_qsym(classes) for classes in classes_of.values()}
     results = []
     for alpha, classes in classes_of.items():
-        srct = sorted((t for cls in classes for t in cls), key=key_of)
-        images = [mason_rho(t) for t in srct]
+        srct = enumerate_words(alpha, "SRCT")
+        images = [mason_rho(t, alpha) for t in srct]
         # bijectivity: the certified round trip also fails on a collision
         results.append(_first_failure(
             f"column sort bijective on SRCT({alpha})",
             (t for t, image in zip(srct, images) if mason_rho_inverse(image, alpha) != t),
         ))
 
-        # the commuting square on reading words, over the DQ_i tables that
-        # built the classes: they index SRCT(alpha) in reading order, as srct
+        # the commuting square, over the DQ_i tables that built the classes:
+        # they index the words of SRCT(alpha) in order, as srct
         tables = classes[0].graph[0]
         srt_moves = moves_for("quasiDualSRT", sort_to_partition(alpha))
         results.append(_first_failure(
@@ -445,7 +441,7 @@ def suite_mason(n):
                 (i, t)
                 for k, t in enumerate(srct)
                 for (_, _, table), (_, i, srt_move) in zip(tables, srt_moves)
-                if images[table[k]].reading_word() != srt_move(images[k].reading_word())
+                if images[table[k]] != srt_move(images[k])
             ),
         ))
 
@@ -493,7 +489,7 @@ def suite_shifted(n):
     # transitivity on shifted standard tableaux via flipped reading words
     for lam in strict_partitions(n):
         name = f"flip-conjugated moves transitive on SST({lam})"
-        universe = enumerate_tableaux(lam, "SST")
+        universe = enumerate_words(lam, "SST")
         try:
             classes = all_classes(universe, moves_for("equiv2flip", (n,)), "equiv2flip")
         except CarrierError as exc:

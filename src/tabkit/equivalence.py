@@ -1,17 +1,17 @@
 """Closure engine for the generated equivalence relations.
 
-Carrier elements are either Tableau objects or words (tuples).  The
-canonical key of a tableau is its reading word; of a word, itself.
-Classes are always listed with members sorted by key and classes sorted
-by least member.
+Carrier elements are words (tuples): a permutation of S_n, or the reading
+word of a tableau of SYT(lam), SRCT(alpha) or the SRT image of SRCT(alpha)
+(`tableaux.enumerate_words`).  Classes are always listed with members
+sorted and classes sorted by least member, their key.
 
 `MOVES` gives each of the ten relations its carrier and its move on reading
 words: the value window and pattern table of the six window relations, or a
 move(i, word, shape); `moves_for(relation, shape)`, the one builder of each
 relation's indexed moves, binds it to each index and a shape.  `move_tables`
-moves each element's key, so the classes of SRCT and the SRT image close the
-enumerated tableaux, one shape at a time; each class keeps its carrier's
-move tables, read by the DOT export.  `closure` closes one word under moves
+moves each element, so the classes of SRCT and the SRT image close the
+enumerated words, one shape at a time; each class keeps its carrier's move
+tables, read by the DOT export.  `closure` closes one word under moves
 on words, and S_n carries the SYT classes across Q along the Knuth class of
 one word, each shape's words built once per process.
 
@@ -35,7 +35,7 @@ import json
 from functools import lru_cache
 
 from .core import apply_window, flip, partitions, reverse_word, sort_to_partition, word_to_str
-from .rsk import DUAL_WINDOW_TABLE, knuth_move, row_sequence, rsk, unbump
+from .rsk import DUAL_WINDOW_TABLE, knuth_move, row_sequence, rsk_rows, unbump
 from .operators import (
     RESTRICTED_WINDOW_TABLE,
     SHIFTED_WINDOW_TABLE,
@@ -45,17 +45,11 @@ from .operators import (
     slink_star_word,
     slink_word,
 )
-from .tableaux import Tableau, enumerate_tableaux, syt_record
-
-
-def key_of(element):
-    if isinstance(element, Tableau):
-        return element.reading_word()
-    return element if isinstance(element, tuple) else tuple(element)
+from .tableaux import enumerate_words, rows_of, syt_record
 
 
 class EquivClass:
-    """A move-closed, connected set of carrier elements (tableaux or words).
+    """A move-closed, connected set of carrier elements (words).
 
     `graph` is None, or (tables, indices) with `order` the tuple of the
     members in the order given:
@@ -67,15 +61,14 @@ class EquivClass:
 
     def __init__(self, relation, members, graph=None):
         given = tuple(members)
-        tableaux = bool(given) and isinstance(given[0], Tableau)
         self.relation = relation
-        self.members = tuple(sorted(given, key=key_of if tableaux else None))
+        self.members = tuple(sorted(given))
         self.order = None if graph is None else given
         self.graph = graph
 
     @property
     def key(self):
-        return key_of(self.members[0])
+        return tuple(self.members[0])
 
     def __len__(self):
         return len(self.members)
@@ -190,7 +183,7 @@ class CarrierError(ValueError):
 
 def _left_carrier(name, i, element):
     """The CarrierError of the move name_i taking the element outside."""
-    return CarrierError(f"move {name}_{i} left the carrier at {key_of(element)}")
+    return CarrierError(f"move {name}_{i} left the carrier at {element}")
 
 
 def _search(seed, moves):
@@ -222,28 +215,27 @@ def closure(seed, moves, relation):
 
 def move_tables(elements, moves):
     """(name, i, table) for each indexed move (name, i, move) on the
-    elements, the table holding the position in `elements` of each
-    element's image, each move acting on keys (`key_of`).  An image outside
-    the keys raises CarrierError (`_checked`)."""
-    keys = [key_of(e) for e in elements]
-    index = {w: k for k, w in enumerate(keys)}
-    return _checked(keys, [(name, i, [index.get(move(w)) for w in keys]) for name, i, move in moves])
+    elements, words, the table holding the position in `elements` of each
+    element's image.  An image outside the elements raises CarrierError
+    (`_checked`)."""
+    index = {w: k for k, w in enumerate(elements)}
+    return _checked(elements, [(name, i, [index.get(move(w)) for w in elements]) for name, i, move in moves])
 
 
-def _checked(keys, tables):
+def _checked(elements, tables):
     """The (name, i, table) list, each table holding None for an image
-    outside the carrier with these keys; when some table holds None,
-    CarrierError names the first key, in carrier order, that a move takes
-    outside, and the first such move."""
+    outside the carrier of these elements; when some table holds None,
+    CarrierError names the first element, in carrier order, that a move
+    takes outside, and the first such move."""
     escapes = [(t.index(None), name, i) for name, i, t in tables if None in t]
     if escapes:
         k, name, i = min(escapes, key=lambda escape: escape[0])
-        raise _left_carrier(name, i, keys[k])
+        raise _left_carrier(name, i, elements[k])
     return tables
 
 
 def syt_move_tables(lam, relation, memo=None):
-    """`move_tables(enumerate_tableaux(lam, "SYT"), moves_for(relation, lam))`
+    """`move_tables(enumerate_words(lam, "SYT"), moves_for(relation, lam))`
     for an SYT or S_n relation, CarrierError included, built on the words
     of SYT(lam) (`syt_record`).  A slink relation's tables come from
     `move_tables`, a window relation's from `_window_tables`; memo, a dict
@@ -288,8 +280,8 @@ def _window_tables(lam, relation, memo):
 
 
 def all_classes(universe, moves, relation, tables=None):
-    """Partition of the universe into move-connected classes, with their
-    graph; the moves act on each element's key, as in `move_tables`.  With
+    """Partition of the universe, words, into move-connected classes, with
+    their graph; the moves act on each element, as in `move_tables`.  With
     tables, the universe's move tables already built (`syt_move_tables`),
     the moves are not read."""
     elements = list(universe)
@@ -319,8 +311,8 @@ def all_classes(universe, moves, relation, tables=None):
 
 
 def _straddling(fine, coarse):
-    """The least key of each fine class that no single coarse class
-    contains, in the order of `fine`."""
+    """The key of each fine class that no single coarse class contains, in
+    the order of `fine`."""
     lookup = {m: index for index, cls in enumerate(coarse) for m in cls.members}
     for cls in fine:
         targets = {lookup.get(m) for m in cls.members}
@@ -337,8 +329,8 @@ def syt_classes(shape_or_n, relation):
     shapes = partitions(shape_or_n) if isinstance(shape_or_n, int) else [tuple(shape_or_n)]
     classes, memo = [], {}
     for lam in shapes:
-        tableaux = enumerate_tableaux(lam, "SYT")
-        classes += all_classes(tableaux, None, relation, syt_move_tables(lam, relation, memo))
+        words = enumerate_words(lam, "SYT")
+        classes += all_classes(words, None, relation, syt_move_tables(lam, relation, memo))
     return sorted(classes, key=lambda cls: cls.key)
 
 
@@ -354,9 +346,9 @@ def perm_classes(n, relation):
     """
     classes, memo = [], {}
     for lam in partitions(n):
-        tableaux, grid = _knuth_grid(lam)
+        words, grid = _knuth_grid(lam)
         tables = syt_move_tables(lam, relation, memo)
-        for cls in all_classes(tableaux, None, relation, tables):
+        for cls in all_classes(words, None, relation, tables):
             _tables, indices = cls.graph
             # one class per Q: the words of the members of cls with that Q
             columns = zip(*(grid[k] for k in indices))
@@ -366,38 +358,39 @@ def perm_classes(n, relation):
 
 @lru_cache(maxsize=None)
 def _knuth_grid(lam):
-    """(SYT(lam), grid), built once per shape per process and shared by
-    every relation on S_n: grid[k] holds the word of (P_k, Q) for each Q,
-    P_k the k-th enumerated SYT(lam), with the Q in one order for all k.
+    """(the words of SYT(lam), grid), built once per shape per process and
+    shared by every relation on S_n: grid[k] holds the word of (P_k, Q) for
+    each Q, P_k the SYT with the k-th word, the Q in one order for all k.
 
     The grid rests on Haiman's theorem: the Knuth move K_j fixes P and acts
     on Q as the dual move d_j.  So the Knuth class of the word r with
-    P = Q = T0, the first enumerated SYT(lam), holds one word per Q, each
+    P = Q = T0, the SYT(lam) with the first word, holds one word per Q, each
     reached from its parent by one K_j, and the same K_j takes P's word with
     the parent's Q to P's word with the child's Q.  Each P is reverse-bumped
     once, against T0, and carried along those edges.  A Knuth class that
     does not hold one word per SYT(lam) raises CarrierError, as does a K_j
     image outside S_n (`_search`); an error is never cached.
     """
-    tableaux = tuple(enumerate_tableaux(lam, "SYT"))
+    words = enumerate_words(lam, "SYT")
     knuth = [("K", j, lambda w, j=j: knuth_move(j, w)) for j in range(2, sum(lam))]
-    root_steps = row_sequence(tableaux[0])
-    root = unbump(tableaux[0].rows, root_steps)
+    root_rows = rows_of(words[0], "SYT", lam)
+    root_steps = row_sequence(root_rows)
+    root = unbump(root_rows, root_steps)
     reached = _search(root, knuth)
-    if len(reached) != len(tableaux):
+    if len(reached) != len(words):
         raise CarrierError(
             f"the Knuth class of {root} holds {len(reached)} words,"
-            f" not |SYT{lam}| = {len(tableaux)}"
+            f" not |SYT{lam}| = {len(words)}"
         )
     position = {w: k for k, w in enumerate(reached)}
     edges = [(position[parent], j) for parent, _name, j in list(reached.values())[1:]]
     grid = []
-    for p in tableaux:
-        words = [unbump(p.rows, root_steps)]
+    for p in words:
+        column = [unbump(rows_of(p, "SYT", lam), root_steps)]
         for parent, j in edges:
-            words.append(knuth_move(j, words[parent]))
-        grid.append(tuple(words))
-    return tableaux, tuple(grid)
+            column.append(knuth_move(j, column[parent]))
+        grid.append(tuple(column))
+    return words, tuple(grid)
 
 
 def perm_class(word, relation):
@@ -413,21 +406,22 @@ def perm_class(word, relation):
     word = tuple(word)
     if relation in SHAPE_FREE:
         return closure(word, moves_for(relation, (len(word),)), relation)
-    p, q = rsk(word)
-    cls = next(c for c in syt_classes(p.shape, relation) if p in c)
-    steps = row_sequence(q)
-    return EquivClass(relation, [unbump(m.rows, steps) for m in cls.members])
+    p_rows, q_rows = rsk_rows(word)
+    shape, p = tuple(map(len, p_rows)), sum(reversed(p_rows), ())
+    cls = next(c for c in syt_classes(shape, relation) if p in c)
+    steps = row_sequence(q_rows)
+    return EquivClass(relation, [unbump(rows_of(m, "SYT", shape), steps) for m in cls.members])
 
 
 def srct_classes(alpha):
     """Classes of SRCT(alpha) under the quasi-dual move."""
-    srct = enumerate_tableaux(alpha, "SRCT")
+    srct = enumerate_words(alpha, "SRCT")
     return all_classes(srct, moves_for("quasiDualSRCT", alpha), "quasiDualSRCT")
 
 
 def srt_image_classes(alpha, relation):
     """Classes of the SRT image of SRCT(alpha) under an SRT relation."""
-    image = [mason_rho(t) for t in enumerate_tableaux(alpha, "SRCT")]
+    image = [mason_rho(w, alpha) for w in enumerate_words(alpha, "SRCT")]
     return all_classes(image, moves_for(relation, sort_to_partition(alpha)), relation)
 
 
@@ -448,11 +442,8 @@ def classes_for_cli(relation, n=None, alpha=None):
 # export
 
 def member_strings(cls):
-    """The digit string of each member's key, in member order."""
-    members = cls.members
-    if members and isinstance(members[0], Tableau):
-        members = map(key_of, members)
-    return list(map(word_to_str, members))
+    """The digit string of each member, in member order."""
+    return list(map(word_to_str, cls.members))
 
 
 def classes_json_text(classes):
@@ -488,7 +479,7 @@ def classes_to_dot(classes):
     vertices, edges = [], []
     for cls in classes:
         tables, indices = cls.graph
-        keys = dict(zip(indices, map(key_of, cls.order)))
+        keys = dict(zip(indices, cls.order))
         ranked = sorted(indices, key=keys.__getitem__)
         labels = {k: word_to_str(keys[k]) for k in ranked}
         vertices.extend(f'  "{labels[k]}";' for k in ranked)

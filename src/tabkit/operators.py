@@ -246,38 +246,28 @@ def quasi_dual_word_srt(i, word, shape):
 # ---------------------------------------------------------------------------
 # column sorting bijection between SRCT and SRT
 
-def _columns(t):
-    width = max((len(row) for row in t.rows), default=0)
-    return [
-        [row[c] for row in t.rows if c < len(row)] for c in range(width)
-    ]
+def mason_rho(word, alpha):
+    """The reading word of the SRT that sorting the columns of the SRCT of
+    shape alpha with this word gives.  Both flavors read column by column,
+    right to left, and a column has as many cells in alpha as in sort alpha,
+    so the map sorts the word's values by column and value, both decreasing."""
+    columns = [c for _r, c in reading_cells("SRCT", tuple(alpha))]
+    return tuple(v for _c, v in sorted(zip(columns, word), reverse=True))
 
 
-def mason_rho(t):
-    """Sort the columns of an SRCT and bottom justify, giving an SRT."""
-    if t.flavor != "SRCT":
-        raise InvalidTableauError("expected an SRCT")
-    cols = [sorted(col, reverse=True) for col in _columns(t)]
-    lam = tuple(sorted(t.shape, reverse=True))
-    grid = [
-        [cols[c][r] for c in range(lam[r])] for r in range(len(lam))
-    ]
-    return Tableau._trusted(grid, "SRT")
+def mason_rho_inverse(word, alpha):
+    """The word of the SRCT of shape alpha whose sorted columns give the SRT
+    with this reading word.
 
-
-def mason_rho_inverse(t, alpha):
-    """Rebuild the SRCT of shape alpha whose sorted columns give t.
-
-    Raises InvalidTableauError when t lies outside the image of the
+    Raises InvalidTableauError when the word lies outside the image of the
     column-sorting map on SRCT(alpha); membership is certified by the
-    round trip.
+    validated SRCT and the round trip.
     """
-    if t.flavor != "SRT":
-        raise InvalidTableauError("expected an SRT")
-    alpha = tuple(alpha)
-    if tuple(sorted(alpha, reverse=True)) != t.shape:
+    if len(word) != sum(alpha):
         raise InvalidTableauError("shape mismatch")
-    cols = _columns(t)
+    cols = [[] for _ in range(max(alpha, default=0))]
+    for (_r, c), v in zip(reading_cells("SRCT", tuple(alpha)), word):
+        cols[c].append(v)
     grid = [[0] * part for part in alpha]
     for r, v in enumerate(sorted(cols[0], reverse=True)):
         grid[r][0] = v
@@ -292,7 +282,7 @@ def mason_rho_inverse(t, alpha):
             r = max(fits)
             grid[r][c] = x
             open_rows.remove(r)
-    result = Tableau(grid, "SRCT")
-    if mason_rho(result) != t:
+    result = Tableau(grid, "SRCT").reading_word()
+    if mason_rho(result, alpha) != tuple(word):
         raise InvalidTableauError("round trip failed")
     return result

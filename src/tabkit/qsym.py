@@ -17,9 +17,9 @@ from .core import (
     sort_to_partition,
     subset_to_composition,
 )
-from .equivalence import key_of, syt_classes
-from .rsk import rsk
-from .tableaux import Tableau, enumerate_tableaux, superstandard
+from .equivalence import WORD_RELATIONS, syt_classes
+from .rsk import rsk_rows
+from .tableaux import enumerate_words
 
 
 class NotSymmetricError(ValueError):
@@ -297,9 +297,7 @@ class SchurExpansion:
 def schur_fundamental(lam):
     """The Schur function of shape lam as a fundamental expansion, summed
     over standard Young tableaux."""
-    return _fundamental_sum(
-        (t.reading_word() for t in enumerate_tableaux(lam, "SYT")), sum(lam)
-    )
+    return _fundamental_sum(enumerate_words(lam, "SYT"), sum(lam))
 
 
 def schur_expand_by_slinky(q):
@@ -315,24 +313,23 @@ def schur_expand_by_slinky(q):
 
 
 def class_union_qsym(classes):
-    """Fundamental generating function of a union of classes: each member
-    adds F of the descent composition of its key (a tableau's key is its
-    reading word), counted at the key's inverse-descent bitmask.  Keys of
-    different lengths, or a key that is not a permutation, raise
-    ValueError."""
-    keys = [key_of(m) for cls in classes for m in cls.members]
-    if not keys:
+    """Fundamental generating function of a union of classes: each member,
+    a word, adds F of its descent composition, counted at its
+    inverse-descent bitmask.  Members of different lengths, or one that is
+    not a permutation, raise ValueError."""
+    words = [m for cls in classes for m in cls.members]
+    if not words:
         raise ValueError("empty class union")
-    return _fundamental_sum(keys, len(keys[0]))
+    return _fundamental_sum(words, len(words[0]))
 
 
 def schur_expand_fsum(q, classes):
     """Schur expansion of a symmetric class-union generating function, from
     q = class_union_qsym(classes), which the caller has already built.
 
-    Coefficients are counted from the distinguished members (superstandard
-    tableaux, or permutations whose insertion tableau is superstandard,
-    after the relation's `MARKER_WORD` transform) and cross-checked against
+    Coefficients are counted from the distinguished members (words whose
+    insertion tableau is superstandard, after the relation's `MARKER_WORD`
+    transform; `_marker_shape`) and cross-checked against
     the slinky straightening of q; a disagreement raises
     MarkerMismatchError, and a q that is not symmetric raises
     NotSymmetricError with its witness.
@@ -359,26 +356,25 @@ def schur_expand_fsum(q, classes):
     return expansion
 
 
-# the word whose insertion tableau marks a permutation, per word relation;
-# the identity for the others
+# the word whose insertion tableau marks a member, per word relation; the
+# identity for the others
 MARKER_WORD = {"shifted": flip, "equiv2rev": reverse_word}
 
 
-def _marker_shape(member, relation):
-    """The partition this member contributes a Schur coefficient to, if any.
+def _marker_shape(word, relation):
+    """The partition this member word contributes a Schur coefficient to,
+    if any: the shape of P(MARKER_WORD(word)) when that tableau is
+    superstandard (an SYT reading word inserts to its own tableau); none
+    for the quasi-dual relations.
 
     Reversal transposes the insertion tableau, P(rev w) = P(w)^T, so an
     `equiv2rev` marker is filed under the conjugate of its shape.
     """
-    if isinstance(member, Tableau):
-        if member == superstandard(member.shape):
-            return member.shape
+    p = rsk_rows(MARKER_WORD.get(relation, tuple)(word))[0]
+    if relation not in WORD_RELATIONS or sum(p, ()) != tuple(range(1, len(word) + 1)):
         return None
-    word = MARKER_WORD[relation](member) if relation in MARKER_WORD else member
-    p = rsk(word)[0]
-    if p != superstandard(p.shape):
-        return None
-    return conjugate(p.shape) if relation == "equiv2rev" else p.shape
+    shape = tuple(map(len, p))
+    return conjugate(shape) if relation == "equiv2rev" else shape
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +383,7 @@ def _marker_shape(member, relation):
 def quasi_schur(alpha):
     """Sum of fundamentals over the standard reverse composition tableaux
     of shape alpha, with descents read off the bent reading word."""
-    return _fundamental_sum(
-        (t.reading_word() for t in enumerate_tableaux(alpha, "SRCT")), sum(alpha)
-    )
+    return _fundamental_sum(enumerate_words(alpha, "SRCT"), sum(alpha))
 
 
 # ---------------------------------------------------------------------------

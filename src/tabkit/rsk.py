@@ -7,11 +7,16 @@ from .tableaux import Tableau, InvalidTableauError
 
 
 def rsk(word):
-    """Row-bumping insertion: word -> (insertion tableau, recording tableau).
+    """Row-bumping insertion: word -> (insertion tableau, recording tableau),
+    the tableaux with the rows of `rsk_rows`."""
+    p_rows, q_rows = rsk_rows(word)
+    return Tableau._trusted(p_rows, "SYT"), Tableau._trusted(q_rows, "SYT")
 
-    Insertion keeps rows and columns increasing, so both tableaux are
-    standard as soon as the word's values are distinct.
-    """
+
+def rsk_rows(word):
+    """The rows, bottom row first, of the insertion and recording tableaux
+    of a word.  Insertion keeps rows and columns increasing, so both are
+    standard as soon as the word's values are distinct."""
     if len(set(word)) != len(word):
         raise InvalidTableauError("repeated value")
     p_rows = []
@@ -31,21 +36,21 @@ def rsk(word):
                 break
             value, row[idx] = row[idx], value
             r += 1
-    return Tableau._trusted(p_rows, "SYT"), Tableau._trusted(q_rows, "SYT")
+    return tuple(map(tuple, p_rows)), tuple(map(tuple, q_rows))
 
 
 def rsk_inverse(p, q):
     """The unique word with the given insertion and recording tableaux."""
     if p.shape != q.shape:
         raise InvalidTableauError("insertion and recording shapes differ")
-    return unbump(p.rows, row_sequence(q))
+    return unbump(p.rows, row_sequence(q.rows))
 
 
-def row_sequence(q):
+def row_sequence(q_rows):
     """Rows of the steps n, n - 1, ..., 1 of a recording tableau: the
     largest entry left in Q ends its row, so inverse RSK pops that row of P."""
-    steps = [0] * q.size
-    for r, row in enumerate(q.rows):
+    steps = [0] * sum(map(len, q_rows))
+    for r, row in enumerate(q_rows):
         for step in row:
             steps[-step] = r
     return steps

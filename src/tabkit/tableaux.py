@@ -3,6 +3,9 @@
 Rows are stored bottom-to-top in French notation: rows[0] is the bottom
 row.  Cells are addressed (row, col), 0-based; for shifted tableaux row r
 is indented r cells, so the absolute column of (r, c) is r + c.
+
+The engine holds each filling as its reading word (`enumerate_words`);
+`Tableau`, validated on construction, is the library boundary.
 """
 
 from functools import lru_cache
@@ -45,18 +48,18 @@ class Tableau:
             raise InvalidTableauError(problem)
 
     @classmethod
-    def _trusted(cls, rows, flavor):
-        """A tableau whose rows are valid by construction."""
+    def _trusted(cls, rows, flavor, word=None):
+        """A tableau whose rows, and word if given, are valid by construction."""
         t = cls.__new__(cls)
-        t._assign(rows, flavor)
+        t._assign(rows, flavor, word)
         return t
 
-    def _assign(self, rows, flavor):
+    def _assign(self, rows, flavor, word=None):
         self.rows = tuple(map(tuple, rows))
         self.flavor = flavor
         self.shape = tuple(map(len, self.rows))
         self._hash = None
-        self._word = None
+        self._word = word
 
     # -- basic structure ---------------------------------------------------
 
@@ -149,13 +152,9 @@ class Tableau:
         word = tuple(word)
         if word == self.reading_word():
             return self
-        cells = reading_cells(self.flavor, self.shape)
-        if len(word) != len(cells):
+        if len(word) != self.size:
             raise InvalidTableauError("word length does not match shape")
-        grid = [[0] * len(row) for row in self.rows]
-        for (r, c), v in zip(cells, word):
-            grid[r][c] = v
-        t = Tableau(grid, self.flavor)
+        t = Tableau(rows_of(word, self.flavor, self.shape), self.flavor)
         t._word = word
         return t
 
@@ -195,13 +194,7 @@ class Tableau:
 # construction helpers
 
 def superstandard(lam):
-    """Rows filled 1..n in order, bottom row first; one tableau per shape,
-    built once (a Tableau is immutable)."""
-    return _superstandard(tuple(lam))
-
-
-@lru_cache(maxsize=None)
-def _superstandard(lam):
+    """Rows filled 1..n in order, bottom row first."""
     rows = []
     nxt = 1
     for part in lam:
@@ -244,11 +237,8 @@ def in_single_pistol(shape, cells):
 # ---------------------------------------------------------------------------
 # enumeration
 
-def enumerate_tableaux(shape, flavor):
-    """All standard fillings of the shape with the flavor's constraints,
-    ordered by reading word; a partition's zero parts are dropped.  Each
-    call returns a fresh list of the same tableaux, built once per (shape,
-    flavor) per process (`_enumerated`); a rejected shape is never cached."""
+def _checked(shape, flavor):
+    """The shape without its zero parts, once it fits the flavor."""
     shape = tuple(shape)
     if flavor not in FLAVORS:
         raise InvalidTableauError(f"unknown flavor {flavor!r}")
@@ -258,29 +248,54 @@ def enumerate_tableaux(shape, flavor):
         raise InvalidTableauError(f"{shape} is not a strict partition")
     if flavor != "SRCT" and any(a < b for a, b in zip(shape, shape[1:])):
         raise InvalidTableauError(f"{shape} is not a partition")
-    return list(_enumerated(tuple(part for part in shape if part), flavor))
+    return tuple(part for part in shape if part)
+
+
+def enumerate_words(shape, flavor):
+    """The reading words of all standard fillings of the shape with the
+    flavor's constraints, sorted, as a tuple; a partition's zero parts are
+    dropped.  Built once per (shape, flavor) per process (`_words`); a
+    rejected shape is never cached."""
+    return _words(_checked(shape, flavor), flavor)
+
+
+def enumerate_tableaux(shape, flavor):
+    """The tableaux of `enumerate_words`, in its order.  Each call returns a
+    fresh list of the same tableaux, built once per (shape, flavor) per
+    process (`_enumerated`)."""
+    return list(_enumerated(_checked(shape, flavor), flavor))
 
 
 @lru_cache(maxsize=None)
 def _enumerated(shape, flavor):
-    """The tableaux of `enumerate_tableaux` as a tuple, for a checked shape
-    with no zero part.  SYT and SRT (the complements of SYT) come from the
-    words of `syt_record`, each row a slice of a word, SRCT and SST from
-    `_fillings`."""
+    """The tableau of each word of `_words(shape, flavor)`."""
+    return tuple(
+        Tableau._trusted(rows_of(word, flavor, shape), flavor, word)
+        for word in _words(shape, flavor)
+    )
+
+
+def rows_of(word, flavor, shape):
+    """The rows, bottom row first, of the flavor's filling of the shape (no
+    zero part) with this reading word."""
+    grid = [[0] * part for part in shape]
+    for (r, c), v in zip(reading_cells(flavor, shape), word):
+        grid[r][c] = v
+    return grid
+
+
+@lru_cache(maxsize=None)
+def _words(shape, flavor):
+    """The words of `enumerate_words` for a checked shape: of `_fillings` for
+    SRCT and SST, `syt_record` for SYT, and the complemented SYT for SRT."""
     if flavor in ("SRCT", "SST"):
-        return tuple(sorted(_fillings(shape, flavor), key=Tableau.reading_word))
-    n, words = sum(shape), syt_record(shape)[0]
-    stops = [sum(shape[r:]) for r in range(len(shape) + 1)]
-    rows = list(zip(stops[1:], stops))  # row r is word[stops[r + 1]:stops[r]]
-    if flavor == "SRT":
-        return tuple(sorted(
-            (Tableau._trusted([[n + 1 - v for v in w[a:b]] for a, b in rows], "SRT") for w in words),
-            key=Tableau.reading_word,
-        ))
-    out = tuple(Tableau._trusted([w[a:b] for a, b in rows], "SYT") for w in words)
-    for t, w in zip(out, words):
-        t._word = w
-    return out
+        return tuple(sorted(_fillings(shape, flavor)))
+    words = syt_record(shape)[0]
+    if flavor == "SYT":
+        return words
+    at = {cell: p for p, cell in enumerate(reading_cells("SYT", shape))}
+    order, top = [at[cell] for cell in reading_cells("SRT", shape)], sum(shape) + 1
+    return tuple(sorted(tuple(top - w[p] for p in order) for w in words))
 
 
 @lru_cache(maxsize=None)
@@ -317,8 +332,8 @@ def _fillings(shape, flavor):
     only once the row above is full, so rows decrease and the first column
     increases downward.  The triple rule for a value involves only smaller
     values, so it is checked as the value is placed, pruning the branch,
-    and each completed filling is valid as it stands."""
-    n, k = sum(shape), len(shape)
+    and each completed filling is valid as it stands: its word is kept."""
+    n, k, cells = sum(shape), len(shape), reading_cells(flavor, shape)
     srct = flavor == "SRCT"
     gap = int(flavor == "SST")
     grid = [[0] * part for part in shape]
@@ -327,7 +342,7 @@ def _fillings(shape, flavor):
 
     def place(v):
         if v > n:
-            out.append(Tableau._trusted(grid, flavor))
+            out.append(tuple(grid[r][c] for r, c in cells))
             return
         for r in range(k):
             c = filled[r]

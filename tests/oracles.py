@@ -21,8 +21,10 @@ library takes one subset-sum transform of the F-vector.
 `apply_window_by_index` finds a move's window by one `index` per value and
 a sort, where the library reads it in one scan, and
 `class_union_qsym_by_members` sums one F per class member, where the library
-counts members at inverse-descent bitmasks.  `refines`, `syt_from_word`,
-`insertion_tableau`, `position_of`, `dual_move_tableau`,
+counts members at inverse-descent bitmasks.  `column_sort` sorts the
+columns of an SRCT cell by cell, where the library sorts its reading word
+by (column, value).  `refines`, `syt_from_word`, `tableau_from_word`,
+`word_of`, `insertion_tableau`, `position_of`, `dual_move_tableau`,
 `fundamental_of_word`, `fundamental_of_tableau` and
 `schur_expand_class_union` spell a test's verdict or input in library
 calls, and `syt_universe` lists every SYT of size n.  `tableau_moves`,
@@ -52,7 +54,6 @@ from tabkit.equivalence import (
     EquivClass,
     _indices,
     _straddling,
-    key_of,
     moves_for,
     syt_classes,
 )
@@ -157,9 +158,31 @@ def refines(fine, coarse):
 # ---------------------------------------------------------------------------
 # tableaux
 
+def word_of(element):
+    """The word a class of the library holds for a carrier element: a
+    tableau's reading word, or the word itself."""
+    return element.reading_word() if isinstance(element, Tableau) else tuple(element)
+
+
 def syt_from_word(word, shape):
     """The SYT of the given shape with the given row reading word."""
     return superstandard(shape).with_word(word)
+
+
+def tableau_from_word(word, flavor, shape):
+    """The validated tableau of the flavor and shape with this reading word."""
+    return enumerate_tableaux(shape, flavor)[0].with_word(word)
+
+
+def column_sort(t):
+    """Reference for `operators.mason_rho`: sort the columns of an SRCT cell
+    by cell and bottom justify, giving a validated SRT."""
+    width = max((len(row) for row in t.rows), default=0)
+    cols = [
+        sorted((row[c] for row in t.rows if c < len(row)), reverse=True) for c in range(width)
+    ]
+    lam = tuple(sorted(t.shape, reverse=True))
+    return Tableau([[cols[c][r] for c in range(lam[r])] for r in range(len(lam))], "SRT")
 
 
 def insertion_tableau(word):
@@ -386,7 +409,9 @@ def all_classes_by_elements(universe, moves, relation):
     with the carrier check inline, where the library tabulates one move at
     a time on all the elements.  The first image outside the universe
     raises CarrierError naming the first element, in element order, that
-    any move takes outside, and the first such move."""
+    any move takes outside, and the first such move.  A universe of
+    tableaux closes under tableau moves, and its classes hold their reading
+    words (`word_of`), as the library's do."""
     elements = list(universe)
     index = {e: i for i, e in enumerate(elements)}
     parent = list(range(len(elements)))
@@ -406,12 +431,12 @@ def all_classes_by_elements(universe, moves, relation):
         for name, idx, move in moves:
             k = index.get(move(element))
             if k is None:
-                raise CarrierError(f"move {name}_{idx} left the carrier at {key_of(element)}")
+                raise CarrierError(f"move {name}_{idx} left the carrier at {word_of(element)}")
             union(i, k)
 
     groups = {}
     for i, element in enumerate(elements):
-        groups.setdefault(find(i), []).append(element)
+        groups.setdefault(find(i), []).append(word_of(element))
     return sorted(
         (EquivClass(relation, members) for members in groups.values()), key=lambda cls: cls.key
     )
@@ -424,7 +449,7 @@ def classes_to_json(classes):
         {
             "relation": cls.relation,
             "size": len(cls.members),
-            "members": [word_to_str(key_of(m)) for m in cls.members],
+            "members": [word_to_str(m) for m in cls.members],
         }
         for cls in classes
     ]
@@ -462,15 +487,12 @@ def fundamental_of_tableau(t):
 
 
 def class_union_qsym_by_members(classes):
-    """Fundamental generating function of a union of classes: each member
-    adds F of the descent composition of its key (a tableau's key is its
-    reading word)."""
+    """Fundamental generating function of a union of classes: each member,
+    a word, adds F of its descent composition."""
     members = [m for cls in classes for m in cls.members]
     if not members:
         raise ValueError("empty class union")
-    return qsym_sum(
-        (fundamental_of_word(key_of(m)) for m in members), len(key_of(members[0]))
-    )
+    return qsym_sum((fundamental_of_word(m) for m in members), len(members[0]))
 
 
 def schur_expand_class_union(classes):

@@ -59,6 +59,7 @@ from oracles import (
     standardized_yamanouchi,
     syt_from_word,
     syt_universe,
+    tableau_from_word,
 )
 
 
@@ -275,11 +276,12 @@ def test_criterion_6_composition_tableaux(capsys):
         for n in range(1, 7):
             for alpha in compositions(n):
                 for t in enumerate_tableaux(alpha, "SRCT"):
-                    image = mason_rho(t)
-                    assert mason_rho_inverse(image, alpha) == t
+                    image = mason_rho(t.reading_word(), alpha)
+                    assert mason_rho_inverse(image, alpha) == t.reading_word()
+                    srt = tableau_from_word(image, "SRT", sorted(alpha, reverse=True))
                     for i in range(2, n):
-                        assert mason_rho(quasi_dual_move_srct(i, t)) == (
-                            quasi_dual_move_srt(i, image)
+                        assert mason_rho(quasi_dual_move_srct(i, t).reading_word(), alpha) == (
+                            quasi_dual_move_srt(i, srt).reading_word()
                         )
 
         # the restricted move fails to be transitive on the (2,2,2) image

@@ -55,7 +55,7 @@ from tabkit.qsym import (
     quasi_schur,
 )
 from tabkit.rsk import DUAL_WINDOW_TABLE, knuth_move, row_sequence, rsk, unbump
-from tabkit.tableaux import enumerate_tableaux
+from tabkit.tableaux import enumerate_tableaux, enumerate_words
 
 from oracles import (
     commutation_by_words,
@@ -801,7 +801,7 @@ def test_suites_run_no_insertion_and_move_no_tableau(capsys, monkeypatch):
 
     monkeypatch.setattr("tabkit.tableaux.Tableau.with_word", fail)
     for module in (cli, equivalence, operators, qsym, rsk_module):
-        for name in ("rsk", "rsk_inverse"):
+        for name in ("rsk", "rsk_rows", "rsk_inverse"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, fail)
     assert [run(capsys, *argv) for argv in argvs] == expected
@@ -931,14 +931,14 @@ def test_escape_in_a_window_that_misses_n_is_named_as_before(capsys, monkeypatch
     # the first move to leave SYT(lam) has a window that misses n = 7, so
     # its table is read off SYT(lam less a corner); the escape still names
     # the first word, in carrier order, that any move takes outside, and the
-    # first such move, as move_tables on the tableaux does
+    # first such move, as move_tables on the words of SYT(lam) does
     _name, i = re.match(r"move (\S+)_(\d+) ", message).groups()
     assert MOVES[relation][3][0](int(i), 7)[1] < 7
     monkeypatch.setitem(*entry)
     reference = []
     for lam in partitions(7):
         try:
-            move_tables(enumerate_tableaux(lam, "SYT"), moves_for(relation, lam))
+            move_tables(enumerate_words(lam, "SYT"), moves_for(relation, lam))
         except CarrierError as exc:
             reference.append(str(exc))
     assert reference[0] == message
@@ -1211,9 +1211,9 @@ def test_commutation_unbumps_each_word_once(monkeypatch):
         unbumped.append(unbump(p_rows, steps))
         return unbumped[-1]
 
-    def counted_row_sequence(q):
-        sequenced.append(q)
-        return row_sequence(q)
+    def counted_row_sequence(q_rows):
+        sequenced.append(tuple(map(tuple, q_rows)))
+        return row_sequence(q_rows)
 
     monkeypatch.setattr(cli, "unbump", counted_unbump)
     monkeypatch.setattr(cli, "row_sequence", counted_row_sequence)
@@ -1222,7 +1222,7 @@ def test_commutation_unbumps_each_word_once(monkeypatch):
         sequenced.clear()
         assert all(ok for _, ok, _ in suite_commutation(n))
         assert sorted(unbumped) == all_permutations(n)
-        assert sequenced == syt_universe(n)
+        assert sequenced == [t.rows for t in syt_universe(n)]
 
 
 @pytest.mark.parametrize("name, broken", [
@@ -1231,7 +1231,7 @@ def test_commutation_unbumps_each_word_once(monkeypatch):
     # the last shape is skipped: its words are missing from the grid
     ("partitions", lambda n: partitions(n)[:-1]),
     # each tableau is listed twice: every word comes four times
-    ("enumerate_tableaux", lambda shape, flavor: 2 * enumerate_tableaux(shape, flavor)),
+    ("enumerate_words", lambda shape, flavor: 2 * enumerate_words(shape, flavor)),
 ], ids=["repeated-word", "missing-shape", "repeated-tableaux"])
 def test_commutation_grid_that_misses_a_word_is_a_failed_check(capsys, monkeypatch, name, broken):
     # pairs that do not give each word of S_n once fail the backstop check
@@ -1410,9 +1410,9 @@ def test_poset_s_n_checks_match_the_sweep_of_s_n():
 
 def test_poset_s_n_checks_match_perm_classes_on_broken_tables(monkeypatch):
     # with each inverse pair of the shifted table removed in turn, the
-    # per-shape checks give the verdicts of the construction from whole
-    # perm_classes, and each failure names the least reading word of an
-    # equiv2rev (equiv2flip) class of SYT(lam) that no shifted class holds
+    # checks on SYT(n) give the verdicts of the construction from whole
+    # perm_classes, and each failure names the least reading word, over all
+    # shapes, of an equiv2rev (equiv2flip) class that no shifted class holds
     pairs = [(a, b) for a, b in SHIFTED_WINDOW_TABLE.items() if a < b]
     assert len(pairs) == 8
     failing = 0

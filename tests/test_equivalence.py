@@ -11,7 +11,6 @@ from tabkit.core import (
     partitions,
     reverse_word,
     word_from_str,
-    word_to_str,
 )
 from tabkit.equivalence import (
     CARRIERS,
@@ -26,7 +25,6 @@ from tabkit.equivalence import (
     classes_json_text,
     classes_to_dot,
     closure,
-    key_of,
     member_strings,
     move_tables,
     moves_for,
@@ -45,17 +43,21 @@ from tabkit.operators import (
     shifted_dual_move,
 )
 from tabkit.rsk import DUAL_WINDOW_TABLE, dual_move, knuth_move, rsk, rsk_inverse
-from tabkit.tableaux import Tableau, enumerate_tableaux, superstandard
+from tabkit.tableaux import Tableau, enumerate_tableaux, enumerate_words, superstandard
 
 from oracles import (
     all_classes_by_elements,
     classes_to_json,
+    column_sort,
     insertion_tableau,
     refines,
     slink_by_runs,
     slink_star_by_runs,
+    syt_from_word,
     syt_universe,
+    tableau_from_word,
     tableau_moves,
+    word_of,
 )
 
 
@@ -78,9 +80,9 @@ def test_classes_partition_universe():
     for relation in ("equiv0", "equiv1", "equiv2", "dual"):
         for n in range(1, 7):
             classes = syt_classes(n, relation)
-            members = [key_of(m) for cls in classes for m in cls.members]
+            members = [m for cls in classes for m in cls.members]
             assert sorted(members) == sorted(
-                key_of(t) for t in syt_universe(n)
+                t.reading_word() for t in syt_universe(n)
             )
             assert len(members) == len(set(members))
 
@@ -113,7 +115,7 @@ def test_superstandard_classes_are_singletons():
         for relation in ("equiv0", "equiv1"):
             classes = syt_classes(n, relation)
             for lam in partitions(n):
-                u = superstandard(lam)
+                u = superstandard(lam).reading_word()
                 owner = next(c for c in classes if u in c)
                 assert len(owner) == 1
 
@@ -123,7 +125,7 @@ def test_duplicate_generating_functions_are_distinct_classes():
     classes = syt_classes(5, "equiv2")
     a = word_from_str("43125")
     b = word_from_str("43512")
-    owners = [cls for cls in classes if any(key_of(m) in (a, b) for m in cls.members)]
+    owners = [cls for cls in classes if any(m in (a, b) for m in cls.members)]
     assert len(owners) == 2
     assert all(len(cls) == 1 for cls in owners)
 
@@ -133,7 +135,7 @@ def test_closure_matches_all_classes():
     # closes to the reading words of its class
     moves = moves_for("equiv2", (5,))
     for cls in syt_classes(5, "equiv2"):
-        words = [key_of(t) for t in cls.members]
+        words = list(cls.members)
         assert closure(cls.key, moves, "equiv2") == EquivClass("equiv2", words)
 
 
@@ -147,8 +149,8 @@ def test_closure_takes_a_list_seed():
 
 def test_carrier_error():
     # dual moves do not preserve a single arbitrary shape's tableau set
-    universe = enumerate_tableaux((3, 1), "SYT")
-    bad = [t for t in universe if t.reading_word() != (4, 1, 2, 3)]
+    universe = enumerate_words((3, 1), "SYT")
+    bad = [w for w in universe if w != (4, 1, 2, 3)]
     with pytest.raises(CarrierError):
         all_classes(bad, moves_for("dual", (3, 1)), "dual")
 
@@ -241,7 +243,7 @@ def test_quasi_dual_classes_match_tableau_moves(relation):
         for alpha in compositions(n):
             universe = enumerate_tableaux(alpha, "SRCT")
             if CARRIERS[relation] == "SRT":
-                universe = [mason_rho(t) for t in universe]
+                universe = [column_sort(t) for t in universe]
             expected = all_classes_by_elements(universe, moves, relation)
             assert _quasi_dual_classes(relation, alpha) == expected
 
@@ -289,9 +291,9 @@ def test_perm_classes_transport_consistency():
             tab_keys = {}
             for cls in syt_classes(n, relation):
                 for t in cls.members:
-                    tab_keys[key_of(t)] = cls.key
+                    tab_keys[t] = cls.key
             for cls in perm_classes(n, relation):
-                images = {tab_keys[key_of(insertion_tableau(w))] for w in cls.members}
+                images = {tab_keys[insertion_tableau(w).reading_word()] for w in cls.members}
                 assert len(images) == 1
 
 
@@ -313,7 +315,7 @@ def _carried_by_inverse_rsk(n, relation):
         tableau_classes = syt_classes(lam, relation)
         for q in enumerate_tableaux(lam, "SYT"):
             classes.extend(
-                EquivClass(relation, [rsk_inverse(p, q) for p in cls.members])
+                EquivClass(relation, [rsk_inverse(syt_from_word(p, lam), q) for p in cls.members])
                 for cls in tableau_classes
             )
     return sorted(classes, key=lambda cls: cls.key)
@@ -372,18 +374,27 @@ def test_carrier_witness_matches_the_element_major_reference(monkeypatch, relati
 
 def _carriers(relation, n):
     """Each carrier of the relation at degree n that a class builder closes,
-    with the shape its moves take: SYT(lam) for the SYT and S_n relations
-    (perm_classes carries the latter's SYT(lam) classes across Q), SRCT(alpha)
-    or its SRT image for the quasi-dual ones."""
+    as its words, the same carrier as its tableaux, and the shape its moves
+    take: SYT(lam) for the SYT and S_n relations (perm_classes carries the
+    latter's SYT(lam) classes across Q), SRCT(alpha) or its SRT image for the
+    quasi-dual ones, the words column sorted by `mason_rho` and the
+    tableaux by the reference `column_sort`."""
     if CARRIERS[relation] in ("SYT", "S_n"):
-        return [(enumerate_tableaux(lam, "SYT"), lam) for lam in partitions(n)]
+        return [
+            (enumerate_words(lam, "SYT"), enumerate_tableaux(lam, "SYT"), lam)
+            for lam in partitions(n)
+        ]
     carriers = []
     for alpha in compositions(n):
-        srct = enumerate_tableaux(alpha, "SRCT")
+        words, srct = enumerate_words(alpha, "SRCT"), enumerate_tableaux(alpha, "SRCT")
         if CARRIERS[relation] == "SRCT":
-            carriers.append((srct, alpha))
+            carriers.append((words, srct, alpha))
         else:
-            carriers.append(([mason_rho(t) for t in srct], tuple(sorted(alpha, reverse=True))))
+            carriers.append((
+                [mason_rho(w, alpha) for w in words],
+                [column_sort(t) for t in srct],
+                tuple(sorted(alpha, reverse=True)),
+            ))
     return carriers
 
 
@@ -410,16 +421,16 @@ def _break_move(monkeypatch, relation):
 
 @pytest.mark.parametrize("relation", RELATIONS)
 def test_move_tables_read_each_elements_key(monkeypatch, relation):
-    # a carrier of tableaux is tabulated as the list of their reading words
-    # is, and a move that leaves it is named by the same text
+    # a carrier's words are tabulated as the list of its tableaux' reading
+    # words is, and a move that leaves it is named by the same text
     def outcomes():
         return [
             (
-                _tables_or_witness(elements, moves),
-                _tables_or_witness([key_of(e) for e in elements], moves),
+                _tables_or_witness(words, moves),
+                _tables_or_witness([t.reading_word() for t in tableaux], moves),
             )
             for n in range(1, 7)
-            for elements, shape in _carriers(relation, n)
+            for words, tableaux, shape in _carriers(relation, n)
             for moves in [moves_for(relation, shape)]
         ]
 
@@ -451,7 +462,7 @@ def test_window_tables_are_read_off_the_shape_less_a_corner(monkeypatch, relatio
     for n in range(9):
         memo = {}
         for lam in partitions(n):
-            expected = _tables_or_witness(enumerate_tableaux(lam, "SYT"), moves_for(relation, lam))
+            expected = _tables_or_witness(enumerate_words(lam, "SYT"), moves_for(relation, lam))
             assert _built_tables_or_witness(lam, relation) == expected, lam
             assert _built_tables_or_witness(lam, relation, memo) == expected, lam
             escaped += [lam] if isinstance(expected, str) else []
@@ -468,8 +479,8 @@ def test_window_tables_are_read_off_the_shape_less_a_corner(monkeypatch, relatio
     (srt_image_classes, ((3, 1, 2), "quasiDualSRT-restricted")),
 ])
 def test_tableau_classes_are_built_once_on_the_enumerated_tableaux(monkeypatch, build, args):
-    # the class builders close the tableaux they enumerate (or column sort):
-    # one EquivClass per class returned, with those Tableau objects as members
+    # the class builders close the words they enumerate (or column sort):
+    # one EquivClass per class returned, with those word objects as members
     built, made = [], []
 
     class Counted(EquivClass):
@@ -479,24 +490,24 @@ def test_tableau_classes_are_built_once_on_the_enumerated_tableaux(monkeypatch, 
             built.append(self)
             super().__init__(*init)
 
-    def kept(fn):
+    def kept(fn, many):
         def wrapped(*call):
             result = fn(*call)
-            made.extend(result if isinstance(result, list) else [result])
+            made.extend(result if many else [result])
             return result
         return wrapped
 
     monkeypatch.setattr(equivalence, "EquivClass", Counted)
     if build is srt_image_classes:
-        monkeypatch.setattr(equivalence, "mason_rho", kept(equivalence.mason_rho))
+        monkeypatch.setattr(equivalence, "mason_rho", kept(equivalence.mason_rho, False))
     else:
         monkeypatch.setattr(
-            equivalence, "enumerate_tableaux", kept(equivalence.enumerate_tableaux)
+            equivalence, "enumerate_words", kept(equivalence.enumerate_words, True)
         )
     classes = build(*args)
     assert sorted(map(id, built)) == sorted(map(id, classes))
     assert sorted(id(m) for cls in classes for m in cls.members) == sorted(map(id, made))
-    assert all(isinstance(m, Tableau) for m in made)
+    assert all(type(m) is tuple for m in made)
 
 
 def test_knuth_class_of_the_root_aligns_the_q_columns():
@@ -540,7 +551,7 @@ def _built(classes):
 def test_warm_carriers_build_the_classes_of_cold_ones(relation):
     # carriers are cached per process, never classes: a build from warm
     # caches and one after clearing them equal the first, cold build
-    caches = (tableaux._enumerated, equivalence._knuth_grid)
+    caches = (tableaux._words, equivalence._knuth_grid)
     cold = [_built(classes) for classes in _small_carrier_classes(relation)]
     assert not any(cache.cache_info().hits for cache in caches)
     warm = [_built(classes) for classes in _small_carrier_classes(relation)]
@@ -580,21 +591,13 @@ def test_a_failing_knuth_search_fails_on_every_call(monkeypatch):
 def test_perm_classes_enumerates_each_shape_once(monkeypatch, relation):
     # one SYT(lam) list serves the root of the transport and the classes of lam
     calls = []
-    real = equivalence.enumerate_tableaux
+    real = equivalence.enumerate_words
     monkeypatch.setattr(
-        equivalence, "enumerate_tableaux",
+        equivalence, "enumerate_words",
         lambda shape, flavor: calls.append((tuple(shape), flavor)) or real(shape, flavor),
     )
     perm_classes(6, relation)
     assert calls == [(lam, "SYT") for lam in partitions(6)]
-
-
-def test_key_of_returns_a_tuple_word_itself():
-    word = (3, 1, 2)
-    assert key_of(word) is word
-    assert key_of([3, 1, 2]) == word
-    t = enumerate_tableaux((2, 1), "SYT")[0]
-    assert key_of(t) is t.reading_word()
 
 
 @pytest.mark.parametrize("relation", ["shifted", "equiv2rev", "equiv2flip"])
@@ -709,15 +712,16 @@ def test_json_and_dot_export():
 _DOT_EDGE = re.compile(r'  "([\d,]+)" -- "([\d,]+)" \[label="(.+)_(\d+)"\];')
 
 
-def _reference_dot_edges(classes, relation, n):
+def _reference_dot_edges(classes, relation, n, tableau_of):
     """Each edge a member's tableau move takes to another member, as
-    (lesser key, greater key, generator, index)."""
+    (lesser key, greater key, generator, index); tableau_of gives the
+    element a member word stands for."""
     moves = tableau_moves(relation, n)
     edges = set()
     for cls in classes:
-        for member in cls.members:
+        for member in map(tableau_of, cls.members):
             for name, idx, move in moves:
-                a, b = key_of(member), key_of(move(member))
+                a, b = word_of(member), word_of(move(member))
                 if a != b:
                     edges.add((min(a, b), max(a, b), name, idx))
     return edges
@@ -736,16 +740,22 @@ def _dot_edges(text):
 def test_dot_edges_match_tableau_moves(relation):
     # reference: the validated tableau moves applied to each member; the
     # export reads the move tables each class was built with
-    if CARRIERS[relation] in ("SYT", "S_n"):
-        top = 8 if CARRIERS[relation] == "S_n" else 7
-        cases = [(n, classes_for_cli(relation, n=n)) for n in range(1, top)]
+    carrier = CARRIERS[relation]
+    if carrier in ("SYT", "S_n"):
+        top = 8 if carrier == "S_n" else 7
+        # an SYT reading word inserts to its own tableau
+        tableau_of = tuple if carrier == "S_n" else insertion_tableau
+        cases = [(n, classes_for_cli(relation, n=n), tableau_of) for n in range(1, top)]
     else:
         cases = [
-            (n, classes_for_cli(relation, alpha=alpha))
+            (n, classes_for_cli(relation, alpha=alpha), lambda w, shape=shape: (
+                tableau_from_word(w, carrier, shape)
+            ))
             for n in (5, 6)
             for alpha in compositions(n)
+            for shape in [alpha if carrier == "SRCT" else tuple(sorted(alpha, reverse=True))]
         ]
-    for n, classes in cases:
+    for n, classes, tableau_of in cases:
         dot = classes_to_dot(classes)
         lines = dot.splitlines()
         assert lines[0] == "graph classes {" and lines[-1] == "}"
@@ -753,7 +763,7 @@ def test_dot_edges_match_tableau_moves(relation):
         assert vertices == [f'  "{m}";' for cls in classes for m in member_strings(cls)]
         edges = _dot_edges(dot)
         assert len(edges) == len(set(edges))
-        assert set(edges) == _reference_dot_edges(classes, relation, n)
+        assert set(edges) == _reference_dot_edges(classes, relation, n, tableau_of)
 
 
 @pytest.mark.parametrize("relation", RELATIONS)
@@ -833,23 +843,13 @@ def _outcome(thunk):
 def test_equiv_class_sorts_words_as_key_of_does(build):
     # words sort natively, in the order of their keys, from any iterable
     words = [(3, 1, 2, 4), (1, 2, 3, 4), (2, 1, 3, 4), (1, 3, 2, 4)]
-    expected = tuple(sorted(build(words), key=key_of))
+    expected = tuple(sorted(build(words)))
     cls = EquivClass("equiv2", build(words))
     assert cls.members == expected
     assert _outcome(lambda: hash(cls)) == _outcome(lambda: hash(("equiv2", expected)))
     assert repr(cls) == "EquivClass('equiv2', 4 members)"
-    assert cls.key == key_of(expected[0]) == (1, 2, 3, 4)
+    assert cls.key == tuple(expected[0]) == (1, 2, 3, 4)
     assert member_strings(cls) == ["1234", "1324", "2134", "3124"]
-
-
-def test_equiv_class_sorts_tableaux_by_reading_word():
-    tableaux = enumerate_tableaux((2, 2), "SYT")[::-1] + enumerate_tableaux((3, 1), "SYT")
-    cls = EquivClass("dual", tableaux)
-    assert cls.members == tuple(sorted(tableaux, key=key_of))
-    assert hash(cls) == hash(("dual", cls.members))
-    assert repr(cls) == f"EquivClass('dual', {len(tableaux)} members)"
-    assert member_strings(cls) == [word_to_str(key_of(t)) for t in cls.members]
-    assert cls == EquivClass("dual", iter(tableaux)) == EquivClass("dual", cls)
 
 
 # each window relation's move as its operator composed by hand, from the

@@ -191,3 +191,41 @@ def test_only_cli_names_the_carrier_flags():
         "--n": ["cli.build_parser", "cli.cmd_classes"],
         "--alpha": ["cli.build_parser", "cli.cmd_classes"],
     }
+
+
+def _tableau_checks(path):
+    """Line of each `isinstance(…, Tableau)` call in the module, the class
+    named alone, in a tuple, or as an attribute such as `tableaux.Tableau`."""
+    tree = ast.parse(path.read_text())
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and "Tableau" in _names_used(node.args[1])
+    ]
+
+
+def test_the_engine_holds_words_not_tableaux(tmp_path):
+    # equivalence, qsym and cli hold reading words: none imports Tableau or
+    # defines key_of, and only tableaux.py asks whether an object is a Tableau
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from .tableaux import Tableau\n\ndef f(x):\n"
+        "    return isinstance(x, (tuple, Tableau)) or isinstance(x, int)\n"
+    )
+    assert _tableau_checks(module) == [4]
+    for name in ("equivalence", "qsym", "cli"):
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        defined = {found for node in tree.body for found in _defined_names(node)}
+        assert "Tableau" not in imported and "key_of" not in defined, name
+    checked = [path.stem for path in sorted(SRC.glob("*.py")) if _tableau_checks(path)]
+    assert checked == ["tableaux"]

@@ -36,12 +36,14 @@ from tabkit.tableaux import (
     InvalidTableauError,
     Tableau,
     enumerate_tableaux,
+    enumerate_words,
     reading_cells,
     superstandard,
 )
 
 from oracles import (
     _slink_context_by_rows,
+    column_sort,
     duplicated_exchange,
     from_runs,
     fundamental_of_tableau,
@@ -53,6 +55,7 @@ from oracles import (
     slink_star_by_runs,
     syt_from_word,
     syt_universe,
+    tableau_from_word,
 )
 
 
@@ -494,14 +497,15 @@ def test_split_shape_has_no_dual_or_cyclic_edge_between_its_classes():
     small, large = sorted(srct_classes(SPLIT), key=len)
     images = 0
     for cls in (small, large):
-        for t in cls:
+        for w in cls:
+            t = tableau_from_word(w, "SRCT", SPLIT)
             for i in range(2, 8):
                 for move in (dual_move, cyclic_dual_move):
                     try:
-                        image = t.with_word(move(i, t.reading_word()))
+                        image = t.with_word(move(i, w))
                     except InvalidTableauError:
                         continue
-                    assert image in cls
+                    assert image.reading_word() in cls
                     images += image != t
     assert images > 0
 
@@ -511,7 +515,7 @@ def test_split_shape_has_no_move_between_the_srt_images_of_its_classes():
     # word of a member's SRT image gives the reading word of an image of the
     # other class, though some give that of another image of its own
     small, large = (
-        {mason_rho(t).reading_word() for t in cls}
+        {mason_rho(w, SPLIT) for w in cls}
         for cls in sorted(srct_classes(SPLIT), key=len)
     )
     inner = 0
@@ -530,14 +534,26 @@ def test_split_shape_has_no_move_between_the_srt_images_of_its_classes():
 
 def test_mason_golden():
     t = Tableau([(8, 5), (7, 6, 3), (4, 2)], "SRCT")
-    assert mason_rho(t).rows == ((8, 6, 3), (7, 5), (4, 2))
-    assert mason_rho_inverse(mason_rho(t), (2, 3, 2)) == t
+    image = mason_rho(t.reading_word(), t.shape)
+    assert image == Tableau([(8, 6, 3), (7, 5), (4, 2)], "SRT").reading_word()
+    assert mason_rho_inverse(image, (2, 3, 2)) == t.reading_word()
 
 
 def test_mason_commutes_with_quasi_dual():
     t = Tableau([(8, 5), (7, 6, 3), (4, 2)], "SRCT")
     for i in (3, 6):
-        assert mason_rho(quasi_dual_move_srct(i, t)) == quasi_dual_move_srt(i, mason_rho(t))
+        assert mason_rho(quasi_dual_move_srct(i, t).reading_word(), t.shape) == (
+            quasi_dual_move_srt(i, column_sort(t)).reading_word()
+        )
+
+
+def test_mason_rho_is_the_column_sort_on_words():
+    # the word map sorts each column's segment of the reading word; the
+    # reference sorts the tableau's columns cell by cell
+    for n in range(1, 10):
+        for alpha in compositions(n):
+            for t in enumerate_tableaux(alpha, "SRCT"):
+                assert mason_rho(t.reading_word(), alpha) == column_sort(t).reading_word()
 
 
 def test_mason_bijection_exhaustive():
@@ -548,12 +564,12 @@ def test_mason_bijection_exhaustive():
     for n in range(1, 7):
         for alpha in compositions(n):
             images = {}
-            for t in enumerate_tableaux(alpha, "SRCT"):
-                image = mason_rho(t)
+            for w in enumerate_words(alpha, "SRCT"):
+                image = mason_rho(w, alpha)
                 assert image not in images
-                images[image] = t
-                assert mason_rho_inverse(image, alpha) == t
-            for t in enumerate_tableaux(sorted(alpha, reverse=True), "SRT"):
+                images[image] = w
+                assert mason_rho_inverse(image, alpha) == w
+            for t in enumerate_words(sorted(alpha, reverse=True), "SRT"):
                 try:
                     found = mason_rho_inverse(t, alpha)
                 except InvalidTableauError as exc:
@@ -570,15 +586,15 @@ def test_mason_bijection_exhaustive():
 
 
 def test_mason_inverse_rejects_outside_image():
-    t = Tableau([(3, 1), (2,)], "SRT")
+    t = Tableau([(3, 1), (2,)], "SRT").reading_word()
     # in the image for shape (1,2) but not for shape (2,1)
-    assert mason_rho(mason_rho_inverse(t, (1, 2))) == t
+    assert mason_rho(mason_rho_inverse(t, (1, 2)), (1, 2)) == t
     with pytest.raises(InvalidTableauError):
         mason_rho_inverse(t, (2, 1))
-    # an unvalidated column-increasing filling rebuilds a valid SRCT whose
-    # column sort is not the input
+    # the word of an unvalidated column-increasing filling rebuilds a valid
+    # SRCT whose column sort is not the input
     with pytest.raises(InvalidTableauError, match="^round trip failed$"):
-        mason_rho_inverse(Tableau._trusted([(1,), (2,)], "SRT"), (1, 1))
+        mason_rho_inverse(Tableau._trusted([(1,), (2,)], "SRT").reading_word(), (1, 1))
 
 
 def test_shifted_dual_move_below_four_letters():
@@ -591,9 +607,11 @@ def test_shifted_dual_move_below_four_letters():
 
 
 def test_mason_maps_reject_the_wrong_flavor_and_shape():
-    with pytest.raises(InvalidTableauError, match="^expected an SRCT$"):
-        mason_rho(Tableau([(1, 2), (3,)], "SYT"))
-    with pytest.raises(InvalidTableauError, match="^expected an SRT$"):
-        mason_rho_inverse(Tableau([(1, 2), (3,)], "SYT"), (2, 1))
+    # a word carries no flavor, and its size is its one trace of a shape:
+    # a word of another size than alpha's is a shape mismatch, and one of
+    # the same size but another shape is outside the image
+    word = Tableau([(3, 1), (2,)], "SRT").reading_word()
     with pytest.raises(InvalidTableauError, match="^shape mismatch$"):
-        mason_rho_inverse(Tableau([(3, 1), (2,)], "SRT"), (3,))
+        mason_rho_inverse(word, (2, 2))
+    with pytest.raises(InvalidTableauError, match="^tableau is not in the image of the column sort$"):
+        mason_rho_inverse(word, (3,))

@@ -21,7 +21,7 @@ from tabkit.qsym import QsymElement
 from tabkit.rsk import dual_move, knuth_move, rsk, rsk_inverse
 from tabkit.tableaux import enumerate_tableaux
 
-from oracles import dual_move_tableau, insertion_tableau
+from oracles import dual_move_tableau, insertion_tableau, tableau_from_word
 
 permutations = st.integers(min_value=1, max_value=9).flatmap(
     lambda n: st.permutations(range(1, n + 1))
@@ -103,9 +103,9 @@ def test_dual_moves_are_involutions(w):
 @given(srcts)
 def test_mason_rho_round_trip(case):
     alpha, t = case
-    image = mason_rho(t)
-    assert image._validate() is None
-    assert mason_rho_inverse(image, alpha) == t
+    image = mason_rho(t.reading_word(), alpha)
+    assert tableau_from_word(image, "SRT", sorted(alpha, reverse=True))._validate() is None
+    assert mason_rho_inverse(image, alpha) == t.reading_word()
 
 
 @deterministic

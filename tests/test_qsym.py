@@ -31,7 +31,8 @@ from tabkit.qsym import (
     schur_fundamental,
     solve_exact,
 )
-from tabkit.tableaux import enumerate_tableaux
+from tabkit.operators import mason_rho
+from tabkit.tableaux import enumerate_tableaux, enumerate_words, superstandard
 
 from oracles import (
     class_union_qsym_by_members,
@@ -248,6 +249,31 @@ def test_classes_with_one_function_have_equal_markers(relation):
             counts = Counter(qsym._marker_shape(m, relation) for m in cls.members)
             counts.pop(None, None)
             assert markers.setdefault(class_union_qsym([cls]), counts) == counts, cls.key
+
+
+def test_syt_reading_words_mark_their_shape_when_superstandard():
+    # an SYT reading word inserts to its own tableau, so the one marker rule
+    # marks the superstandard tableau of each shape and no other
+    for relation in ("equiv0", "equiv1", "equiv2", "dual"):
+        for n in range(1, 7):
+            for lam in partitions(n):
+                first = superstandard(lam).reading_word()
+                for w in enumerate_words(lam, "SYT"):
+                    assert qsym._marker_shape(w, relation) == (lam if w == first else None)
+
+
+@pytest.mark.parametrize("relation", ["quasiDualSRCT", "quasiDualSRT", "quasiDualSRT-restricted"])
+def test_quasi_dual_relations_have_no_markers(relation):
+    # not even on a word whose P is superstandard: SRCT((3,)) reads as 123,
+    # which marks s(3) under a word relation
+    assert enumerate_words((3,), "SRCT") == ((1, 2, 3),)
+    assert qsym._marker_shape((1, 2, 3), "equiv2") == (3,)
+    assert qsym._marker_shape((1, 2, 3), relation) is None
+    for n in range(1, 6):
+        for alpha in compositions(n):
+            for w in enumerate_words(alpha, "SRCT"):
+                image = mason_rho(w, alpha)
+                assert qsym._marker_shape(w, relation) is qsym._marker_shape(image, relation) is None
 
 
 def test_every_symmetric_single_class_expands_by_its_markers():

@@ -7,12 +7,15 @@ import pytest
 
 from tabkit.core import all_permutations, compositions, partitions, strict_partitions
 from tabkit.operators import mason_rho
+from tabkit import tableaux
 from tabkit.rsk import rsk
 from tabkit.tableaux import (
     InvalidTableauError,
     Tableau,
+    rows_of,
     _fillings,
     enumerate_tableaux,
+    enumerate_words,
     in_single_pistol,
     reading_cells,
     restrict_to,
@@ -81,7 +84,9 @@ def test_trusted_constructions_are_valid():
                 for t in enumerate_tableaux(shape, flavor):
                     assert t._validate() is None
                     if flavor == "SRCT":
-                        assert mason_rho(t)._validate() is None
+                        lam = tuple(sorted(shape, reverse=True))
+                        rows = rows_of(mason_rho(t.reading_word(), shape), "SRT", lam)
+                        assert Tableau._trusted(rows, "SRT")._validate() is None
     for word in [(1, 1), (2, 1, 2)]:
         with pytest.raises(InvalidTableauError):
             rsk(word)
@@ -287,7 +292,7 @@ def test_syt_and_srt_words_match_the_backtracking_fill(shapes):
     # only nonempty rows, so it passes _validate()
     for shape in shapes:
         lam = tuple(part for part in shape if part)
-        syt = sorted(_fillings(lam, "SYT"), key=Tableau.reading_word)
+        syt = [syt_from_word(w, lam) for w in sorted(_fillings(lam, "SYT"))]
         n = sum(lam)
         srt = sorted(
             (Tableau([[n + 1 - v for v in row] for row in t.rows], "SRT") for t in syt),
@@ -298,6 +303,22 @@ def test_syt_and_srt_words_match_the_backtracking_fill(shapes):
             assert found == _enumerated(expected), (shape, flavor)
             assert len(found) == len(set(found)) == _hook_length_count(lam)
             assert all(problem is None for *_, problem in found)
+
+
+def test_word_cache_holds_the_reading_words_of_the_enumerated_tableaux():
+    # the engine reads each carrier as its words, and enumerate_tableaux
+    # builds its tableaux from the same words, in the same order
+    for n in range(9):
+        for flavor, shapes in (
+            ("SYT", partitions(n)),
+            ("SRT", partitions(n)),
+            ("SST", strict_partitions(n)),
+            ("SRCT", compositions(n)),
+        ):
+            for shape in shapes:
+                words = enumerate_words(shape, flavor)
+                assert words is tableaux._words(shape, flavor)
+                assert list(words) == [t.reading_word() for t in enumerate_tableaux(shape, flavor)]
 
 
 def _valid_srct(alpha):
